@@ -1,0 +1,80 @@
+#!/usr/bin/env bash
+# Golden-output check: runs fs2 on the deterministic simulated workloads CI
+# smokes (three example campaigns, the sine and power-target single runs,
+# and an open-loop loopback fleet) and compares stdout, --record-trace and
+# --control-log byte for byte against the files in this directory.
+#
+#   tests/golden/check.sh FS2_BINARY REPO_ROOT            # compare (ctest)
+#   tests/golden/check.sh FS2_BINARY REPO_ROOT --update   # rewrite the files
+#
+# A file the run does not write (e.g. --control-log on a campaign without a
+# target= phase) must stay unwritten; its golden file is simply absent.
+set -euo pipefail
+fs2="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
+root="$(cd "$2" && pwd)"
+update="${3:-}"
+golden="$root/tests/golden"
+examples="$root/examples"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+failed=0
+
+# check FILE... — compare (or with --update, store) each output file.
+check() {
+  local file
+  for file in "$@"; do
+    if [ -n "$update" ]; then
+      rm -f "$golden/$file"
+      if [ -f "$file" ]; then cp "$file" "$golden/$file"; fi
+    elif [ -f "$file" ] && [ -f "$golden/$file" ]; then
+      if ! cmp -s "$file" "$golden/$file"; then
+        echo "golden: $file differs" >&2
+        diff "$golden/$file" "$file" | head -20 >&2 || true
+        failed=1
+      fi
+    elif [ -f "$file" ] || [ -f "$golden/$file" ]; then
+      echo "golden: $file is written by only one of the golden set and this run" >&2
+      failed=1
+    fi
+  done
+}
+
+# run NAME ARGS... — fs2 with stdout in NAME.out and --record-trace /
+# --control-log pointed at NAME.trace.csv / NAME.ctl.csv.
+run() {
+  local name="$1"
+  shift
+  "$fs2" "$@" --record-trace "$name.trace.csv" --control-log "$name.ctl.csv" \
+      --log-level error > "$name.out"
+  check "$name.out" "$name.trace.csv" "$name.ctl.csv"
+}
+
+run power_oscillation --simulate=zen2 --freq 1500 \
+    --campaign "$examples/power_oscillation.campaign"
+run setpoint_steps --simulate=zen2 --freq 1500 \
+    --campaign "$examples/setpoint_steps.campaign" --require-convergence
+run fuzz_discovery --simulate=zen2 --freq 2000 \
+    --campaign "$examples/fuzz_discovery.campaign"
+run sine --simulate=zen2 --freq 1500 -t 30 \
+    --load-profile=sine:low=10,high=90,period=5 \
+    --measurement --start-delta=2000 --stop-delta=1000
+run target_power --simulate=zen2 --freq 1500 -t 30 --target power=300W \
+    --measurement --require-convergence
+
+# Loopback fleet: only the per-node rows of the merged CSV are
+# deterministic. The coordinator's port, clock offsets, begin spreads and
+# the cluster-aggregate rows carry wall-clock timing.
+"$fs2" --loopback zen2@1500,haswell@2000 \
+    --campaign "$examples/power_oscillation.campaign" --log-level error \
+    | awk -F, '/^metric,unit,/ { csv = 1 } csv && $NF != "cluster"' > loopback_nodes.csv
+check loopback_nodes.csv
+
+if [ -n "$update" ]; then
+  echo "golden: files rewritten in $golden"
+elif [ "$failed" -ne 0 ]; then
+  echo "golden: FAILED (use --update only for a deliberate output change)" >&2
+  exit 1
+else
+  echo "golden: all outputs match"
+fi
