@@ -138,7 +138,7 @@ double bench_histogram_record_ns(std::size_t iterations) {
 }
 
 /// ns per full kMetricUpdate shipping cycle for one agent-sized registry
-/// (the mix a SimAgent actually carries: a few counters, gauges, and two
+/// (the mix an agent actually carries: a few counters, gauges, and two
 /// histograms): collect the delta, encode it, decode it, fold it into the
 /// coordinator's MetricStore. Multiplied by fleet size over the shipping
 /// interval, this is the coordinator-side cost of the live metrics plane.

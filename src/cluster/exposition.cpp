@@ -144,7 +144,7 @@ std::string render_metrics(const std::vector<trace::MetricSnapshot>& local,
   }
 
   // Per-node gauges shipped through the metrics plane (agent-side registry
-  // gauges — e.g. a SimAgent's private "agent.*" series).
+  // gauges — e.g. a loopback agent's private "agent.*" series).
   const std::vector<MetricStore::NodeSeries>& series = store.nodes();
   for (std::size_t node = 0; node < series.size() && node < nodes.size(); ++node) {
     for (std::size_t id = 0; id < series[node].defs.size(); ++id) {

@@ -51,7 +51,7 @@ void RemoteSink::on_channel(telemetry::ChannelId id, const telemetry::ChannelInf
   msg.unit = info.unit;
   msg.trim_phase = info.trim == telemetry::TrimMode::kPhase ? 1 : 0;
   msg.summarize = info.summarize ? 1 : 0;
-  if (!muted_) conn_->send(msg.encode());
+  conn_->send(msg.encode());
 }
 
 void RemoteSink::on_phase_begin(const telemetry::PhaseInfo& phase) {
@@ -65,7 +65,7 @@ void RemoteSink::on_phase_begin(const telemetry::PhaseInfo& phase) {
   msg.start_delta_s = phase.start_delta_s;
   msg.stop_delta_s = phase.stop_delta_s;
   msg.epoch_elapsed_s = epoch_elapsed_s();
-  if (!muted_) conn_->send(msg.encode());
+  conn_->send(msg.encode());
 }
 
 void RemoteSink::on_sample(telemetry::ChannelId id, const telemetry::Sample& sample) {
@@ -105,7 +105,7 @@ void RemoteSink::send_new_summary_rows() {
     msg.p99 = row.p99;
     // Muted, the watermark still advances: a partial phase's rows are
     // dropped for good, not deferred past the rejoin.
-    if (!muted_) conn_->send(msg.encode());
+    conn_->send(msg.encode());
   }
 }
 
@@ -123,7 +123,7 @@ void RemoteSink::on_phase_end(const telemetry::PhaseInfo& phase) {
   msg.duration_s = phase.duration_s;
   msg.time_offset_s = phase.time_offset_s;
   msg.epoch_elapsed_s = epoch_elapsed_s();
-  if (!muted_) conn_->send(msg.encode());
+  conn_->send(msg.encode());
 }
 
 void RemoteSink::on_finish() {
@@ -134,10 +134,6 @@ void RemoteSink::on_finish() {
 void RemoteSink::flush(telemetry::ChannelId id) {
   Batch& batch = batches_[id];
   if (batch.samples.empty()) return;
-  if (muted_) {
-    batch.samples.clear();  // partial-phase samples die with the mute
-    return;
-  }
   SampleBatchMsg::encode_into(scratch_, static_cast<std::uint32_t>(id),
                               batch.samples.data(), batch.samples.size());
   conn_->send(MessageType::kSampleBatch, scratch_);

@@ -66,18 +66,9 @@ class RemoteSink : public telemetry::SampleSink {
   /// Phases streamed so far (== the index the NEXT on_phase_begin gets).
   std::uint32_t phases_begun() const { return phase_count_; }
 
-  /// Muted, the sink keeps all its local bookkeeping (summary aggregation,
-  /// batch buffers, phase counting) but writes nothing to the wire. The
-  /// rejoin path mutes the sink while it aborts a half-run phase — the
-  /// implicit end bracket and the partial phase's buffered samples must not
-  /// reach the coordinator, which has already reset this node to the resume
-  /// phase.
-  void mute(bool muted) { muted_ = muted; }
-
   /// Reset the phase counter so the next on_phase_begin is stamped
-  /// `next_phase_index` — after a rejoin, the re-run of the interrupted
-  /// phase must carry the coordinator-assigned resume index, not the
-  /// counter this sink reached before the crash.
+  /// `next_phase_index` — a rejoined agent's fresh sink must carry the
+  /// coordinator-assigned resume index, not 0.
   void rewind_phase(std::uint32_t next_phase_index) { phase_count_ = next_phase_index; }
 
   /// Current flush threshold of a channel (tests/introspection).
@@ -110,7 +101,6 @@ class RemoteSink : public telemetry::SampleSink {
   telemetry::SummarySink summary_;    ///< edge aggregation (same rows as local runs)
   std::size_t summary_rows_sent_ = 0; ///< watermark into summary_.rows()
   std::uint32_t phase_count_ = 0;
-  bool muted_ = false;  ///< drop wire writes, keep local bookkeeping
 };
 
 }  // namespace fs2::cluster

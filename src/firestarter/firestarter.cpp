@@ -4,21 +4,18 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <thread>
 
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include "arch/processor.hpp"
-#include "arch/topology.hpp"
-#include "cluster/agent.hpp"
 #include "cluster/coordinator.hpp"
-#include "control/controlled_profile.hpp"
 #include "control/feedback_loop.hpp"
 #include "control/setpoint.hpp"
+#include "firestarter/agent.hpp"
 #include "firestarter/backends.hpp"
+#include "firestarter/phase_runner.hpp"
 #include "firestarter/sim_fleet.hpp"
 #include "firestarter/sim_phases.hpp"
 #include "fuzz/fuzzer.hpp"
@@ -39,7 +36,6 @@
 #include "sched/campaign.hpp"
 #include "sched/load_profile.hpp"
 #include "sched/trace_recorder.hpp"
-#include "sim/plant.hpp"
 #include "sim/sim_system.hpp"
 #include "telemetry/bus.hpp"
 #include "telemetry/sinks.hpp"
@@ -59,33 +55,6 @@ namespace {
 
 constexpr const char* kVersion = "fs2 2.0.0 (FIRESTARTER 2 reproduction)";
 
-const payload::FunctionDef& resolve_function(const Config& cfg, const Target& target) {
-  if (cfg.function_id) return payload::find_function(*cfg.function_id);
-  if (cfg.function_name) return payload::find_function(*cfg.function_name);
-  return payload::select_function(target.cpu);
-}
-
-payload::InstructionGroups resolve_groups(const Config& cfg, const payload::FunctionDef& fn) {
-  return payload::InstructionGroups::parse(
-      cfg.instruction_groups ? *cfg.instruction_groups : fn.default_groups);
-}
-
-/// Per-phase workload resolution: a campaign phase's groups=/unroll= keys
-/// outrank the CLI flags, which outrank the function's defaults.
-payload::InstructionGroups resolve_phase_groups(const Config& cfg,
-                                                const sched::CampaignPhase& spec,
-                                                const payload::FunctionDef& fn) {
-  if (spec.groups) return payload::InstructionGroups::parse(*spec.groups);
-  return resolve_groups(cfg, fn);
-}
-
-payload::CompileOptions compile_options(const Config& cfg) {
-  payload::CompileOptions options;
-  if (cfg.line_count) options.unroll = *cfg.line_count;
-  options.dump_registers = cfg.dump_registers;
-  return options;
-}
-
 /// The run's load schedule: --load-profile spec, or the classic --load duty
 /// cycle as a constant profile.
 sched::ProfilePtr resolve_profile(const Config& cfg) {
@@ -93,75 +62,19 @@ sched::ProfilePtr resolve_profile(const Config& cfg) {
   return std::make_shared<sched::ConstantProfile>(cfg.load);
 }
 
-/// Worker CPU list for host runs: the topology's choice, trimmed to
-/// --threads (or a campaign phase's threads= override) when set.
-std::vector<int> resolve_worker_cpus(const Config& cfg,
-                                     std::optional<int> threads_override = std::nullopt) {
-  std::vector<int> cpus = arch::Topology::from_sysfs().worker_cpus(cfg.one_thread_per_core);
-  const std::optional<int> threads = threads_override ? threads_override : cfg.threads;
-  if (threads && *threads > 0 && static_cast<std::size_t>(*threads) < cpus.size())
-    cpus.resize(static_cast<std::size_t>(*threads));
-  return cpus;
-}
-
-/// The IPC estimate converts loop counts to instructions/cycle at this
-/// assumed clock when the real frequency is unknown (Sec. III-C).
-constexpr double kIpcEstimateAssumedMhz = 2000.0;
-
-/// Metric set for a host stress run: RAPL power and perf IPC when available,
-/// the loop-count IPC estimate always, plus the --metric-path /
-/// --metric-command externals — shared by plain runs and campaign phases so
-/// both report through the same sources. Readings go straight onto the
-/// telemetry bus; nothing is retained here.
-struct HostMetricSet {
-  metrics::RaplPowerMetric rapl;
-  metrics::PerfIpcMetric perf;
-  std::unique_ptr<metrics::IpcEstimateMetric> estimate;
-  std::unique_ptr<metrics::PluginMetric> plugin;
-  std::unique_ptr<metrics::CommandMetric> command;
-  std::vector<metrics::Metric*> active;          ///< metrics that responded as available
-  std::vector<telemetry::ChannelId> channels;    ///< one per active metric, same order
-
-  void register_channels(telemetry::TelemetryBus& bus) {
-    channels.clear();
-    for (metrics::Metric* metric : active)
-      channels.push_back(bus.channel(metric->name(), metric->unit()));
+/// Campaign keys a phase carries that something else overrides. Logged once
+/// per phase by whoever reads the campaign file: the local runner, or the
+/// coordinator for its whole fleet (agents stay quiet).
+void warn_overridden_phase_keys(const sched::Campaign& campaign, bool budget_mode) {
+  for (const sched::CampaignPhase& spec : campaign.phases()) {
+    if (budget_mode && (spec.profile_explicit || spec.target_spec))
+      log::warn() << "campaign phase '" << spec.name
+                  << "': profile=/target= overridden by the cluster power budget";
+    else if (!budget_mode && spec.target_spec && spec.profile_explicit)
+      log::warn() << "campaign phase '" << spec.name
+                  << "': profile= is ignored under target= (the controller owns "
+                     "the duty cycle)";
   }
-  void begin_all() {
-    for (metrics::Metric* metric : active) metric->begin();
-  }
-  void sample_all(telemetry::TelemetryBus& bus, double elapsed_s) {
-    for (std::size_t m = 0; m < active.size(); ++m)
-      bus.publish(channels[m], elapsed_s, active[m]->sample());
-  }
-};
-
-/// `skip_plugin` / `skip_command` suppress the --metric-path or
-/// --metric-command instance when the control loop already owns exactly that
-/// source — instantiating it twice would double-initialize plugin state or
-/// double-spawn meter commands (the controller's readings still land in the
-/// CSV as ctl-measurement). The source the loop did NOT take keeps its
-/// measurement channel.
-std::unique_ptr<HostMetricSet> build_host_metrics(const Config& cfg,
-                                                  const kernel::ThreadManager& manager,
-                                                  double instructions_per_iteration,
-                                                  bool skip_plugin = false,
-                                                  bool skip_command = false) {
-  auto set = std::make_unique<HostMetricSet>();
-  set->estimate = std::make_unique<metrics::IpcEstimateMetric>(
-      [&manager] { return manager.total_iterations(); }, instructions_per_iteration,
-      kIpcEstimateAssumedMhz, static_cast<int>(manager.num_workers()));
-  if (cfg.metric_path && !skip_plugin)
-    set->plugin = std::make_unique<metrics::PluginMetric>(*cfg.metric_path);
-  if (cfg.metric_command && !skip_command)
-    set->command = std::make_unique<metrics::CommandMetric>(*cfg.metric_command,
-                                                            "external-command", "value");
-  if (set->rapl.available()) set->active.push_back(&set->rapl);
-  if (set->perf.available()) set->active.push_back(&set->perf);
-  set->active.push_back(set->estimate.get());
-  if (set->plugin && set->plugin->available()) set->active.push_back(set->plugin.get());
-  if (set->command && set->command->available()) set->active.push_back(set->command.get());
-  return set;
 }
 
 // ---- output files -----------------------------------------------------------
@@ -256,160 +169,6 @@ struct RunSinks {
       log::info() << "achieved-load trace written to " << *cfg.record_trace;
   }
 };
-
-// ---- closed-loop control helpers --------------------------------------------
-
-/// Actuator + sensor + regulator for a closed-loop phase on the real host.
-struct HostControl {
-  std::shared_ptr<control::ControlledProfile> profile;
-  std::unique_ptr<metrics::Metric> sensor;
-  std::unique_ptr<control::FeedbackLoop> loop;
-  /// Which external source `sensor` is, if any — the measurement set must
-  /// not instantiate that same source a second time (double plugin init,
-  /// doubled meter-command spawns); the other one keeps its channel.
-  bool owns_plugin = false;
-  bool owns_command = false;
-};
-
-/// Wire a host feedback loop: pick the sensor for the regulated variable
-/// (RAPL, else an external plugin/command for power; coretemp for
-/// temperature) and start from mid-scale — on an unknown SKU there is no
-/// feed-forward model, the integrator finds the level.
-HostControl make_host_control(const Config& cfg, const control::Setpoint& sp) {
-  HostControl hc;
-  if (sp.variable == control::ControlVariable::kPower) {
-    // An explicitly requested external meter outranks the implicit RAPL
-    // default: a user passing --metric-path/--metric-command wants the loop
-    // to regulate *that* reading (e.g. wall power, which differs from RAPL
-    // package watts by PSU and fan losses). RAPL is the fallback.
-    if (cfg.metric_path) {
-      if (auto plugin = std::make_unique<metrics::PluginMetric>(*cfg.metric_path);
-          plugin->available()) {
-        hc.sensor = std::move(plugin);
-        hc.owns_plugin = true;
-      } else {
-        log::warn() << "--metric-path sensor is unavailable; --target power falls "
-                       "back to the next source (which regulates a different reading)";
-      }
-    }
-    if (!hc.sensor && cfg.metric_command) {
-      if (auto command = std::make_unique<metrics::CommandMetric>(
-              *cfg.metric_command, "external-power", "W");
-          command->available()) {
-        hc.sensor = std::move(command);
-        hc.owns_command = true;
-      } else {
-        log::warn() << "--metric-command sensor is unavailable; --target power falls "
-                       "back to the next source (which regulates a different reading)";
-      }
-    }
-    if (!hc.sensor) {
-      if (auto rapl = std::make_unique<metrics::RaplPowerMetric>(); rapl->available())
-        hc.sensor = std::move(rapl);
-    }
-    if (!hc.sensor)
-      throw UnsupportedError(
-          "--target power needs a power sensor: no RAPL package domain in sysfs and no "
-          "working --metric-path/--metric-command fallback");
-  } else {
-    auto coretemp = std::make_unique<metrics::CoretempMetric>();
-    if (!coretemp->available())
-      throw UnsupportedError(
-          "--target temp needs a temperature sensor: no coretemp/k10temp hwmon chip");
-    hc.sensor = std::move(coretemp);
-  }
-  hc.profile = std::make_shared<control::ControlledProfile>(0.5);
-  hc.loop = std::make_unique<control::FeedbackLoop>(
-      sp, hc.profile, sp.scale.value_or(0.0), /*initial_level=*/0.5);
-  return hc;
-}
-
-// ---- host phases ------------------------------------------------------------
-
-/// What a host phase leaves behind beyond the bus traffic: the feedback
-/// loop (convergence verdicts) and the actual wall-clock length.
-struct HostPhaseOutput {
-  std::unique_ptr<control::FeedbackLoop> loop;
-  /// Wall-clock phase length — slightly over the nominal duration (the
-  /// sampling loop quantizes at 50 ms); campaign time advances by this so
-  /// cross-phase timestamps stay monotonic.
-  double elapsed_s = 0.0;
-};
-
-/// Execute one campaign phase on the real machine: compile the phase's
-/// workload, stress for `duration_s` — under its profile, or under the
-/// feedback loop when `setpoint` is set — and publish every metric sample,
-/// controller tick, and achieved load level on the bus (the caller's
-/// begin_phase/end_phase bracket attributes them to the phase).
-HostPhaseOutput run_host_phase(const Config& cfg, const Target& target,
-                               const payload::FunctionDef& fn,
-                               const payload::InstructionGroups& groups,
-                               sched::ProfilePtr profile, const control::Setpoint* setpoint,
-                               std::optional<int> threads_override, double duration_s,
-                               telemetry::TelemetryBus& bus,
-                               gpu::DgemmStressor* gpu_stress,
-                               cluster::AgentSession* session = nullptr) {
-  if (!target.cpu.features.covers(fn.mix.required))
-    throw UnsupportedError("host CPU lacks features for " + fn.name + " (needs " +
-                           fn.mix.required.to_string() + ")");
-  auto payload = payload::compile_payload(fn.mix, groups, target.caches, compile_options(cfg));
-
-  HostPhaseOutput output;
-  HostControl hc;
-  if (setpoint != nullptr) {
-    setpoint->validate_duration(duration_s, "closed-loop phase");
-    hc = make_host_control(cfg, *setpoint);
-    profile = hc.profile;
-    output.loop = std::move(hc.loop);
-  }
-
-  kernel::RunOptions options;
-  options.cpus = resolve_worker_cpus(cfg, threads_override);
-  options.policy = policy_of(cfg);
-  options.seed = cfg.seed;
-  options.load = cfg.load;
-  options.period_s = cfg.period_s;
-  options.profile = profile;
-  options.phase_offset_s = cfg.phase_offset_s;
-  // Cluster runs duty-cycle against the fleet-wide epoch so modulation
-  // windows align across machines, not just across this node's workers.
-  if (session != nullptr) options.epoch = session->epoch_time();
-  kernel::ThreadManager manager(payload, options);
-
-  auto metrics_set = build_host_metrics(cfg, manager, payload.stats().instructions_per_iteration,
-                                        hc.owns_plugin, hc.owns_command);
-  // Row order per phase: the metric channels, the ctl-* channels, then the
-  // achieved load level — matching the measurement CSV layout.
-  metrics_set->register_channels(bus);
-  if (output.loop) output.loop->attach_bus(&bus);
-  const telemetry::ChannelId load_ch = bus.channel(kLoadChannel, "fraction");
-
-  // The GPU stand-in backdrop follows this phase's schedule too (for
-  // controlled phases that is the live controller profile).
-  if (gpu_stress != nullptr) gpu_stress->set_profile(profile);
-
-  kernel::Watchdog watchdog;
-  std::atomic<bool> done{false};
-  watchdog.arm(std::chrono::duration<double>(duration_s), [&done] { done.store(true); });
-  manager.start();
-  metrics_set->begin_all();
-  if (hc.sensor) hc.sensor->begin();
-  const auto t0 = std::chrono::steady_clock::now();
-  while (!done.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    metrics_set->sample_all(bus, elapsed);
-    if (output.loop && output.loop->due(elapsed)) output.loop->poll(elapsed, *hc.sensor);
-    if (session != nullptr && output.loop && session->budget_due(elapsed))
-      session->budget_exchange(elapsed, *output.loop);
-    if (session != nullptr && session->metrics_due()) session->ship_metrics();
-    bus.publish(load_ch, elapsed, manager.load_at(elapsed));
-    output.elapsed_s = elapsed;
-  }
-  manager.stop();
-  return output;
-}
 
 }  // namespace
 
@@ -526,18 +285,18 @@ int Firestarter::run_stress_simulated() {
                                                  /*summarize_load=*/true);
     const TrimDeltas deltas = phase_deltas(cfg_, duration);
     bus.begin_phase("", duration, deltas.start_s, deltas.stop_s);
-    const ControlledSimPhase phase =
-        run_sim_controlled_phase(system, cfg_, stats, sp, duration, cfg_.seed,
-                                 /*warm_start_s=*/0.0, target.gpu_stress,
-                                 std::nullopt, std::nullopt, std::nullopt, bus, ch);
+    ControlledSimPhaseRun run(system, cfg_, stats, sp, duration, cfg_.seed,
+                              /*warm_start_s=*/0.0, target.gpu_stress, std::nullopt,
+                              std::nullopt, std::nullopt, bus, ch);
+    while (!run.done()) run.step();
     bus.finish();
-    system.set_point(phase.point);
-    const bool converged = report_convergence(*phase.loop, duration, "controller");
-    const double window = convergence_window_s(*phase.loop, duration);
+    system.set_point(run.point());
+    const bool converged = report_convergence(run.loop(), duration, "controller");
+    const double window = convergence_window_s(run.loop(), duration);
     out_ << strings::format(
         "closed loop: %.1f %s achieved (setpoint %g), level %.0f %%, %s\n",
-        phase.loop->trailing_mean(window), control::unit_of(sp.variable), sp.value,
-        phase.profile->level() * 100.0, converged ? "converged" : "NOT converged");
+        run.loop().trailing_mean(window), control::unit_of(sp.variable), sp.value,
+        run.profile().level() * 100.0, converged ? "converged" : "NOT converged");
 
     if (cfg_.measurement) metrics::print_csv(out_, sinks.summary.rows());
     sinks.report_trace(cfg_);
@@ -572,263 +331,43 @@ int Firestarter::run_stress_simulated() {
   return 0;
 }
 
-int Firestarter::run_campaign(cluster::AgentSession* session) {
-  const bool budget_mode = session != nullptr && session->has_budget();
-  const sched::Campaign campaign = [&] {
-    if (session == nullptr) return sched::Campaign::load(*cfg_.campaign_file);
-    std::istringstream in(session->campaign().campaign_text);
-    return sched::Campaign::parse(in, "(from coordinator)");
-  }();
-  const Target target = resolve_target(cfg_);
+int Firestarter::run_campaign() {
   if (cfg_.load_profile)
     log::warn() << "--load-profile is ignored under --campaign (phases define their "
                    "own profiles)";
   if (cfg_.target_spec)
     log::warn() << "--target is ignored under --campaign (phases define their own "
                    "target= setpoints)";
-  if (budget_mode)
-    log::info() << "cluster budget mode: every phase runs closed-loop against the "
-                   "coordinator's apportioned power share (phase profile=/target= "
-                   "keys are overridden)";
-
-  // Resolve every phase up front — functions (typos, host feature coverage),
-  // profiles (including trace-file reads), and setpoints — so a campaign
-  // fails before phase 1 starts stressing, never hours in. The cached
-  // profiles also mean trace CSVs are read once, not re-opened per phase.
-  struct ResolvedPhase {
-    const payload::FunctionDef* fn;
-    sched::ProfilePtr profile;
-    std::optional<control::Setpoint> setpoint;
-  };
-  std::vector<ResolvedPhase> resolved;
-  resolved.reserve(campaign.size());
-  std::set<control::ControlVariable> probed;  // one sensor probe per variable
-  for (const sched::CampaignPhase& spec : campaign.phases()) {
-    const payload::FunctionDef& fn = spec.function ? payload::find_function(*spec.function)
-                                                   : resolve_function(cfg_, target);
-    if (!target.simulated && !target.cpu.features.covers(fn.mix.required))
-      throw UnsupportedError("campaign phase '" + spec.name +
-                             "': host CPU lacks features for " + fn.name + " (needs " +
-                             fn.mix.required.to_string() + ")");
-    if (!target.simulated && spec.freq_mhz)
-      log::warn() << "campaign phase '" << spec.name
-                  << "': freq= only applies to --simulate targets (ignored on host)";
-    if (!target.simulated && spec.measure_temp)
-      log::warn() << "campaign phase '" << spec.name
-                  << "': measure=temp only applies to --simulate targets (host "
-                     "temperature comes from coretemp under target=temp)";
-    ResolvedPhase phase{&fn,
-                        sched::parse_profile(spec.profile_spec, cfg_.load, cfg_.period_s),
-                        std::nullopt};
-    if (budget_mode) {
-      // The coordinator owns every phase's duty cycle: regulate this
-      // node's apportioned power share. The setpoint VALUE is re-read at
-      // each phase start (assignments move it); resolve only validates
-      // feasibility.
-      if (spec.profile_explicit || spec.target_spec)
-        log::warn() << "campaign phase '" << spec.name
-                    << "': profile=/target= overridden by the cluster power budget";
-      control::Setpoint sp;
-      sp.variable = control::ControlVariable::kPower;
-      sp.value = session->current_setpoint_w();
-      sp.interval_s = session->campaign().ctl_interval_s;
-      sp.band = session->campaign().budget_band;
-      sp.validate_duration(spec.duration_s, "campaign phase '" + spec.name + "'");
-      phase.setpoint = sp;
-      if (!target.simulated && probed.insert(sp.variable).second) {
-        try {
-          make_host_control(cfg_, sp);
-        } catch (const Error& e) {
-          throw UnsupportedError("campaign phase '" + spec.name + "': " + e.what());
-        }
-      }
-      resolved.push_back(std::move(phase));
-      continue;
-    }
-    if (spec.target_spec) {
-      if (spec.profile_explicit)
-        log::warn() << "campaign phase '" << spec.name
-                    << "': profile= is ignored under target= (the controller owns "
-                       "the duty cycle)";
-      try {
-        phase.setpoint = control::Setpoint::parse(*spec.target_spec);
-      } catch (const Error& e) {
-        throw ConfigError("campaign phase '" + spec.name + "': " + e.what());
-      }
-      phase.setpoint->validate_duration(spec.duration_s,
-                                        "campaign phase '" + spec.name + "'");
-      // Probe sensor availability now, not when the phase starts: a host
-      // campaign with a power/temp target and no matching sensor must fail
-      // before phase 1 begins stressing, never hours in. Once per variable —
-      // plugin init/fini can have side effects worth not repeating.
-      if (!target.simulated && probed.insert(phase.setpoint->variable).second) {
-        try {
-          make_host_control(cfg_, *phase.setpoint);
-        } catch (const Error& e) {
-          throw UnsupportedError("campaign phase '" + spec.name + "': " + e.what());
-        }
-      }
-    }
-    resolved.push_back(std::move(phase));
-  }
-
-  out_ << "campaign: " << campaign.size() << " phases, "
-       << strings::format("%.0f s total", campaign.total_duration_s()) << " on "
+  PhaseResolver phases(cfg_, sched::Campaign::load(*cfg_.campaign_file));
+  warn_overridden_phase_keys(phases.campaign(), /*budget_mode=*/false);
+  const Target& target = phases.target();
+  out_ << "campaign: " << phases.phases().size() << " phases, "
+       << strings::format("%.0f s total", phases.campaign().total_duration_s()) << " on "
        << (target.simulated ? target.sim_config.name : "host") << "\n";
-
-  // The GPU stand-in runs for the whole campaign; each phase retargets it
-  // onto its own schedule (run_host_phase swaps the profile in).
-  std::unique_ptr<gpu::DgemmStressor> gpu_stress;
-  if (!target.simulated && cfg_.gpus > 0) {
-    gpu::GpuStressOptions gpu_options;
-    gpu_options.devices = cfg_.gpus;
-    gpu_options.matrix_n = cfg_.gpu_matrix_n;
-    gpu_options.seed = cfg_.seed;
-    gpu_stress = std::make_unique<gpu::DgemmStressor>(gpu_options);
-    gpu_stress->start();
-  }
-
-  bool any_target = false;
-  for (const ResolvedPhase& phase : resolved) any_target |= phase.setpoint.has_value();
-  bool any_temp = false;
-  for (const sched::CampaignPhase& spec : campaign.phases()) any_temp |= spec.measure_temp;
-  if (cfg_.require_convergence && !any_target)
+  if (cfg_.require_convergence && !phases.any_target())
     log::warn() << "--require-convergence is ignored: no campaign phase has a "
                    "target= setpoint";
 
   telemetry::TelemetryBus bus;
-  // Agents stream raw samples to the coordinator (which owns the merged
-  // summary) instead of aggregating locally.
-  RunSinks sinks(bus, cfg_, /*want_summary=*/session == nullptr, any_target,
+  RunSinks sinks(bus, cfg_, /*want_summary=*/true, phases.any_target(),
                  ": no campaign phase has a target= setpoint");
-  if (session != nullptr) bus.attach(&session->sink());
-
-  sim::SimulatedSystem system(target.sim_config);
-  SimChannels sim_channels;
-  if (target.simulated)
-    sim_channels = register_sim_channels(bus, /*with_temp=*/any_target || any_temp,
-                                         /*trimmed_aux=*/true, /*summarize_load=*/true);
-
-  // Cluster runs hold the whole fleet at the shared epoch before phase 1.
-  if (session != nullptr) session->wait_for_start();
-
-  bool all_converged = true;
-  // Thermal state carried between controlled sim phases so back-to-back
-  // holds heat continuously instead of each phase snapping back to the
-  // idle-settled temperature. (Open-loop phases advance the carry through a
-  // first-order settle toward their mean-power steady state.)
-  std::optional<double> carry_temp_c;
-  // Fully completed phases — the credential a rejoin presents so the
-  // coordinator can credit them instead of re-running the whole campaign.
-  std::uint32_t phases_done = 0;
-  std::size_t phase_index = 0;
-  while (phase_index < campaign.size()) {
-    const sched::CampaignPhase& spec = campaign.phases()[phase_index];
-    const ResolvedPhase& res = resolved[phase_index];
-    try {
-      const payload::FunctionDef& fn = *res.fn;
-      const auto groups = resolve_phase_groups(cfg_, spec, fn);
-
-      // Fleet barrier: phases after the first wait for the coordinator's
-      // phase-go (sent once every node finished the previous phase), so
-      // transitions stay in lockstep even when nodes run at different wall
-      // speeds. The budget setpoint is re-read AFTER the barrier so the
-      // phase starts from the latest apportionment.
-      std::optional<control::Setpoint> active_sp = res.setpoint;
-      if (session != nullptr) {
-        session->begin_phase(static_cast<std::uint32_t>(phase_index));
-        if (budget_mode) active_sp->value = session->current_setpoint_w();
-      }
-
-      out_ << strings::format("phase %zu '%s': %s for %.0f s (%s)\n", phase_index + 1,
-                              spec.name.c_str(), fn.name.c_str(), spec.duration_s,
-                              active_sp ? active_sp->describe().c_str()
-                                        : res.profile->describe().c_str());
-
-      const TrimDeltas deltas = phase_deltas(cfg_, spec.duration_s);
-      // Fleet trace: bracket the phase in local wall time (sim phases run in
-      // virtual time, but their wall extent is what aligns across nodes).
-      const double phase_span_begin_s = trace::now_s();
-      bus.begin_phase(spec.name, spec.duration_s, deltas.start_s, deltas.stop_s);
-      // Campaign time of this phase's start — also the virtual preheat the
-      // simulator's thermal/leakage models have accumulated.
-      const double campaign_time_s = bus.phase().time_offset_s;
-
-      if (target.simulated) {
-        payload::CompileOptions options = compile_options(cfg_);
-        if (spec.unroll) options.unroll = *spec.unroll;
-        const auto stats = payload::analyze_payload(fn.mix, groups, target.caches, options);
-        if (active_sp) {
-          const ControlledSimPhase phase = run_sim_controlled_phase(
-              system, cfg_, stats, *active_sp, spec.duration_s, cfg_.seed + phase_index,
-              campaign_time_s, target.gpu_stress, spec.freq_mhz, spec.threads,
-              carry_temp_c, bus, sim_channels, session);
-          carry_temp_c = phase.final_temp_c;
-          all_converged &=
-              report_convergence(*phase.loop, spec.duration_s, "phase '" + spec.name + "'");
-        } else {
-          Config phase_cfg = cfg_;
-          if (spec.freq_mhz) phase_cfg.sim_freq_mhz = *spec.freq_mhz;
-          if (spec.threads) phase_cfg.threads = *spec.threads;
-          const SimPhaseResult result =
-              run_sim_phase(system, phase_cfg, stats, *res.profile, spec.duration_s,
-                            cfg_.seed + phase_index, campaign_time_s, target.gpu_stress,
-                            bus, sim_channels, carry_temp_c);
-          // Advance the thermal carry through this open-loop phase too — the
-          // exact integrated temperature when the phase published the temp
-          // channel, otherwise a first-order settle toward the phase's
-          // mean-power steady state — so a later temp-target phase doesn't
-          // inherit a stale (or idle-cold) package after e.g. 300 s of load.
-          if (result.final_temp_c) {
-            carry_temp_c = result.final_temp_c;
-          } else if (result.samples > 0) {
-            carry_temp_c = advance_thermal_carry(system, spec.duration_s,
-                                                 result.mean_power_w, carry_temp_c);
-          }
-        }
-        bus.end_phase();
-      } else {
-        const HostPhaseOutput output = run_host_phase(
-            cfg_, target, fn, groups, res.profile,
-            active_sp ? &*active_sp : nullptr, spec.threads, spec.duration_s, bus,
-            gpu_stress.get(), session);
-        if (output.loop)
-          all_converged &= report_convergence(*output.loop, spec.duration_s,
-                                              "phase '" + spec.name + "'");
-        // Advance by the *actual* phase length: the 50 ms sampling loop
-        // overruns the nominal duration slightly, and a nominal offset would
-        // make the next phase's first timestamps non-monotonic (the trace
-        // recorder would silently drop them).
-        bus.end_phase(output.elapsed_s);
-      }
-      if (session != nullptr)
-        session->add_span("phase:" + spec.name, phase_span_begin_s, trace::now_s());
-      // Open-loop sim phases run in virtual time with no inner wall loop;
-      // the phase edge is their shipping point.
-      if (session != nullptr && session->metrics_due()) session->ship_metrics();
-      ++phase_index;
-      phases_done = static_cast<std::uint32_t>(phase_index);
-    } catch (const cluster::WireError& e) {
-      if (session == nullptr) throw;
-      // Lost the coordinator link mid-campaign: mute the sink while the
-      // half-run phase is closed locally (its partial telemetry and the
-      // implicit end bracket must not hit the wire), rejoin with backoff,
-      // then resume at the coordinator-assigned phase.
-      log::warn() << "cluster link lost during phase " << phase_index + 1 << ": "
-                  << e.what() << " — rejoining";
-      session->sink().mute(true);
-      if (bus.in_phase()) bus.end_phase();
-      const std::uint32_t resume = session->rejoin(phases_done);
-      session->sink().rewind_phase(resume);
-      session->sink().mute(false);
-      trace::FlightRecorder::instance().note_event(
-          strings::format("rejoined; resuming at phase %u", resume));
-      phase_index = resume;
-      phases_done = resume;
+  PhaseRunner runner(cfg_, phases, bus, PhaseRunner::Options{});
+  for (std::size_t i = 0; i < phases.phases().size(); ++i) {
+    const ResolvedPhase& phase = phases.phases()[i];
+    out_ << strings::format("phase %zu '%s': %s for %.0f s (%s)\n", i + 1,
+                            phase.spec->name.c_str(), phase.fn->name.c_str(),
+                            phase.spec->duration_s,
+                            phase.setpoint ? phase.setpoint->describe().c_str()
+                                           : phase.profile->describe().c_str());
+    runner.begin(i);
+    while (!runner.done()) {
+      std::this_thread::sleep_until(runner.due());
+      runner.step();
     }
+    runner.finish();
   }
 
-  if (gpu_stress) {
+  if (gpu::DgemmStressor* gpu_stress = runner.gpu_stress()) {
     gpu_stress->stop();
     out_ << strings::format("gpu stand-in: %llu DGEMMs (%.1f GFLOP total)\n",
                             static_cast<unsigned long long>(gpu_stress->total_gemms()),
@@ -836,17 +375,8 @@ int Firestarter::run_campaign(cluster::AgentSession* session) {
   }
   bus.finish();
   sinks.report_trace(cfg_);
-  if (session != nullptr) {
-    // The coordinator owns the merged CSV and the fleet verdict; the agent
-    // reports its own convergence and waits for the shutdown.
-    session->finish(all_converged,
-                    strings::format("%zu phases on %s", campaign.size(),
-                                    target.simulated ? target.sim_config.name.c_str()
-                                                     : "host"));
-    return 0;
-  }
   metrics::print_csv(out_, sinks.summary.rows());
-  if (cfg_.require_convergence && !all_converged) {
+  if (cfg_.require_convergence && !runner.all_converged()) {
     log::error() << "campaign failed --require-convergence";
     return 1;
   }
@@ -877,6 +407,7 @@ int Firestarter::run_coordinator() {
           "temp= setpoints belong in campaign phases)");
     budget = sp;
   }
+  warn_overridden_phase_keys(campaign, budget.has_value());
 
   std::vector<LoopbackSpec> loopback;
   if (cfg_.loopback_nodes) loopback = parse_loopback_specs(*cfg_.loopback_nodes);
@@ -1015,27 +546,26 @@ int Firestarter::run_agent() {
   if (cfg_.target_spec)
     log::warn() << "--target is ignored under --agent (setpoints come from the "
                    "campaign or the coordinator's budget)";
-  cluster::AgentSession::Options options;
-  options.endpoint = *cfg_.agent_endpoint;
-  std::string sku = to_string(cfg_.target);
-  if (cfg_.target != TargetSystem::kHost && cfg_.sim_freq_mhz > 0.0)
-    sku += strings::format("@%.0fMHz", cfg_.sim_freq_mhz);
-  options.sku = sku;
-  options.node_name =
-      cfg_.node_name ? *cfg_.node_name
-                     : strings::format("%s-%d", sku.c_str(), static_cast<int>(::getpid()));
-  cluster::AgentSession session(options);
-  trace::FlightRecorder::instance().note_event("agent " + options.node_name +
-                                               " joined " + options.endpoint);
-  try {
-    return run_campaign(&session);
-  } catch (const std::exception& e) {
-    // Abnormal exit: ship the black box to the coordinator (best effort)
-    // and write the local dump before the error unwinds the process.
-    session.ship_flight_record(e.what());
-    trace::FlightRecorder::instance().dump(std::string("agent failed: ") + e.what());
-    throw;
+  Config cfg = cfg_;
+  if (!cfg.node_name) {
+    std::string sku = to_string(cfg.target);
+    if (cfg.target != TargetSystem::kHost && cfg.sim_freq_mhz > 0.0)
+      sku += strings::format("@%.0fMHz", cfg.sim_freq_mhz);
+    cfg.node_name = strings::format("%s-%d", sku.c_str(), static_cast<int>(::getpid()));
   }
+  // The process's only agent: its metrics plane ships the global registry,
+  // and a lost link is recovered by a rejoining replacement incarnation.
+  AgentFleet agent(*cfg_.agent_endpoint);
+  agent.add(cfg, &trace::Registry::instance());
+  trace::FlightRecorder::instance().note_event("agent " + *cfg.node_name + " joined " +
+                                               *cfg_.agent_endpoint);
+  agent.run();
+  const AgentFleet::Outcome& outcome = agent.outcomes().front();
+  if (outcome.ok) return 0;
+  // The agent already shipped its black box to the coordinator (best
+  // effort); keep the local dump too.
+  trace::FlightRecorder::instance().dump("agent failed: " + outcome.error);
+  throw Error("agent " + outcome.name + ": " + outcome.error);
 }
 
 int Firestarter::run_status() {

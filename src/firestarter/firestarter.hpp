@@ -4,10 +4,6 @@
 
 #include "firestarter/config.hpp"
 
-namespace fs2::cluster {
-class AgentSession;
-}
-
 namespace fs2::firestarter {
 
 /// Top-level orchestration: wires CPU detection, payload selection and
@@ -28,12 +24,11 @@ class Firestarter {
   int run_selftest_mode();
   int run_dump_asm();
   int run_stress_simulated();
-  /// `session` non-null runs the campaign as a cluster agent: telemetry
-  /// streams to the coordinator, phase transitions barrier on the fleet,
-  /// and (in budget mode) every phase runs closed-loop against the
-  /// coordinator's reapportioned per-node power setpoint.
-  int run_campaign(cluster::AgentSession* session = nullptr);
+  /// --campaign FILE on this machine: every phase through one PhaseRunner.
+  int run_campaign();
   int run_coordinator();
+  /// --agent HOST:PORT: one Agent on the AgentFleet poll loop; the
+  /// coordinator distributes the campaign.
   int run_agent();
   /// --status HOST:PORT: probe a live coordinator's status plane and print
   /// fleet health; runs no workload.

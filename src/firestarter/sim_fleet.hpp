@@ -1,23 +1,12 @@
 #pragma once
 
-#include <chrono>
-#include <map>
-#include <memory>
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "cluster/fault_injection.hpp"
-#include "cluster/messages.hpp"
-#include "cluster/remote_sink.hpp"
-#include "cluster/transport.hpp"
-#include "firestarter/sim_phases.hpp"
-#include "payload/compiler.hpp"
-#include "sched/campaign.hpp"
-#include "telemetry/sinks.hpp"
-#include "trace/metric_delta.hpp"
-#include "trace/registry.hpp"
-#include "trace/trace_event.hpp"
+#include "firestarter/agent.hpp"
+#include "firestarter/config.hpp"
 
 namespace fs2::firestarter {
 
@@ -46,244 +35,19 @@ inline constexpr std::size_t kMaxLoopbackNodes = 4096;
 /// errno anyway.
 void raise_fd_limit(std::size_t need);
 
-/// One in-process simulated agent driven by the fleet's event loop instead
-/// of a dedicated thread: a cooperative state machine that connects, says
-/// hello, answers sync probes, takes the campaign and epoch, then runs the
-/// campaign's phases in virtual time — yielding back to the loop wherever
-/// the protocol would block (phase-go barriers, budget reassignments, the
-/// shared epoch, shutdown).
-class SimAgent {
+/// A whole --loopback fleet of simulated agents on ONE thread (the
+/// AgentFleet poll loop), each with a private metrics registry. One event
+/// loop instead of a thread per agent is what fits 512 loopback agents in
+/// one process and one scheduler entity, and lets CI exercise the
+/// coordinator at fleet scale.
+class SimFleet : public AgentFleet {
  public:
-  /// What the agent is blocked on.
-  enum class Wait {
-    kFrame,  ///< a coordinator frame (poll the socket)
-    kUntil,  ///< a point in time (the shared epoch)
-    kRun,    ///< nothing — runnable; the loop should advance the phase
-    kDone,   ///< finished (cleanly or with error())
-  };
-
-  /// A respawned agent's credentials: instead of hello it presents kRejoin
-  /// with these and resumes the campaign where its predecessor died.
-  struct RejoinSpec {
-    std::uint64_t campaign_id = 0;
-    std::uint32_t phases_ended = 0;
-  };
-
-  /// Connects and sends hello immediately (the coordinator's handshake
-  /// finds every agent already dialed in) — or, when `rejoin` is set, sends
-  /// the rejoin handshake of a crashed agent's replacement. `plan` (may be
-  /// null) arms this agent's link faults; kill/stall cues fire once per run
-  /// and are not re-armed on a rejoined incarnation.
-  SimAgent(Config cfg, const std::string& endpoint, std::size_t index,
-           const cluster::FaultPlan* plan = nullptr,
-           std::optional<RejoinSpec> rejoin = std::nullopt);
-
-  Wait wait() const { return wait_; }
-  int fd() const { return conn_.fd(); }
-  std::chrono::steady_clock::time_point wake_time() const { return wake_time_; }
-  /// While a kFrame wait has a deadline (the rejoin-ack wait: a coordinator
-  /// that finished or wedged would otherwise strand the replacement
-  /// forever), the time at which the wait gives up; time_point::max()
-  /// otherwise. The fleet folds this into its poll timeout and calls
-  /// on_time() past it.
-  std::chrono::steady_clock::time_point frame_deadline() const { return ack_deadline_; }
-  const std::string& name() const { return node_name_; }
-  bool failed() const { return failed_; }
-  const std::string& error() const { return error_; }
-
-  /// A chaos kill cue fired: the agent dropped its socket without ceremony
-  /// and the fleet should spawn a rejoining replacement.
-  bool killed() const { return killed_; }
-  std::uint64_t campaign_id() const { return campaign_.campaign_id; }
-  std::uint32_t phases_ended() const { return phases_ended_; }
-
-  /// Write any delay-held frames that have come due; returns seconds until
-  /// the next held frame (0 = none pending). The fleet calls this every
-  /// iteration and bounds its poll timeout by the result, so chaos-delayed
-  /// frames drain even while the agent itself is blocked.
-  double flush_pending();
-
-  /// Drain and handle every frame the socket has ready. Cheap: protocol
-  /// transitions only (sync replies, begin brackets on phase-go, budget
-  /// retunes) — phase computation happens in advance(), so a broadcast
-  /// reaches the whole fleet before any node starts burning virtual time
-  /// (keeping begin-bracket spreads tight).
-  void on_readable();
-
-  /// The epoch arrived: open phase 0.
-  void on_time();
-
-  /// Run the current phase until it blocks (budget exchange pending) or
-  /// completes (end bracket sent, next phase awaited / verdict sent).
-  void advance();
-
- private:
-  enum class State {
-    kHandshake,
-    kWaitStart,
-    kRunPhase,
-    kAwaitAssign,
-    kAwaitGo,
-    kAwaitShutdown,
-    kDone,
-  };
-
-  struct ResolvedPhase {
-    const payload::FunctionDef* fn = nullptr;
-    sched::ProfilePtr profile;
-    std::optional<control::Setpoint> setpoint;
-  };
-
-  void handle_frame(const cluster::Frame& frame);
-  void prepare_campaign();
-  void begin_phase();
-  void finish_phase();
-  /// Final metrics flush + span ship + convergence verdict; await shutdown.
-  void send_verdict();
-  void send_budget_report();
-  void fail(const std::string& what);
-  /// Chaos kill: drop the socket without ceremony (mid-stream, as a real
-  /// crash would) and mark this incarnation dead so the fleet respawns a
-  /// rejoining replacement.
-  void die(const std::string& why);
-  /// True when the kill cue is due at the current point (phase begin or
-  /// epoch-elapsed time).
-  bool kill_due() const;
-  /// Arm the stall window if its cue time has passed: the agent stops
-  /// reading and writing (socket stays open) until the window ends.
-  bool maybe_stall();
-  /// Ship one kMetricUpdate delta from this agent's PRIVATE registry when
-  /// the wall-clock cadence is due (`force` flushes regardless — the final
-  /// delta before the verdict). Hundreds of loopback agents share the
-  /// process, so the global registry cannot carry per-node series.
-  void maybe_ship_metrics(bool force = false);
-  double epoch_elapsed_s() const;
-  bool tracing() const { return campaign_.trace_enabled != 0; }
-  /// Close the open barrier/budget wait span (no-op when none is open).
-  void close_wait_span(const char* name);
-  /// Analyzed stats for the phase's workload, cached by (function, groups,
-  /// unroll) — fuzz campaigns give every phase its own pattern, so the
-  /// cache key must cover the per-phase overrides, not just the function.
-  const payload::PayloadStats& stats_for(const payload::FunctionDef& fn,
-                                         const sched::CampaignPhase& spec);
-
-  Config cfg_;
-  std::string node_name_;
-  cluster::Connection conn_;
-  State state_ = State::kHandshake;
-  Wait wait_ = Wait::kFrame;
-  bool failed_ = false;
-  std::string error_;
-
-  // Chaos plumbing. The LinkFaults injector must outlive the connection
-  // that points at it, so the agent owns it by value.
-  std::optional<cluster::LinkFaults> faults_;
-  std::optional<cluster::KillCue> kill_cue_;
-  std::optional<cluster::StallCue> stall_cue_;
-  bool killed_ = false;
-  bool stall_fired_ = false;
-  bool stalled_ = false;
-  Wait stall_resume_ = Wait::kRun;  ///< wait to restore when the stall ends
-  std::uint32_t phases_ended_ = 0;
-
-  // Rejoin mode (replacement incarnation of a killed agent).
-  std::optional<RejoinSpec> rejoin_;
-  bool await_rejoin_ack_ = false;
-  std::uint32_t resume_phase_ = 0;
-  /// Deadline on the rejoin-ack wait; max() once the ack (or refusal) is in.
-  std::chrono::steady_clock::time_point ack_deadline_ =
-      std::chrono::steady_clock::time_point::max();
-
-  // Handshake results.
-  bool have_campaign_ = false;
-  bool have_epoch_ = false;
-  cluster::CampaignMsg campaign_;
-  std::chrono::steady_clock::time_point epoch_time_;
-  /// What a Wait::kUntil is waiting for: the shared epoch, or the end of a
-  /// chaos stall window.
-  std::chrono::steady_clock::time_point wake_time_;
-
-  // Campaign state (valid after prepare_campaign()).
-  Target target_;
-  std::unique_ptr<sim::SimulatedSystem> system_;
-  std::optional<sched::Campaign> phases_;
-  std::vector<ResolvedPhase> resolved_;
-  telemetry::TelemetryBus bus_;
-  std::unique_ptr<cluster::RemoteSink> sink_;
-  SimChannels channels_;
-  std::map<std::string, payload::PayloadStats> stats_cache_;
-
-  // Phase-run state.
-  std::size_t phase_index_ = 0;
-  std::unique_ptr<ControlledSimPhaseRun> run_;
-  std::optional<double> carry_temp_c_;
-  double current_setpoint_w_ = 0.0;
-  double next_budget_s_ = 0.0;
-  std::uint32_t budget_seq_ = 0;
-  bool all_converged_ = true;
-
-  // Live metrics plane: a per-agent registry (the process-global one is
-  // shared by the whole loopback fleet and the coordinator) plus the delta
-  // tracker that turns it into incremental kMetricUpdate frames.
-  trace::Registry metrics_;
-  trace::MetricDeltaTracker metrics_tracker_{metrics_};
-  double next_metrics_s_ = 0.0;
-  std::uint32_t metrics_seq_ = 0;
-
-  // Observability (campaign_.trace_enabled): an EXPLICIT per-agent span
-  // buffer. Hundreds of loopback agents share one reactor thread, so the
-  // global thread-local tracer cannot attribute spans per node; phase and
-  // wait boundaries are cold, so owned-string spans are fine here.
-  std::vector<trace::Span> spans_;
-  double phase_open_s_ = 0.0;  ///< begin of the running phase span
-  double wait_open_s_ = 0.0;   ///< begin of the open barrier/budget wait (0 = none)
-};
-
-/// Drives a whole --loopback fleet of SimAgents from ONE thread: a poll(2)
-/// loop over every agent's socket plus a run queue for agents with phase
-/// work pending. Replaces the thread-per-agent design, whose per-node
-/// stacks and context-switch storms capped fleets at a few dozen nodes —
-/// 512 loopback agents fit in one process and one scheduler entity, which
-/// is what lets CI exercise the coordinator at fleet scale.
-class SimFleet {
- public:
-  /// `base` is the coordinator's Config; per-agent copies are derived the
-  /// same way the old thread-per-agent path derived them (target/freq from
-  /// the spec, decorrelated seeds, cluster flags stripped). `plan` (may be
-  /// null; copied) arms each agent's chaos faults and cues.
+  /// `base` is the coordinator's Config; per-agent copies take target/freq
+  /// from the spec, decorrelated seeds, and no cluster flags. `plan` (may
+  /// be null; copied) arms each agent's chaos faults and cues; chaos-killed
+  /// agents come back as rejoining replacements.
   SimFleet(const Config& base, const std::vector<LoopbackSpec>& specs,
            std::uint16_t port, const cluster::FaultPlan* plan = nullptr);
-
-  /// Run every agent to completion (call on a dedicated thread while the
-  /// coordinator runs on the caller's). Never throws — per-agent failures
-  /// are recorded. Chaos-killed agents are respawned after a deterministic
-  /// backoff delay as rejoining replacements; the outcome row reflects the
-  /// final incarnation.
-  void run();
-
-  struct Outcome {
-    std::string name;
-    bool ok = true;
-    std::string error;
-  };
-  const std::vector<Outcome>& outcomes() const { return outcomes_; }
-  bool all_ok() const;
-
- private:
-  /// A killed agent waiting for its replacement to dial back in.
-  struct Respawn {
-    std::size_t index = 0;
-    std::chrono::steady_clock::time_point due;
-    SimAgent::RejoinSpec spec;
-  };
-
-  std::string endpoint_;
-  std::optional<cluster::FaultPlan> plan_;
-  std::vector<Config> configs_;  ///< per-agent configs, kept for respawns
-  std::vector<std::unique_ptr<SimAgent>> agents_;
-  std::vector<Respawn> respawns_;
-  std::vector<std::uint32_t> respawn_tries_;  ///< one respawn per node, ever
-  std::vector<Outcome> outcomes_;
 };
 
 }  // namespace fs2::firestarter

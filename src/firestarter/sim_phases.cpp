@@ -186,35 +186,6 @@ double ControlledSimPhaseRun::step() {
   return st.time_s;
 }
 
-ControlledSimPhase run_sim_controlled_phase(
-    const sim::SimulatedSystem& system, const Config& cfg,
-    const payload::PayloadStats& stats, const control::Setpoint& sp, double duration_s,
-    std::uint64_t seed, double warm_start_s, bool gpu_stress,
-    std::optional<double> freq_override, std::optional<int> threads_override,
-    std::optional<double> initial_temp_c, telemetry::TelemetryBus& bus,
-    const SimChannels& ch, cluster::AgentSession* session) {
-  ControlledSimPhaseRun run(system, cfg, stats, sp, duration_s, seed, warm_start_s,
-                            gpu_stress, freq_override, threads_override, initial_temp_c,
-                            bus, ch);
-  while (!run.done()) {
-    const double t = run.step();
-    // Cluster budget round: report the trailing achieved watts and retune
-    // the loop to the coordinator's reapportioned share. Virtual time
-    // pauses for the round trip, so the exchange is deterministic.
-    if (session != nullptr && session->budget_due(t))
-      session->budget_exchange(t, run.loop());
-    // Live metrics ride the same loop at wall-clock cadence — the plane
-    // stays fresh even when virtual time outpaces real time.
-    if (session != nullptr && session->metrics_due()) session->ship_metrics();
-  }
-  ControlledSimPhase phase;
-  phase.point = run.point();
-  phase.final_temp_c = run.final_temp_c();
-  phase.profile = run.take_profile();
-  phase.loop = run.take_loop();
-  return phase;
-}
-
 double convergence_window_s(const control::FeedbackLoop& loop, double duration_s) {
   return std::min(std::max(4.0 * loop.setpoint().interval_s, 0.25 * duration_s),
                   control::FeedbackLoop::kMaxConvergenceWindowS);

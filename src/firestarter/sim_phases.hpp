@@ -5,7 +5,6 @@
 
 #include "arch/cache.hpp"
 #include "arch/processor.hpp"
-#include "cluster/agent.hpp"
 #include "control/controlled_profile.hpp"
 #include "control/feedback_loop.hpp"
 #include "control/setpoint.hpp"
@@ -99,8 +98,8 @@ SimPhaseResult run_sim_phase(const sim::SimulatedSystem& system, const Config& c
 /// the PowerPlant step together in virtual time, one tick per step(), so a
 /// whole campaign of setpoint steps runs deterministically in milliseconds
 /// — and so callers that must pause mid-phase (cluster agents waiting on a
-/// budget reassignment, the loopback fleet's event loop) can stop between
-/// ticks without a thread blocking inside the phase. The plant exposes its
+/// budget reassignment) can stop between ticks without a thread blocking
+/// inside the phase. The plant exposes its
 /// exact span, so the loop starts from a feed-forward guess and the PID
 /// only has to trim leakage warm-up, quantization, and meter noise.
 class ControlledSimPhaseRun {
@@ -128,11 +127,6 @@ class ControlledSimPhaseRun {
   /// Noise-free thermal state for the next phase (valid once done()).
   double final_temp_c() const { return plant_.true_temp_c(); }
 
-  /// Transfer the loop/profile out for convergence reporting after the
-  /// phase completes (the run object must not be stepped afterwards).
-  std::unique_ptr<control::FeedbackLoop> take_loop() { return std::move(loop_); }
-  std::shared_ptr<control::ControlledProfile> take_profile() { return std::move(profile_); }
-
  private:
   const Config& cfg_;
   double duration_s_;
@@ -144,26 +138,6 @@ class ControlledSimPhaseRun {
   telemetry::TelemetryBus& bus_;
   SimChannels ch_;
 };
-
-/// Blocking convenience over ControlledSimPhaseRun for callers with a
-/// thread to park: runs the phase to completion, pausing for the cluster
-/// budget exchange when `session` is regulating this node's power share
-/// (virtual time pauses for the round trip, so the exchange is
-/// deterministic).
-struct ControlledSimPhase {
-  sim::WorkloadPoint point;
-  std::shared_ptr<control::ControlledProfile> profile;
-  std::unique_ptr<control::FeedbackLoop> loop;
-  double final_temp_c = 0.0;  ///< noise-free thermal state for the next phase
-};
-
-ControlledSimPhase run_sim_controlled_phase(
-    const sim::SimulatedSystem& system, const Config& cfg,
-    const payload::PayloadStats& stats, const control::Setpoint& sp, double duration_s,
-    std::uint64_t seed, double warm_start_s, bool gpu_stress,
-    std::optional<double> freq_override, std::optional<int> threads_override,
-    std::optional<double> initial_temp_c, telemetry::TelemetryBus& bus,
-    const SimChannels& ch, cluster::AgentSession* session = nullptr);
 
 /// Convergence window for a phase of `duration_s`: the trailing quarter,
 /// but at least a few controller ticks' worth — capped so that week-long

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "cluster/coordinator.hpp"
+#include "firestarter/phase_runner.hpp"
 #include "firestarter/sim_fleet.hpp"
 #include "firestarter/sim_phases.hpp"
 #include "payload/compiler.hpp"
@@ -33,15 +34,6 @@ std::string eval_profile_spec(double duration_s) {
   return strings::format("square:low=0,high=100,period=%g", period_s);
 }
 
-/// The function a node's campaign phases resolve without a function= key —
-/// mirrors the single-run selection (CLI override, else tuned-for pick).
-const payload::FunctionDef& resolve_fn(const firestarter::Config& cfg,
-                                       const firestarter::Target& target) {
-  if (cfg.function_id) return payload::find_function(*cfg.function_id);
-  if (cfg.function_name) return payload::find_function(*cfg.function_name);
-  return payload::select_function(target.cpu);
-}
-
 /// What a node runs when the phase carries no groups=/unroll= keys: the
 /// CLI-level overrides when set, else the function's hand-tuned defaults.
 PatternSpec default_spec(const firestarter::Config& cfg, const payload::FunctionDef& fn) {
@@ -60,7 +52,7 @@ class LocalEvaluator final : public Evaluator {
       : cfg_(std::move(cfg)),
         duration_s_(duration_s),
         target_(firestarter::resolve_target(cfg_)),
-        fn_(resolve_fn(cfg_, target_)) {
+        fn_(firestarter::resolve_function(cfg_, target_)) {
     if (!target_.simulated)
       throw ConfigError(
           "--fuzz needs --simulate or --loopback: a sweep is hundreds of "
@@ -82,10 +74,12 @@ class LocalEvaluator final : public Evaluator {
 
  private:
   Evaluation evaluate_one(const PatternSpec& spec) {
-    payload::CompileOptions options;
-    if (spec.unroll) options.unroll = spec.unroll;
-    const payload::PayloadStats stats =
-        payload::analyze_payload(fn_.mix, spec.groups, target_.caches, options);
+    // The derivation a campaign phase gets on a fleet node: no unroll
+    // (0) falls back to --line-count.
+    const payload::PayloadStats stats = payload::analyze_payload(
+        fn_.mix, spec.groups, target_.caches,
+        firestarter::compile_options(
+            cfg_, spec.unroll ? std::make_optional(spec.unroll) : std::nullopt));
 
     // A fresh system and bus per candidate: no thermal or telemetry state
     // leaks between evaluations, so a candidate's signature depends only on
@@ -193,7 +187,7 @@ class FleetEvaluator final : public Evaluator {
       node_cfg.sim_freq_mhz = specs_[j].freq_mhz;
       const firestarter::Target target = firestarter::resolve_target(node_cfg);
       Evaluation evaluation;
-      evaluation.spec = default_spec(node_cfg, resolve_fn(node_cfg, target));
+      evaluation.spec = default_spec(node_cfg, firestarter::resolve_function(node_cfg, target));
       evaluation.node = result.nodes[j].name;
       evaluation.sku = result.nodes[j].sku;
       evaluation.signature =

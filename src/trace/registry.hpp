@@ -119,7 +119,7 @@ struct IndexedMetric {
 /// reports.
 ///
 /// instance() is the process-wide registry most instrumentation uses; the
-/// class is also instantiable so each loopback SimAgent can own a private
+/// class is also instantiable so each loopback agent can own a private
 /// registry and ship per-node metrics that the shared-process global could
 /// not attribute.
 class Registry {

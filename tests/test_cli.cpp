@@ -333,6 +333,40 @@ TEST(Cli, RecordedCampaignTraceReplaysAchievedLevels) {
   EXPECT_NEAR(replayed, (low + high) / 2.0, 0.03) << replay.output;
 }
 
+/// Mean of the campaign-CSV row for (metric, phase); -1 when absent.
+double phase_mean(const std::string& output, const std::string& metric,
+                  const std::string& phase) {
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(metric + ",", 0) != 0 || !line.ends_with("," + phase)) continue;
+    std::size_t pos = 0;
+    for (int commas = 0; commas < 3; ++commas) pos = line.find(',', pos) + 1;
+    return std::stod(line.substr(pos));  // metric,unit,samples,mean,...
+  }
+  return -1.0;
+}
+
+TEST(Cli, HostCampaignRunsEveryPhaseOnTheRealMachine) {
+  // Real stress on one worker through the host branch of the phase runner:
+  // 50 ms sampling ticks, the loop-count IPC estimate, and the commanded
+  // load level, each attributed to its phase.
+  {
+    std::ofstream campaign("/tmp/fs2_cli_host.campaign");
+    campaign << "phase name=half duration=1 profile=constant:50\n"
+                "phase name=full duration=1 profile=constant:100\n";
+  }
+  const CliResult r =
+      run_cli("--campaign /tmp/fs2_cli_host.campaign --threads 1 --log-level warn");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("campaign: 2 phases, 2 s total on host"), std::string::npos)
+      << r.output;
+  for (const char* phase : {"half", "full"})
+    EXPECT_GT(phase_mean(r.output, "ipc-estimate", phase), 0.0) << r.output;
+  EXPECT_NEAR(phase_mean(r.output, "load-level", "half"), 0.5, 1e-9) << r.output;
+  EXPECT_NEAR(phase_mean(r.output, "load-level", "full"), 1.0, 1e-9) << r.output;
+}
+
 TEST(Cli, ClusterPowerWithoutCoordinatorExitsTwo) {
   const CliResult r = run_cli("--simulate=zen2 -t 10 --target cluster-power=500W");
   EXPECT_EQ(r.exit_code, 2);

@@ -6,15 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
-#include "cluster/agent.hpp"
 #include "cluster/clock_sync.hpp"
 #include "cluster/cluster_bus.hpp"
 #include "cluster/coordinator.hpp"
@@ -586,40 +591,49 @@ TEST(LoopbackFleet, SixtyFourNodeFleetMergesCorrectly) {
   }
 }
 
-TEST(MultiProcessFleet, RealAgentSessionsConvergeOverTcp) {
-  // The production --agent path (run_agent -> AgentSession -> run_campaign's
-  // session branches) must stay covered now that --loopback drives SimFleet
-  // instead: this is the exact code real multi-machine deployments run,
-  // exercised here as separate Firestarter instances over real TCP.
-  const std::string campaign = write_campaign("/tmp/fs2_cluster_agents.campaign",
-                                              "phase name=ramp duration=8\n"
-                                              "phase name=hold duration=8\n");
-  const std::uint16_t port = [] {
-    Listener probe(0, /*loopback_only=*/true);  // freed on destruction
-    return probe.port();
-  }();
+/// A port nothing listens on yet (the probe listener is freed on return).
+std::uint16_t free_port() {
+  Listener probe(0, /*loopback_only=*/true);
+  return probe.port();
+}
 
-  firestarter::Config coord_cfg;
-  coord_cfg.coordinator = true;
-  coord_cfg.listen_port = port;
-  coord_cfg.cluster_nodes = 2;
-  coord_cfg.campaign_file = campaign;
-  coord_cfg.target_spec = "cluster-power=500W";
-  coord_cfg.require_convergence = true;
-  coord_cfg.log_level = "error";
-  std::ostringstream coord_out;
-  int coord_code = -1;
-  std::thread coordinator([&] {
-    try {
-      firestarter::Firestarter app(coord_cfg, coord_out);
-      coord_code = app.run();
-    } catch (const std::exception& e) {
-      coord_out << "coordinator error: " << e.what() << "\n";
-    }
-  });
+/// A coordinator Firestarter (budget mode, --require-convergence) on its
+/// own thread, for real --agent instances to join.
+struct CoordinatorRun {
+  firestarter::Config cfg;
+  std::ostringstream out;
+  int code = -1;
+  std::thread thread;
 
-  auto run_agent = [port](firestarter::TargetSystem target, double freq_mhz,
-                          const char* name, int* code) {
+  CoordinatorRun(std::uint16_t port, const std::string& campaign, int nodes,
+                 const char* budget, std::optional<std::string> trace_out = std::nullopt) {
+    cfg.coordinator = true;
+    cfg.listen_port = port;
+    cfg.cluster_nodes = nodes;
+    cfg.campaign_file = campaign;
+    cfg.target_spec = budget;
+    cfg.require_convergence = true;
+    cfg.trace_out = trace_out;
+    cfg.log_level = "error";
+    thread = std::thread([this] {
+      try {
+        firestarter::Firestarter app(cfg, out);
+        code = app.run();
+      } catch (const std::exception& e) {
+        out << "coordinator error: " << e.what() << "\n";
+      }
+    });
+  }
+  ~CoordinatorRun() {
+    if (thread.joinable()) thread.join();
+  }
+};
+
+/// One real `fs2 --agent` instance (the production agent path) on its own
+/// thread; `code` receives its exit code (-2 when it threw).
+std::thread run_agent(std::uint16_t port, firestarter::TargetSystem target, double freq_mhz,
+                      const char* name, int* code) {
+  return std::thread([=] {
     firestarter::Config cfg;
     cfg.agent_endpoint = "127.0.0.1:" + std::to_string(port);
     cfg.target = target;
@@ -633,24 +647,182 @@ TEST(MultiProcessFleet, RealAgentSessionsConvergeOverTcp) {
     } catch (const std::exception&) {
       *code = -2;
     }
-  };
+  });
+}
+
+/// Span names the merged --trace-out timeline attributes to `node`.
+std::set<std::string> node_span_names(const std::string& json, const std::string& node) {
+  const std::regex process(R"re("name":"process_name","ph":"M","pid":(\d+),.*"name":"([^"]*)")re");
+  const std::regex span(R"re(^\{"name":"([^"]*)","ph":"X",.*"pid":(\d+),)re");
+  std::string node_pid;
+  std::set<std::string> names;
+  std::istringstream lines(json);
+  std::string line;
+  std::smatch m;
+  while (std::getline(lines, line)) {
+    if (std::regex_search(line, m, process) && m[2] == node) node_pid = m[1];
+    else if (std::regex_search(line, m, span) && m[2] == node_pid) names.insert(m[1]);
+  }
+  return names;
+}
+
+TEST(MultiProcessFleet, RealAgentProcessesConvergeOverTcp) {
+  // The production --agent path (run_agent -> AgentFleet -> Agent) as
+  // separate Firestarter instances over real TCP: the same agent state
+  // machine the loopback fleet runs, driven one per process.
+  const std::string campaign = write_campaign("/tmp/fs2_cluster_agents.campaign",
+                                              "phase name=ramp duration=8\n"
+                                              "phase name=hold duration=8\n");
+  const std::string trace_path = "/tmp/fs2_cluster_agents_trace.json";
+  std::remove(trace_path.c_str());
+  const std::uint16_t port = free_port();
   int zen2_code = -1;
   int haswell_code = -1;
-  std::thread zen2(run_agent, firestarter::TargetSystem::kSimZen2, 1500.0, "alpha",
-                   &zen2_code);
-  std::thread haswell(run_agent, firestarter::TargetSystem::kSimHaswell, 2000.0, "beta",
-                      &haswell_code);
-  zen2.join();
-  haswell.join();
-  coordinator.join();
-
-  const std::string output = coord_out.str();
-  EXPECT_EQ(coord_code, 0) << output;
+  std::string output;
+  {
+    CoordinatorRun coordinator(port, campaign, 2, "cluster-power=500W", trace_path);
+    std::thread zen2 =
+        run_agent(port, firestarter::TargetSystem::kSimZen2, 1500.0, "alpha", &zen2_code);
+    std::thread haswell =
+        run_agent(port, firestarter::TargetSystem::kSimHaswell, 2000.0, "beta", &haswell_code);
+    zen2.join();
+    haswell.join();
+    coordinator.thread.join();
+    output = coordinator.out.str();
+    EXPECT_EQ(coordinator.code, 0) << output;
+  }
+  trace::Tracer::reset();  // do not leak an enabled tracer into other tests
   EXPECT_EQ(zen2_code, 0);
   EXPECT_EQ(haswell_code, 0);
   const double cluster = csv_mean(output, "cluster-power", "hold", "cluster");
   EXPECT_NEAR(cluster, 500.0, 0.04 * 500.0) << output;
   EXPECT_GT(csv_mean(output, "sim-wall-power", "ramp", "alpha"), 0.0) << output;
+  EXPECT_GT(csv_mean(output, "sim-wall-power", "hold", "beta"), 0.0) << output;
+
+  // Real agents ship the same span names as loopback agents.
+  std::ifstream in(trace_path);
+  ASSERT_TRUE(in.good());
+  std::stringstream json;
+  json << in.rdbuf();
+  for (const char* node : {"alpha", "beta"}) {
+    const std::set<std::string> names = node_span_names(json.str(), node);
+    for (const char* name : {"agent.budget_wait", "phase:ramp", "phase:hold"})
+      EXPECT_EQ(names.count(name), 1u) << node << " shipped no " << name << " span";
+  }
+  std::remove(trace_path.c_str());
+}
+
+/// A frame-level TCP relay in front of the coordinator. It forwards every
+/// link frame by frame, except that it cuts the FIRST link (closes both
+/// sockets) at that agent's `cut_at_report`-th budget report — a link lost
+/// mid-phase. The report is swallowed and the cut held back 300 ms, so the
+/// other agents finish the phase and park at the barrier first: their
+/// setpoints never see the lost node's share. Later links (the rejoin) pass
+/// intact.
+class LinkCutter {
+ public:
+  LinkCutter(std::uint16_t upstream, int cut_at_report)
+      : listener_(0, /*loopback_only=*/true),
+        upstream_("127.0.0.1:" + std::to_string(upstream)),
+        cut_at_report_(cut_at_report),
+        thread_([this] { run(); }) {}
+  ~LinkCutter() {
+    stop_ = true;
+    thread_.join();
+  }
+  std::uint16_t port() const { return listener_.port(); }
+  bool cut() const { return cut_; }
+
+ private:
+  struct Link {
+    Connection agent;
+    Connection coordinator;
+    int reports = 0;
+  };
+
+  /// Forward every frame `from` has ready; false once the link is over.
+  bool pump(Link& link, Connection& from, Connection& to) {
+    Frame frame;
+    try {
+      while (from.recv_into(frame, /*timeout_s=*/0.0)) {
+        if (&from == &link.agent && frame.type == MessageType::kBudgetReport && !cut_ &&
+            ++link.reports == cut_at_report_) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(300));
+          cut_ = true;
+          return false;
+        }
+        to.send(frame);
+      }
+      return true;
+    } catch (const WireError&) {
+      return false;  // one side hung up: hang up the other
+    }
+  }
+
+  void run() {
+    std::vector<std::unique_ptr<Link>> links;
+    while (!stop_) {
+      std::vector<pollfd> fds{pollfd{listener_.fd(), POLLIN, 0}};
+      for (const auto& link : links) {
+        fds.push_back(pollfd{link->agent.fd(), POLLIN, 0});
+        fds.push_back(pollfd{link->coordinator.fd(), POLLIN, 0});
+      }
+      if (::poll(fds.data(), fds.size(), 50) <= 0) continue;
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        Link& link = *links[i];
+        bool open = true;
+        if (fds[1 + 2 * i].revents != 0) open = pump(link, link.agent, link.coordinator);
+        if (open && fds[2 + 2 * i].revents != 0)
+          open = pump(link, link.coordinator, link.agent);
+        if (!open) {
+          link.agent.close();
+          link.coordinator.close();
+        }
+      }
+      std::erase_if(links, [](const auto& link) { return !link->agent.valid(); });
+      if (fds[0].revents & POLLIN) {
+        auto link = std::make_unique<Link>();
+        link->agent = listener_.accept(/*timeout_s=*/1.0);
+        link->coordinator = Connection::connect(upstream_);
+        links.push_back(std::move(link));
+      }
+    }
+  }
+
+  Listener listener_;
+  std::string upstream_;
+  int cut_at_report_;
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> cut_{false};
+  std::thread thread_;
+};
+
+TEST(MultiProcessFleet, RealAgentRejoinsAfterLostLinkAndConverges) {
+  // A real --agent loses its coordinator link mid-phase (the relay cuts it
+  // during a budget exchange): the incarnation ends, its driver starts a
+  // replacement that presents `rejoin`, and the run still converges.
+  const std::string campaign = write_campaign("/tmp/fs2_cluster_rejoin.campaign",
+                                              "phase name=ramp duration=8\n"
+                                              "phase name=hold duration=8\n");
+  const std::uint16_t port = free_port();
+  int zen2_code = -1;
+  int haswell_code = -1;
+  CoordinatorRun coordinator(port, campaign, 2, "cluster-power=500W");
+  LinkCutter relay(port, /*cut_at_report=*/6);
+  std::thread zen2 =
+      run_agent(port, firestarter::TargetSystem::kSimZen2, 1500.0, "alpha", &zen2_code);
+  std::thread haswell = run_agent(relay.port(), firestarter::TargetSystem::kSimHaswell,
+                                  2000.0, "beta", &haswell_code);
+  zen2.join();
+  haswell.join();
+  coordinator.thread.join();
+  const std::string output = coordinator.out.str();
+  EXPECT_TRUE(relay.cut());
+  EXPECT_EQ(coordinator.code, 0) << output;
+  EXPECT_EQ(zen2_code, 0);
+  EXPECT_EQ(haswell_code, 0);
+  EXPECT_NE(output.find("node beta LOST mid-campaign"), std::string::npos) << output;
+  EXPECT_NE(output.find("node beta REJOINED at phase 0"), std::string::npos) << output;
   EXPECT_GT(csv_mean(output, "sim-wall-power", "hold", "beta"), 0.0) << output;
 }
 
