@@ -59,6 +59,20 @@ assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in spans), "negative ts/dur"
 print(f"fleet trace OK: {len(spans)} spans across {len(names)} processes")
 PYEOF
 
+# Agent smoke: the same budget campaign across separate processes — a
+# coordinator plus two real `fs2 --agent` nodes, the production agent path.
+# The agents dial before the coordinator listens (they retry the connect).
+agent_port=7411
+./build/fs2 --agent "127.0.0.1:$agent_port" --simulate=zen2 --freq 1500 --log-level warn &
+zen2_agent=$!
+./build/fs2 --agent "127.0.0.1:$agent_port" --simulate=haswell --freq 2000 --log-level warn &
+haswell_agent=$!
+timeout 60 ./build/fs2 --coordinator --listen "$agent_port" --nodes 2 \
+    --campaign examples/cluster_acceptance.campaign \
+    --target cluster-power=500W --require-convergence --log-level warn > /dev/null
+wait "$zen2_agent" || { echo "verify: zen2 agent failed" >&2; exit 1; }
+wait "$haswell_agent" || { echo "verify: haswell agent failed" >&2; exit 1; }
+
 # Live metrics plane: the same loopback fleet with the exposition endpoint
 # pinned (--listen under --loopback), scraped over real HTTP mid-run. The
 # epoch delay keeps the run alive long enough for the scrape; the checker

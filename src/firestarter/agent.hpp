@@ -39,6 +39,9 @@ struct AgentSeat {
       : registry(r), tracker(r), plan(plan) {
     if (plan != nullptr && plan->link_faults_enabled()) faults.emplace(plan->link(node));
   }
+  AgentSeat(const AgentSeat&) = delete;  // connections point at `faults`
+  AgentSeat& operator=(const AgentSeat&) = delete;
+
   trace::Registry& registry;
   trace::MetricDeltaTracker tracker;
   const cluster::FaultPlan* plan;            ///< kill/stall cues, first incarnation only
@@ -85,6 +88,8 @@ class Agent {
   /// fire once per run: a rejoined incarnation does not re-arm them.
   Agent(Config cfg, const std::string& endpoint, AgentSeat& seat,
         std::optional<RejoinSpec> rejoin = std::nullopt);
+  Agent(const Agent&) = delete;  // the sink points at conn_
+  Agent& operator=(const Agent&) = delete;
 
   Wait wait() const { return wait_; }
   int fd() const { return conn_.fd(); }
