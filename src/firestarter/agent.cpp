@@ -79,7 +79,8 @@ void Agent::expect(State state, const char* what, double timeout_s) {
   state_ = state;
   wait_ = Wait::kFrame;
   deadline_ = after_s(timeout_s);
-  awaited_ = strings::format("no %s from the coordinator within %.0f s", what, timeout_s);
+  awaited_ = what;
+  wait_bound_s_ = timeout_s;
 }
 
 Agent::Clock::time_point Agent::next_wake() const {
@@ -437,8 +438,10 @@ void Agent::on_time() {
   }
   if (wait_ == Wait::kFrame) {
     if (Clock::now() < deadline_) return;
-    if (state_ == State::kAwaitShutdown) fail(awaited_);
-    else lose(awaited_);
+    const std::string why = strings::format("no %s from the coordinator within %.0f s",
+                                            awaited_, wait_bound_s_);
+    if (state_ == State::kAwaitShutdown) fail(why);
+    else lose(why);
     return;
   }
   if (state_ == State::kRunPhase) {

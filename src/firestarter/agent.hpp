@@ -178,7 +178,8 @@ class Agent {
   bool lost_ = false;
   std::string error_;
   Clock::time_point deadline_ = Clock::time_point::max();  ///< of a kFrame wait
-  std::string awaited_;          ///< the error when the kFrame wait runs out
+  const char* awaited_ = "";     ///< what the kFrame wait is for
+  double wait_bound_s_ = 0.0;    ///< ... and its bound
   Clock::time_point wake_time_;  ///< of a kUntil wait
 
   std::optional<cluster::KillCue> kill_cue_;
