@@ -196,8 +196,11 @@ void Agent::prepare_campaign() {
   options.quiet = !seat_.process_wide();
   runner_ = std::make_unique<PhaseRunner>(cfg_, *phases_, bus_, options);
   next_metrics_s_ = campaign_.metrics_interval_s;
-  log::debug() << "agent: joined cluster " << log::kv("node", node_name_) << ' '
-               << log::kv("metrics_interval_s", campaign_.metrics_interval_s);
+  // Loopback nodes stay quiet: the coordinator prints every handshake.
+  if (seat_.process_wide())
+    log::info() << "agent: joined cluster " << log::kv("node", node_name_) << ' '
+                << log::kv("phases", phases_->phases().size()) << ' '
+                << log::kv("budget", campaign_.has_budget != 0 ? "yes" : "no");
 
   state_ = State::kWaitStart;  // phase 0's barrier is the epoch itself
   wait_ = Wait::kUntil;
