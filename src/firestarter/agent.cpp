@@ -24,6 +24,13 @@ Agent::Clock::time_point after_s(double seconds) {
 
 }  // namespace
 
+std::string agent_sku(const Config& cfg) {
+  std::string sku = to_string(cfg.target);
+  if (cfg.target != TargetSystem::kHost && cfg.sim_freq_mhz > 0.0)
+    sku += strings::format("@%.0fMHz", cfg.sim_freq_mhz);
+  return sku;
+}
+
 // ---- Agent ------------------------------------------------------------------
 
 Agent::Agent(Config cfg, const std::string& endpoint, AgentSeat& seat,
@@ -57,9 +64,7 @@ Agent::Agent(Config cfg, const std::string& endpoint, AgentSeat& seat,
   }
   cluster::HelloMsg hello;
   hello.node_name = node_name_;
-  hello.sku = to_string(cfg_.target);
-  if (cfg_.target != TargetSystem::kHost && cfg_.sim_freq_mhz > 0.0)
-    hello.sku += strings::format("@%.0fMHz", cfg_.sim_freq_mhz);
+  hello.sku = agent_sku(cfg_);
   conn_.send(hello.encode());
   expect(State::kHandshake, "campaign and epoch", kHandshakeTimeoutS);
 }

@@ -27,6 +27,9 @@ inline constexpr double kBudgetAssignTimeoutS = 60.0;
 inline constexpr double kPhaseGoTimeoutS = 600.0;   ///< also verdict -> shutdown
 inline constexpr double kRejoinAckTimeoutS = 10.0;
 
+/// The SKU an agent announces in its hello, e.g. "sim-zen2@1500MHz".
+std::string agent_sku(const Config& cfg);
+
 /// What outlives one agent incarnation, owned by its driver: the registry
 /// the live metrics plane ships from and the watermark of what the
 /// coordinator has already folded (so a rejoined replacement continues the

@@ -547,12 +547,9 @@ int Firestarter::run_agent() {
     log::warn() << "--target is ignored under --agent (setpoints come from the "
                    "campaign or the coordinator's budget)";
   Config cfg = cfg_;
-  if (!cfg.node_name) {
-    std::string sku = to_string(cfg.target);
-    if (cfg.target != TargetSystem::kHost && cfg.sim_freq_mhz > 0.0)
-      sku += strings::format("@%.0fMHz", cfg.sim_freq_mhz);
-    cfg.node_name = strings::format("%s-%d", sku.c_str(), static_cast<int>(::getpid()));
-  }
+  if (!cfg.node_name)
+    cfg.node_name =
+        strings::format("%s-%d", agent_sku(cfg).c_str(), static_cast<int>(::getpid()));
   // The process's only agent: its metrics plane ships the global registry,
   // and a lost link is recovered by a rejoining replacement incarnation.
   AgentFleet agent(*cfg_.agent_endpoint);
