@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "payload/access.hpp"
 #include "payload/compiler.hpp"
@@ -14,6 +16,7 @@
 #include "payload/mix.hpp"
 #include "payload/sequence.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace fs2::payload {
 namespace {
@@ -164,6 +167,61 @@ TEST(Sequence, PaperExampleSpacing) {
     if (seq[i].level == MemoryLevel::kL1) l1_positions.push_back(static_cast<long>(i));
   ASSERT_EQ(l1_positions.size(), 2u);
   EXPECT_GE(l1_positions[1] - l1_positions[0], 3);
+}
+
+/// base_sequence's order as a stable sort of all occurrences by ideal
+/// position, compared exactly in 128-bit integers — the builder's original
+/// implementation, kept as the reference its order must match.
+std::vector<AccessKind> reference_base_sequence(const InstructionGroups& groups) {
+  const std::uint64_t total = groups.total();
+  struct Occurrence {
+    AccessKind kind;
+    std::uint64_t numerator;  // (2j+1) * total
+    std::uint64_t rate;       // a_i
+  };
+  std::vector<Occurrence> occurrences;
+  for (const Group& g : groups.groups())
+    for (std::uint32_t j = 0; j < g.count; ++j)
+      occurrences.push_back(Occurrence{g.kind, (2ull * j + 1) * total, g.count});
+  std::stable_sort(occurrences.begin(), occurrences.end(),
+                   [](const Occurrence& a, const Occurrence& b) {
+                     const auto lhs = static_cast<unsigned __int128>(a.numerator) * b.rate;
+                     const auto rhs = static_cast<unsigned __int128>(b.numerator) * a.rate;
+                     if (lhs != rhs) return lhs < rhs;
+                     return a.rate > b.rate;
+                   });
+  std::vector<AccessKind> sequence;
+  for (const Occurrence& occ : occurrences) sequence.push_back(occ.kind);
+  return sequence;
+}
+
+TEST(Sequence, MatchesStableSortReference) {
+  // Seeded group lists in random kind order: small counts, the tuner's
+  // range, counts sharing a factor (equal ideal positions across kinds,
+  // settled by the tie rule), and every 20th list with large counts.
+  Xoshiro256 rng(0x5e9);
+  const std::vector<AccessKind>& kinds = all_access_kinds();
+  for (int draw = 0; draw < 10000; ++draw) {
+    std::vector<AccessKind> order = kinds;
+    for (std::size_t i = order.size(); i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
+    const std::size_t n = 1 + rng.below(draw % 20 == 19 ? 6 : order.size());
+    const std::uint32_t factor = static_cast<std::uint32_t>(1 + rng.below(20));
+    std::vector<Group> list;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t count = 0;
+      if (draw % 20 == 19) count = 1 + rng.below(3000);
+      else if (draw % 3 == 0) count = 1 + rng.below(8);
+      else if (draw % 3 == 1) count = 1 + rng.below(100);
+      else count = factor * (1 + rng.below(3));
+      list.push_back(Group{order[i], static_cast<std::uint32_t>(count)});
+    }
+    const InstructionGroups groups(std::move(list));
+    const std::vector<AccessKind> expected = reference_base_sequence(groups);
+    const std::vector<AccessKind> actual = base_sequence(groups);
+    ASSERT_EQ(actual.size(), expected.size()) << groups.to_string();
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      ASSERT_TRUE(actual[i] == expected[i]) << groups.to_string() << " differs at " << i;
+  }
 }
 
 TEST(Sequence, UnrollRepeatsCyclically) {
