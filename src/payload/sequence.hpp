@@ -13,11 +13,12 @@ namespace fs2::payload {
 /// with REG:4,L1_L:2,L2_L:1 the L1 accesses sit at least three instruction
 /// sets apart.
 ///
-/// The distribution uses Bresenham-style credit scheduling: every kind
-/// accumulates credit proportional to a_i/total each slot and the kind with
-/// the highest credit claims the slot. This is deterministic, exact in the
-/// counts, and bounds every gap between consecutive occurrences of kind i
-/// by ceil(total/a_i) + 1.
+/// The distribution is ideal-position scheduling: occurrence j of kind i
+/// wants position (j + 1/2) * total / a_i, and the occurrences take their
+/// slots in order of those positions (ties: higher a_i first, then group
+/// order). This is deterministic, exact in the counts, and bounds every gap
+/// between consecutive occurrences of kind i by ceil(total/a_i) plus one
+/// slot per other group. Linear in `groups.total()`.
 std::vector<AccessKind> base_sequence(const InstructionGroups& groups);
 
 /// Unroll `base` cyclically so that the result holds exactly `u` entries
@@ -45,5 +46,9 @@ struct SequenceStats {
 };
 
 SequenceStats analyze_sequence(const std::vector<AccessKind>& sequence);
+
+/// analyze_sequence(unroll_sequence(base, u)), computed from the base's
+/// counts without building the unrolled sequence.
+SequenceStats analyze_unrolled(const std::vector<AccessKind>& base, std::uint32_t u);
 
 }  // namespace fs2::payload
