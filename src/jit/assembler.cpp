@@ -1,111 +1,14 @@
 #include "jit/assembler.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace fs2::jit {
 
-namespace {
-constexpr std::uint8_t kModIndirect = 0;      // [reg]
-constexpr std::uint8_t kModDisp8 = 1;         // [reg+disp8]
-constexpr std::uint8_t kModDisp32 = 2;        // [reg+disp32]
-constexpr std::uint8_t kModRegister = 3;      // reg
-
-bool needs_sib(std::uint8_t base_low3) { return base_low3 == 4; }       // rsp/r12
-bool disp_required(std::uint8_t base_low3) { return base_low3 == 5; }   // rbp/r13
-}  // namespace
-
-void Assembler::dword(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Assembler::qword(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Assembler::rex(bool w, std::uint8_t reg, std::uint8_t rm, bool force, std::uint8_t index) {
-  std::uint8_t prefix = 0x40;
-  if (w) prefix |= 0x08;
-  if (reg & 8) prefix |= 0x04;
-  if (index & 8) prefix |= 0x02;
-  if (rm & 8) prefix |= 0x01;
-  if (prefix != 0x40 || force) byte(prefix);
-}
-
-void Assembler::modrm_reg(std::uint8_t reg, std::uint8_t rm) {
-  byte(static_cast<std::uint8_t>((kModRegister << 6) | ((reg & 7) << 3) | (rm & 7)));
-}
-
-void Assembler::modrm_mem(std::uint8_t reg, const Mem& mem) {
-  const std::uint8_t base = id(mem.base);
-  const std::uint8_t base_low = base & 7;
-  std::uint8_t mod;
-  if (mem.disp == 0 && !disp_required(base_low)) {
-    mod = kModIndirect;
-  } else if (mem.disp >= -128 && mem.disp <= 127) {
-    mod = kModDisp8;
-  } else {
-    mod = kModDisp32;
-  }
-  byte(static_cast<std::uint8_t>((mod << 6) | ((reg & 7) << 3) | (needs_sib(base_low) ? 4 : base_low)));
-  if (needs_sib(base_low)) {
-    // SIB with no index: scale=0, index=100 (none), base=base.
-    byte(static_cast<std::uint8_t>((4 << 3) | base_low));
-  }
-  if (mod == kModDisp8) {
-    byte(static_cast<std::uint8_t>(mem.disp));
-  } else if (mod == kModDisp32) {
-    dword(static_cast<std::uint32_t>(mem.disp));
-  }
-}
-
-void Assembler::vex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base, bool w,
-                    bool l256, std::uint8_t mmmmm, std::uint8_t pp) {
-  const bool r = (reg & 8) != 0;
-  const bool b = (rm_or_base & 8) != 0;
-  // Two-byte form is legal when B=0, X=0 (we never use an index register),
-  // W=0, and the opcode map is 0F.
-  if (!b && !w && mmmmm == 1) {
-    byte(0xC5);
-    byte(static_cast<std::uint8_t>(((r ? 0 : 1) << 7) | ((~vvvv & 0xf) << 3) |
-                                   ((l256 ? 1 : 0) << 2) | pp));
-    return;
-  }
-  byte(0xC4);
-  byte(static_cast<std::uint8_t>(((r ? 0 : 1) << 7) | (1 << 6) /* ~X */ |
-                                 ((b ? 0 : 1) << 5) | mmmmm));
-  byte(static_cast<std::uint8_t>(((w ? 1 : 0) << 7) | ((~vvvv & 0xf) << 3) |
-                                 ((l256 ? 1 : 0) << 2) | pp));
-}
-
-void Assembler::vex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, std::uint8_t src,
-                       bool w, bool l256, std::uint8_t mmmmm, std::uint8_t pp) {
-  vex(dst, vvvv, src, w, l256, mmmmm, pp);
-  byte(opcode);
-  modrm_reg(dst, src);
-}
-
-void Assembler::vex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, const Mem& mem,
-                       bool w, bool l256, std::uint8_t mmmmm, std::uint8_t pp) {
-  vex(dst, vvvv, id(mem.base), w, l256, mmmmm, pp);
-  byte(opcode);
-  modrm_mem(dst, mem);
-}
-
-void Assembler::sse_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t src) {
-  byte(0x66);
-  rex(false, dst, src);
-  byte(0x0F);
-  byte(opcode);
-  modrm_reg(dst, src);
-}
-
-void Assembler::sse_rm(std::uint8_t opcode, std::uint8_t reg, const Mem& mem) {
-  byte(0x66);
-  rex(false, reg, id(mem.base));
-  byte(0x0F);
-  byte(opcode);
-  modrm_mem(reg, mem);
+void Assembler::grow() {
+  code_.resize(std::max<std::size_t>(code_.size() * 2, 4096));
 }
 
 // ---- labels & control flow --------------------------------------------------
@@ -118,157 +21,164 @@ Label Assembler::new_label() {
 void Assembler::bind(Label label) {
   if (label.index >= label_offsets_.size()) throw Error("Assembler::bind: invalid label");
   if (label_offsets_[label.index] >= 0) throw Error("Assembler::bind: label bound twice");
-  label_offsets_[label.index] = static_cast<std::int64_t>(code_.size());
+  label_offsets_[label.index] = static_cast<std::int64_t>(size_);
 }
 
 void Assembler::jcc(std::uint8_t opcode2, Label target) {
-  byte(0x0F);
-  byte(opcode2);
-  fixups_.push_back(Fixup{code_.size(), target.index});
-  dword(0);
+  Insn i;
+  i.byte(0x0F);
+  i.byte(opcode2);
+  fixups_.push_back(Fixup{size_ + i.size, target.index});
+  i.dword(0);
+  emit(i);
 }
 
 void Assembler::jmp(Label target) {
-  byte(0xE9);
-  fixups_.push_back(Fixup{code_.size(), target.index});
-  dword(0);
+  Insn i;
+  i.byte(0xE9);
+  fixups_.push_back(Fixup{size_ + i.size, target.index});
+  i.dword(0);
+  emit(i);
 }
 
 void Assembler::jnz(Label target) { jcc(0x85, target); }
 void Assembler::jz(Label target) { jcc(0x84, target); }
 
-void Assembler::ret() { byte(0xC3); }
+void Assembler::ret() {
+  Insn i;
+  i.byte(0xC3);
+  emit(i);
+}
 
 // ---- integer ALU --------------------------------------------------------------
 
 void Assembler::mov(Gp dst, std::uint64_t imm) {
-  rex(true, 0, id(dst));
-  byte(static_cast<std::uint8_t>(0xB8 | (id(dst) & 7)));
-  qword(imm);
+  Insn i;
+  i.rex(true, 0, id(dst));
+  i.byte(static_cast<std::uint8_t>(0xB8 | (id(dst) & 7)));
+  i.qword(imm);
+  emit(i);
 }
 
 void Assembler::mov(Gp dst, Gp src) {
-  rex(true, id(src), id(dst));
-  byte(0x89);
-  modrm_reg(id(src), id(dst));
+  Insn i;
+  i.rex(true, id(src), id(dst));
+  i.byte(0x89);
+  i.modrm_reg(id(src), id(dst));
+  emit(i);
 }
 
 void Assembler::mov(Gp dst, Mem src) {
-  rex(true, id(dst), id(src.base));
-  byte(0x8B);
-  modrm_mem(id(dst), src);
+  Insn i;
+  i.rex(true, id(dst), id(src.base));
+  i.byte(0x8B);
+  i.modrm_mem(id(dst), src);
+  emit(i);
 }
 
 void Assembler::mov(Mem dst, Gp src) {
-  rex(true, id(src), id(dst.base));
-  byte(0x89);
-  modrm_mem(id(src), dst);
+  Insn i;
+  i.rex(true, id(src), id(dst.base));
+  i.byte(0x89);
+  i.modrm_mem(id(src), dst);
+  emit(i);
 }
 
 void Assembler::add(Gp dst, std::int32_t imm) {
-  rex(true, 0, id(dst));
-  byte(0x81);
-  modrm_reg(0, id(dst));
-  dword(static_cast<std::uint32_t>(imm));
+  Insn i;
+  i.rex(true, 0, id(dst));
+  i.byte(0x81);
+  i.modrm_reg(0, id(dst));
+  i.dword(static_cast<std::uint32_t>(imm));
+  emit(i);
 }
 
 void Assembler::sub(Gp dst, std::int32_t imm) {
-  rex(true, 0, id(dst));
-  byte(0x81);
-  modrm_reg(5, id(dst));
-  dword(static_cast<std::uint32_t>(imm));
+  Insn i;
+  i.rex(true, 0, id(dst));
+  i.byte(0x81);
+  i.modrm_reg(5, id(dst));
+  i.dword(static_cast<std::uint32_t>(imm));
+  emit(i);
 }
 
 void Assembler::add(Gp dst, Gp src) {
-  rex(true, id(src), id(dst));
-  byte(0x01);
-  modrm_reg(id(src), id(dst));
+  Insn i;
+  i.rex(true, id(src), id(dst));
+  i.byte(0x01);
+  i.modrm_reg(id(src), id(dst));
+  emit(i);
 }
 
 void Assembler::and_(Gp dst, std::int32_t imm) {
-  rex(true, 0, id(dst));
-  byte(0x81);
-  modrm_reg(4, id(dst));
-  dword(static_cast<std::uint32_t>(imm));
-}
-
-void Assembler::xor_(Gp dst, Gp src) {
-  rex(true, id(src), id(dst));
-  byte(0x31);
-  modrm_reg(id(src), id(dst));
-}
-
-void Assembler::shl(Gp dst, std::uint8_t imm) {
-  rex(true, 0, id(dst));
-  byte(0xC1);
-  modrm_reg(4, id(dst));
-  byte(imm);
-}
-
-void Assembler::shr(Gp dst, std::uint8_t imm) {
-  rex(true, 0, id(dst));
-  byte(0xC1);
-  modrm_reg(5, id(dst));
-  byte(imm);
+  Insn i;
+  i.rex(true, 0, id(dst));
+  i.byte(0x81);
+  i.modrm_reg(4, id(dst));
+  i.dword(static_cast<std::uint32_t>(imm));
+  emit(i);
 }
 
 void Assembler::dec(Gp dst) {
-  rex(true, 0, id(dst));
-  byte(0xFF);
-  modrm_reg(1, id(dst));
+  Insn i;
+  i.rex(true, 0, id(dst));
+  i.byte(0xFF);
+  i.modrm_reg(1, id(dst));
+  emit(i);
 }
 
 void Assembler::inc(Gp dst) {
-  rex(true, 0, id(dst));
-  byte(0xFF);
-  modrm_reg(0, id(dst));
+  Insn i;
+  i.rex(true, 0, id(dst));
+  i.byte(0xFF);
+  i.modrm_reg(0, id(dst));
+  emit(i);
 }
 
 void Assembler::test(Gp a, Gp b) {
-  rex(true, id(b), id(a));
-  byte(0x85);
-  modrm_reg(id(b), id(a));
+  Insn i;
+  i.rex(true, id(b), id(a));
+  i.byte(0x85);
+  i.modrm_reg(id(b), id(a));
+  emit(i);
 }
 
 void Assembler::cmp(Gp a, std::int32_t imm) {
-  rex(true, 0, id(a));
-  byte(0x81);
-  modrm_reg(7, id(a));
-  dword(static_cast<std::uint32_t>(imm));
+  Insn i;
+  i.rex(true, 0, id(a));
+  i.byte(0x81);
+  i.modrm_reg(7, id(a));
+  i.dword(static_cast<std::uint32_t>(imm));
+  emit(i);
 }
 
 void Assembler::cmp(Gp a, Gp b) {
-  rex(true, id(b), id(a));
-  byte(0x39);
-  modrm_reg(id(b), id(a));
+  Insn i;
+  i.rex(true, id(b), id(a));
+  i.byte(0x39);
+  i.modrm_reg(id(b), id(a));
+  emit(i);
 }
 
 void Assembler::push(Gp reg) {
-  rex(false, 0, id(reg));
-  byte(static_cast<std::uint8_t>(0x50 | (id(reg) & 7)));
+  Insn i;
+  i.rex(false, 0, id(reg));
+  i.byte(static_cast<std::uint8_t>(0x50 | (id(reg) & 7)));
+  emit(i);
 }
 
 void Assembler::pop(Gp reg) {
-  rex(false, 0, id(reg));
-  byte(static_cast<std::uint8_t>(0x58 | (id(reg) & 7)));
+  Insn i;
+  i.rex(false, 0, id(reg));
+  i.byte(static_cast<std::uint8_t>(0x58 | (id(reg) & 7)));
+  emit(i);
 }
 
-// ---- AVX / FMA -----------------------------------------------------------------
+// ---- AVX / FMA (the per-set forms are inline in the header) ---------------------
 
 void Assembler::vmovapd(Ymm dst, Ymm src) { vex_rr(0x28, id(dst), 0, id(src), false, true, 1, 1); }
-void Assembler::vmovapd(Ymm dst, Mem src) { vex_rm(0x28, id(dst), 0, src, false, true, 1, 1); }
-void Assembler::vmovapd(Mem dst, Ymm src) { vex_rm(0x29, id(src), 0, dst, false, true, 1, 1); }
 void Assembler::vmovupd(Mem dst, Ymm src) { vex_rm(0x11, id(src), 0, dst, false, true, 1, 1); }
 
-void Assembler::vaddpd(Ymm dst, Ymm lhs, Ymm rhs) {
-  vex_rr(0x58, id(dst), id(lhs), id(rhs), false, true, 1, 1);
-}
-void Assembler::vaddpd(Ymm dst, Ymm lhs, Mem rhs) {
-  vex_rm(0x58, id(dst), id(lhs), rhs, false, true, 1, 1);
-}
-void Assembler::vmulpd(Ymm dst, Ymm lhs, Ymm rhs) {
-  vex_rr(0x59, id(dst), id(lhs), id(rhs), false, true, 1, 1);
-}
 void Assembler::vmulpd(Ymm dst, Ymm lhs, Mem rhs) {
   vex_rm(0x59, id(dst), id(lhs), rhs, false, true, 1, 1);
 }
@@ -276,90 +186,31 @@ void Assembler::vxorpd(Ymm dst, Ymm lhs, Ymm rhs) {
   vex_rr(0x57, id(dst), id(lhs), id(rhs), false, true, 1, 1);
 }
 
-void Assembler::vfmadd231pd(Ymm dst, Ymm a, Ymm b) {
-  // VEX.DDS.256.66.0F38.W1 B8 /r
-  vex_rr(0xB8, id(dst), id(a), id(b), true, true, 2, 1);
-}
-void Assembler::vfmadd231pd(Ymm dst, Ymm a, Mem b) {
-  vex_rm(0xB8, id(dst), id(a), b, true, true, 2, 1);
-}
-
 void Assembler::vzeroupper() {
-  byte(0xC5);
-  byte(0xF8);
-  byte(0x77);
+  Insn i;
+  i.byte(0xC5);
+  i.byte(0xF8);
+  i.byte(0x77);
+  emit(i);
 }
 
 // ---- EVEX / AVX-512 -----------------------------------------------------------
 
-void Assembler::evex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base, bool w,
-                     std::uint8_t mm, std::uint8_t pp) {
-  byte(0x62);
-  // P0: ~R ~X ~B ~R' 0 0 m m   (X is never used: no index registers)
-  byte(static_cast<std::uint8_t>(((reg & 8) ? 0 : 1) << 7 | (1 << 6) |
-                                 ((rm_or_base & 8) ? 0 : 1) << 5 | (1 << 4) | mm));
-  // P1: W ~v ~v ~v ~v 1 p p
-  byte(static_cast<std::uint8_t>(((w ? 1 : 0) << 7) | ((~vvvv & 0xf) << 3) | (1 << 2) | pp));
-  // P2: z L'L b ~V' aaa = 0 10 0 1 000 -> 512-bit, merge, no mask.
-  byte(0x48);
-}
-
-void Assembler::modrm_mem_disp32(std::uint8_t reg, const Mem& mem) {
-  const std::uint8_t base_low = id(mem.base) & 7;
-  byte(static_cast<std::uint8_t>((kModDisp32 << 6) | ((reg & 7) << 3) |
-                                 (needs_sib(base_low) ? 4 : base_low)));
-  if (needs_sib(base_low)) byte(static_cast<std::uint8_t>((4 << 3) | base_low));
-  dword(static_cast<std::uint32_t>(mem.disp));
-}
-
-void Assembler::evex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv,
-                        std::uint8_t src, bool w, std::uint8_t mm, std::uint8_t pp) {
-  evex(dst, vvvv, src, w, mm, pp);
-  byte(opcode);
-  modrm_reg(dst, src);
-}
-
-void Assembler::evex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv,
-                        const Mem& mem, bool w, std::uint8_t mm, std::uint8_t pp) {
-  evex(dst, vvvv, id(mem.base), w, mm, pp);
-  byte(opcode);
-  modrm_mem_disp32(dst, mem);
-}
-
 void Assembler::vmovapd(Zmm dst, Zmm src) { evex_rr(0x28, id(dst), 0, id(src), true, 1, 1); }
 void Assembler::vmovapd(Zmm dst, Mem src) { evex_rm(0x28, id(dst), 0, src, true, 1, 1); }
-void Assembler::vmovapd(Mem dst, Zmm src) { evex_rm(0x29, id(src), 0, dst, true, 1, 1); }
 void Assembler::vaddpd(Zmm dst, Zmm lhs, Zmm rhs) {
   evex_rr(0x58, id(dst), id(lhs), id(rhs), true, 1, 1);
 }
 void Assembler::vmulpd(Zmm dst, Zmm lhs, Zmm rhs) {
   evex_rr(0x59, id(dst), id(lhs), id(rhs), true, 1, 1);
 }
-void Assembler::vfmadd231pd(Zmm dst, Zmm a, Zmm b) {
-  evex_rr(0xB8, id(dst), id(a), id(b), true, 2, 1);
-}
-void Assembler::vfmadd231pd(Zmm dst, Zmm a, Mem b) {
-  evex_rm(0xB8, id(dst), id(a), b, true, 2, 1);
-}
 
 // ---- SSE2 ------------------------------------------------------------------------
 
-void Assembler::movapd(Xmm dst, Mem src) { sse_rm(0x28, id(dst), src); }
-void Assembler::movapd(Mem dst, Xmm src) { sse_rm(0x29, id(src), dst); }
 void Assembler::movapd(Xmm dst, Xmm src) { sse_rr(0x28, id(dst), id(src)); }
-void Assembler::addpd(Xmm dst, Xmm src) { sse_rr(0x58, id(dst), id(src)); }
-void Assembler::addpd(Xmm dst, Mem src) { sse_rm(0x58, id(dst), src); }
-void Assembler::mulpd(Xmm dst, Xmm src) { sse_rr(0x59, id(dst), id(src)); }
 void Assembler::mulpd(Xmm dst, Mem src) { sse_rm(0x59, id(dst), src); }
 
-// ---- hints & padding ----------------------------------------------------------------
-
-void Assembler::prefetch(Mem addr, PrefetchHint hint) {
-  rex(false, static_cast<std::uint8_t>(hint), id(addr.base));
-  byte(0x0F);
-  byte(0x18);
-  modrm_mem(static_cast<std::uint8_t>(hint), addr);
-}
+// ---- padding ------------------------------------------------------------------------
 
 void Assembler::nop(std::size_t bytes) {
   // Recommended multi-byte NOP sequences (Intel SDM Table 4-12).
@@ -376,14 +227,16 @@ void Assembler::nop(std::size_t bytes) {
   };
   while (bytes > 0) {
     const std::size_t chunk = bytes > 9 ? 9 : bytes;
-    for (std::size_t i = 0; i < chunk; ++i) byte(seqs[chunk - 1][i]);
+    Insn i;
+    for (std::size_t k = 0; k < chunk; ++k) i.byte(seqs[chunk - 1][k]);
+    emit(i);
     bytes -= chunk;
   }
 }
 
 void Assembler::align(std::size_t boundary) {
   if (boundary == 0) return;
-  const std::size_t rem = code_.size() % boundary;
+  const std::size_t rem = size_ % boundary;
   if (rem != 0) nop(boundary - rem);
 }
 
@@ -401,7 +254,7 @@ std::vector<std::uint8_t> Assembler::finalize() {
           static_cast<std::uint8_t>(rel32 >> (8 * i));
   }
   fixups_.clear();
-  return code_;
+  return std::vector<std::uint8_t>(code_.begin(), code_.begin() + static_cast<std::ptrdiff_t>(size_));
 }
 
 }  // namespace fs2::jit

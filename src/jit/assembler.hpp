@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "jit/registers.hpp"
@@ -27,6 +29,11 @@ struct Label {
 /// base+disp (auto-selecting disp0/disp8/disp32 and inserting SIB bytes for
 /// rsp/r12 bases), which keeps the encoder small enough to be verified
 /// byte-for-byte in tests.
+///
+/// Each instruction is staged in a local 16-byte buffer and appended with a
+/// single capacity check. The encoders the payload generator calls once per
+/// instruction set are defined inline below the class, so they inline into
+/// its emission loop.
 class Assembler {
  public:
   // ---- labels & control flow -------------------------------------------
@@ -97,32 +104,69 @@ class Assembler {
   // ---- finalization --------------------------------------------------------
   /// Current emitted size in bytes (before fixups; fixup patching does not
   /// change the size).
-  std::size_t size() const { return code_.size(); }
+  std::size_t size() const { return size_; }
 
   /// Patch all label fixups and return the finished machine code. Throws
   /// fs2::Error if any referenced label was never bound.
   std::vector<std::uint8_t> finalize();
 
  private:
-  // Raw emission helpers.
-  void byte(std::uint8_t b) { code_.push_back(b); }
-  void dword(std::uint32_t v);
-  void qword(std::uint64_t v);
+  /// One instruction being encoded, held in two little-endian words so it
+  /// stays in registers. x86-64 instructions are at most 15 bytes.
+  struct Insn {
+    std::uint64_t lo = 0;  ///< bytes 0-7
+    std::uint64_t hi = 0;  ///< bytes 8-15
+    unsigned size = 0;
 
-  /// Emit a REX prefix. `w` selects 64-bit operands; reg/rm/index supply the
-  /// extension bits. The prefix is omitted when it would be 0x40 and not
-  /// required.
-  void rex(bool w, std::uint8_t reg, std::uint8_t rm, bool force = false,
-           std::uint8_t index = 0);
+    void byte(std::uint8_t b) {
+      if (size < 8)
+        lo |= static_cast<std::uint64_t>(b) << (8 * size);
+      else
+        hi |= static_cast<std::uint64_t>(b) << (8 * (size - 8));
+      ++size;
+    }
+    void dword(std::uint32_t v) {
+      for (int i = 0; i < 4; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    void qword(std::uint64_t v) {
+      for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
 
-  /// Emit ModRM (+SIB +disp) addressing `mem` with `reg` in the reg field.
-  void modrm_mem(std::uint8_t reg, const Mem& mem);
-  void modrm_reg(std::uint8_t reg, std::uint8_t rm);
+    /// REX prefix. `w` selects 64-bit operands; reg/rm/index supply the
+    /// extension bits. The prefix is omitted when it would be 0x40 and not
+    /// required.
+    void rex(bool w, std::uint8_t reg, std::uint8_t rm, bool force = false,
+             std::uint8_t index = 0);
 
-  /// Emit a VEX prefix (2-byte form when legal, else 3-byte).
-  /// mmmmm: 1=0F, 2=0F38, 3=0F3A; pp: 0=none, 1=66, 2=F3, 3=F2.
-  void vex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base, bool w,
-           bool l256, std::uint8_t mmmmm, std::uint8_t pp);
+    /// ModRM (+SIB +disp) addressing `mem` with `reg` in the reg field.
+    void modrm_mem(std::uint8_t reg, const Mem& mem);
+    /// As modrm_mem, but always with a 32-bit displacement.
+    void modrm_mem_disp32(std::uint8_t reg, const Mem& mem);
+    void modrm_reg(std::uint8_t reg, std::uint8_t rm) {
+      byte(static_cast<std::uint8_t>((3 << 6) | ((reg & 7) << 3) | (rm & 7)));
+    }
+
+    /// VEX prefix (2-byte form when legal, else 3-byte).
+    /// mmmmm: 1=0F, 2=0F38, 3=0F3A; pp: 0=none, 1=66, 2=F3, 3=F2.
+    void vex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base, bool w, bool l256,
+             std::uint8_t mmmmm, std::uint8_t pp);
+
+    /// 4-byte EVEX prefix (512-bit vector length, no masking, no broadcast;
+    /// registers restricted to 0-15 so R'/V' stay clear).
+    /// mm: 1=0F, 2=0F38, 3=0F3A; pp as for VEX.
+    void evex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base, bool w,
+              std::uint8_t mm, std::uint8_t pp);
+  };
+
+  /// Append a staged instruction: one capacity check, two word stores.
+  void emit(const Insn& insn) {
+    if (code_.size() - size_ < 16) grow();
+    std::uint8_t* at = code_.data() + size_;
+    std::memcpy(at, &insn.lo, 8);
+    std::memcpy(at + 8, &insn.hi, 8);
+    size_ += insn.size;
+  }
+  void grow();
 
   /// VEX op with register rm operand.
   void vex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, std::uint8_t src,
@@ -131,11 +175,6 @@ class Assembler {
   void vex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, const Mem& mem,
               bool w, bool l256, std::uint8_t mmmmm, std::uint8_t pp);
 
-  /// Emit a 4-byte EVEX prefix (512-bit vector length, no masking, no
-  /// broadcast; registers restricted to 0-15 so R'/V' stay clear).
-  /// mm: 1=0F, 2=0F38, 3=0F3A; pp as for VEX.
-  void evex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base, bool w,
-            std::uint8_t mm, std::uint8_t pp);
   /// EVEX op with register rm operand.
   void evex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, std::uint8_t src,
                bool w, std::uint8_t mm, std::uint8_t pp);
@@ -143,7 +182,6 @@ class Assembler {
   /// sidestep EVEX's compressed-disp8 scaling rules.
   void evex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, const Mem& mem,
                bool w, std::uint8_t mm, std::uint8_t pp);
-  void modrm_mem_disp32(std::uint8_t reg, const Mem& mem);
 
   /// SSE op: 66 0F <opcode> /r forms.
   void sse_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t src);
@@ -156,9 +194,210 @@ class Assembler {
     std::uint32_t label;
   };
 
+  /// Emitted bytes are code_[0, size_); the rest is spare capacity that
+  /// emit() may scribble on.
   std::vector<std::uint8_t> code_;
+  std::size_t size_ = 0;
   std::vector<std::int64_t> label_offsets_;  ///< -1 while unbound
   std::vector<Fixup> fixups_;
 };
+
+// ---- inline encoding helpers and hot encoders ------------------------------
+
+inline void Assembler::Insn::rex(bool w, std::uint8_t reg, std::uint8_t rm, bool force,
+                                 std::uint8_t index) {
+  std::uint8_t prefix = 0x40;
+  if (w) prefix |= 0x08;
+  if (reg & 8) prefix |= 0x04;
+  if (index & 8) prefix |= 0x02;
+  if (rm & 8) prefix |= 0x01;
+  if (prefix != 0x40 || force) byte(prefix);
+}
+
+inline void Assembler::Insn::modrm_mem(std::uint8_t reg, const Mem& mem) {
+  const std::uint8_t base_low = id(mem.base) & 7;
+  const bool sib = base_low == 4;  // rsp/r12 need a SIB byte
+  std::uint8_t mod;
+  if (mem.disp == 0 && base_low != 5) {  // rbp/r13 have no disp-less form
+    mod = 0;
+  } else if (mem.disp >= -128 && mem.disp <= 127) {
+    mod = 1;
+  } else {
+    mod = 2;
+  }
+  byte(static_cast<std::uint8_t>((mod << 6) | ((reg & 7) << 3) | (sib ? 4 : base_low)));
+  // SIB with no index: scale=0, index=100 (none), base=base.
+  if (sib) byte(static_cast<std::uint8_t>((4 << 3) | base_low));
+  if (mod == 1) {
+    byte(static_cast<std::uint8_t>(mem.disp));
+  } else if (mod == 2) {
+    dword(static_cast<std::uint32_t>(mem.disp));
+  }
+}
+
+inline void Assembler::Insn::modrm_mem_disp32(std::uint8_t reg, const Mem& mem) {
+  const std::uint8_t base_low = id(mem.base) & 7;
+  const bool sib = base_low == 4;
+  byte(static_cast<std::uint8_t>((2 << 6) | ((reg & 7) << 3) | (sib ? 4 : base_low)));
+  if (sib) byte(static_cast<std::uint8_t>((4 << 3) | base_low));
+  dword(static_cast<std::uint32_t>(mem.disp));
+}
+
+inline void Assembler::Insn::vex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base,
+                                 bool w, bool l256, std::uint8_t mmmmm, std::uint8_t pp) {
+  const bool r = (reg & 8) != 0;
+  const bool b = (rm_or_base & 8) != 0;
+  // Two-byte form is legal when B=0, X=0 (we never use an index register),
+  // W=0, and the opcode map is 0F.
+  if (!b && !w && mmmmm == 1) {
+    byte(0xC5);
+    byte(static_cast<std::uint8_t>(((r ? 0 : 1) << 7) | ((~vvvv & 0xf) << 3) |
+                                   ((l256 ? 1 : 0) << 2) | pp));
+    return;
+  }
+  byte(0xC4);
+  byte(static_cast<std::uint8_t>(((r ? 0 : 1) << 7) | (1 << 6) /* ~X */ |
+                                 ((b ? 0 : 1) << 5) | mmmmm));
+  byte(static_cast<std::uint8_t>(((w ? 1 : 0) << 7) | ((~vvvv & 0xf) << 3) |
+                                 ((l256 ? 1 : 0) << 2) | pp));
+}
+
+inline void Assembler::Insn::evex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base,
+                                  bool w, std::uint8_t mm, std::uint8_t pp) {
+  byte(0x62);
+  // P0: ~R ~X ~B ~R' 0 0 m m   (X is never used: no index registers)
+  byte(static_cast<std::uint8_t>(((reg & 8) ? 0 : 1) << 7 | (1 << 6) |
+                                 ((rm_or_base & 8) ? 0 : 1) << 5 | (1 << 4) | mm));
+  // P1: W ~v ~v ~v ~v 1 p p
+  byte(static_cast<std::uint8_t>(((w ? 1 : 0) << 7) | ((~vvvv & 0xf) << 3) | (1 << 2) | pp));
+  // P2: z L'L b ~V' aaa = 0 10 0 1 000 -> 512-bit, merge, no mask.
+  byte(0x48);
+}
+
+inline void Assembler::vex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv,
+                              std::uint8_t src, bool w, bool l256, std::uint8_t mmmmm,
+                              std::uint8_t pp) {
+  Insn i;
+  i.vex(dst, vvvv, src, w, l256, mmmmm, pp);
+  i.byte(opcode);
+  i.modrm_reg(dst, src);
+  emit(i);
+}
+
+inline void Assembler::vex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv,
+                              const Mem& mem, bool w, bool l256, std::uint8_t mmmmm,
+                              std::uint8_t pp) {
+  Insn i;
+  i.vex(dst, vvvv, id(mem.base), w, l256, mmmmm, pp);
+  i.byte(opcode);
+  i.modrm_mem(dst, mem);
+  emit(i);
+}
+
+inline void Assembler::evex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv,
+                               std::uint8_t src, bool w, std::uint8_t mm, std::uint8_t pp) {
+  Insn i;
+  i.evex(dst, vvvv, src, w, mm, pp);
+  i.byte(opcode);
+  i.modrm_reg(dst, src);
+  emit(i);
+}
+
+inline void Assembler::evex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv,
+                               const Mem& mem, bool w, std::uint8_t mm, std::uint8_t pp) {
+  Insn i;
+  i.evex(dst, vvvv, id(mem.base), w, mm, pp);
+  i.byte(opcode);
+  i.modrm_mem_disp32(dst, mem);
+  emit(i);
+}
+
+inline void Assembler::sse_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t src) {
+  Insn i;
+  i.byte(0x66);
+  i.rex(false, dst, src);
+  i.byte(0x0F);
+  i.byte(opcode);
+  i.modrm_reg(dst, src);
+  emit(i);
+}
+
+inline void Assembler::sse_rm(std::uint8_t opcode, std::uint8_t reg, const Mem& mem) {
+  Insn i;
+  i.byte(0x66);
+  i.rex(false, reg, id(mem.base));
+  i.byte(0x0F);
+  i.byte(opcode);
+  i.modrm_mem(reg, mem);
+  emit(i);
+}
+
+inline void Assembler::xor_(Gp dst, Gp src) {
+  Insn i;
+  i.rex(true, id(src), id(dst));
+  i.byte(0x31);
+  i.modrm_reg(id(src), id(dst));
+  emit(i);
+}
+
+inline void Assembler::shl(Gp dst, std::uint8_t imm) {
+  Insn i;
+  i.rex(true, 0, id(dst));
+  i.byte(0xC1);
+  i.modrm_reg(4, id(dst));
+  i.byte(imm);
+  emit(i);
+}
+
+inline void Assembler::shr(Gp dst, std::uint8_t imm) {
+  Insn i;
+  i.rex(true, 0, id(dst));
+  i.byte(0xC1);
+  i.modrm_reg(5, id(dst));
+  i.byte(imm);
+  emit(i);
+}
+
+inline void Assembler::prefetch(Mem addr, PrefetchHint hint) {
+  Insn i;
+  i.rex(false, static_cast<std::uint8_t>(hint), id(addr.base));
+  i.byte(0x0F);
+  i.byte(0x18);
+  i.modrm_mem(static_cast<std::uint8_t>(hint), addr);
+  emit(i);
+}
+
+inline void Assembler::vmovapd(Ymm dst, Mem src) { vex_rm(0x28, id(dst), 0, src, false, true, 1, 1); }
+inline void Assembler::vmovapd(Mem dst, Ymm src) { vex_rm(0x29, id(src), 0, dst, false, true, 1, 1); }
+inline void Assembler::vaddpd(Ymm dst, Ymm lhs, Ymm rhs) {
+  vex_rr(0x58, id(dst), id(lhs), id(rhs), false, true, 1, 1);
+}
+inline void Assembler::vaddpd(Ymm dst, Ymm lhs, Mem rhs) {
+  vex_rm(0x58, id(dst), id(lhs), rhs, false, true, 1, 1);
+}
+inline void Assembler::vmulpd(Ymm dst, Ymm lhs, Ymm rhs) {
+  vex_rr(0x59, id(dst), id(lhs), id(rhs), false, true, 1, 1);
+}
+/// VEX.DDS.256.66.0F38.W1 B8 /r
+inline void Assembler::vfmadd231pd(Ymm dst, Ymm a, Ymm b) {
+  vex_rr(0xB8, id(dst), id(a), id(b), true, true, 2, 1);
+}
+inline void Assembler::vfmadd231pd(Ymm dst, Ymm a, Mem b) {
+  vex_rm(0xB8, id(dst), id(a), b, true, true, 2, 1);
+}
+
+inline void Assembler::vmovapd(Mem dst, Zmm src) { evex_rm(0x29, id(src), 0, dst, true, 1, 1); }
+inline void Assembler::vfmadd231pd(Zmm dst, Zmm a, Zmm b) {
+  evex_rr(0xB8, id(dst), id(a), id(b), true, 2, 1);
+}
+inline void Assembler::vfmadd231pd(Zmm dst, Zmm a, Mem b) {
+  evex_rm(0xB8, id(dst), id(a), b, true, 2, 1);
+}
+
+inline void Assembler::movapd(Xmm dst, Mem src) { sse_rm(0x28, id(dst), src); }
+inline void Assembler::movapd(Mem dst, Xmm src) { sse_rm(0x29, id(src), dst); }
+inline void Assembler::addpd(Xmm dst, Xmm src) { sse_rr(0x58, id(dst), id(src)); }
+inline void Assembler::addpd(Xmm dst, Mem src) { sse_rm(0x58, id(dst), src); }
+inline void Assembler::mulpd(Xmm dst, Xmm src) { sse_rr(0x59, id(dst), id(src)); }
 
 }  // namespace fs2::jit
