@@ -4,6 +4,7 @@
 #include <array>
 
 #include "jit/assembler.hpp"
+#include "trace/tracer.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -47,23 +48,28 @@ constexpr std::uint64_t kPattern01 = 0x5555555555555555ULL;
 constexpr std::uint64_t kPattern10 = 0xAAAAAAAAAAAAAAAAULL;
 
 /// Code generator for one workload. Tracks instruction counts while
-/// emitting so PayloadStats is exact by construction.
+/// emitting so PayloadStats is exact by construction; analyze_payload and
+/// compile_payload both run it.
 class KernelBuilder {
  public:
   KernelBuilder(const InstructionMix& mix, const InstructionGroups& groups,
                 const arch::CacheHierarchy& caches, const CompileOptions& options)
       : mix_(mix), groups_(groups), caches_(caches), options_(options) {}
 
-  /// Emit the full kernel; returns finished machine code and fills stats().
-  std::vector<std::uint8_t> build() {
+  /// Emit the full kernel and fill stats().
+  void build() {
     const std::vector<AccessKind> base = base_sequence(groups_);
-    const std::uint32_t unroll = options_.unroll != 0 ? options_.unroll : default_unroll(base);
-    prepare(unroll_sequence(base, unroll));
+    stats_.vector_doubles = mix_.vector_doubles;
+    stats_.regions = RegionSizes::from_hierarchy(caches_, options_.ram_region_bytes).finalized();
+    for (int level = 1; level < kNumMemoryLevels; ++level)
+      line_mask_[static_cast<std::size_t>(level)] = stats_.regions.bytes[level] - 1;
     emit_prologue();
-    emit_loop();
+    emit_loop(base);
     emit_epilogue();
-    return asm_.finalize();
   }
+
+  /// The finished machine code (after build()).
+  std::vector<std::uint8_t> code() { return asm_.finalize(); }
 
   const PayloadStats& stats() const { return stats_; }
 
@@ -79,46 +85,24 @@ class KernelBuilder {
   static constexpr Gp kCursor[kNumMemoryLevels] = {Gp::rax /*unused for REG*/, Gp::r8, Gp::r9,
                                                    Gp::r10, Gp::rbx};
 
-  /// Derive all static per-sequence state the emitters depend on.
-  void prepare(std::vector<AccessKind> sequence) {
-    stats_.vector_doubles = mix_.vector_doubles;
-    sequence_ = std::move(sequence);
-    stats_.sequence = analyze_sequence(sequence_);
-    stats_.unroll = static_cast<std::uint32_t>(sequence_.size());
+  /// Derive the per-iteration state of a loop of `unroll` sets cycling
+  /// over `base`.
+  void prepare(const std::vector<AccessKind>& base, std::uint32_t unroll) {
+    stats_.sequence = analyze_unrolled(base, unroll);
+    stats_.unroll = unroll;
     for (int level = 0; level < kNumMemoryLevels; ++level)
       stats_.bytes_per_iteration[level] =
           static_cast<std::uint64_t>(stats_.sequence.lines(static_cast<MemoryLevel>(level))) * 64;
-    stats_.regions = RegionSizes::from_hierarchy(caches_, options_.ram_region_bytes)
-                         .finalized(stats_.sequence);
     // Per-level addressing mode. Streaming: every access in an iteration
     // hits a distinct line and the cursor advances by the full span, so
     // consecutive iterations never overlap (forces misses in the levels
     // above). Resident: the per-iteration span would exceed the region, so
     // displacements wrap inside the region and the cursor stays put — the
     // accesses are intended to *hit* this level (the L1 case).
-    for (int level = 1; level < kNumMemoryLevels; ++level) {
-      const std::uint64_t span =
-          static_cast<std::uint64_t>(stats_.sequence.lines(static_cast<MemoryLevel>(level))) * 64;
+    for (int level = 1; level < kNumMemoryLevels; ++level)
       streaming_[static_cast<std::size_t>(level)] =
-          span > 0 && span < stats_.regions.bytes[level];
-    }
-  }
-
-  std::uint32_t default_unroll(const std::vector<AccessKind>& base) {
-    // Trial-encode one pass over the base sequence to learn the real bytes
-    // per instruction set, then size u so the loop fills ~3/4 of L1-I:
-    // large enough to spill the micro-op/loop buffers, small enough to
-    // avoid instruction fetches from L2 (Sec. IV-C).
-    KernelBuilder trial(mix_, groups_, caches_, CompileOptions{.unroll = 1, .dump_registers = false});
-    trial.prepare(base);
-    const std::size_t before = trial.asm_.size();
-    for (std::size_t i = 0; i < base.size(); ++i) trial.emit_set(base[i], i);
-    const std::size_t bytes = trial.asm_.size() - before;
-    const double per_set = static_cast<double>(bytes) / static_cast<double>(base.size());
-    std::size_t l1i = caches_.l1i_size();
-    if (l1i == 0) l1i = 32 * 1024;
-    const auto u = static_cast<std::uint32_t>(static_cast<double>(l1i) * 0.75 / per_set);
-    return std::max<std::uint32_t>(u, static_cast<std::uint32_t>(base.size()));
+          stats_.bytes_per_iteration[level] > 0 &&
+          stats_.bytes_per_iteration[level] < stats_.regions.bytes[level];
   }
 
   void emit_prologue() {
@@ -188,13 +172,33 @@ class KernelBuilder {
     return kConstAccSeeds + static_cast<std::int32_t>(i) * 64;
   }
 
-  void emit_loop() {
+  void emit_loop(const std::vector<AccessKind>& base) {
     loop_label_ = asm_.new_label();
     asm_.bind(loop_label_);
     const std::size_t loop_start = asm_.size();
 
-    line_cursor_.fill(0);
-    for (std::size_t i = 0; i < sequence_.size(); ++i) emit_set(sequence_[i], i);
+    std::uint32_t unroll = options_.unroll;
+    std::uint32_t set = 0;
+    if (unroll == 0) {
+      // Default u: the loop fills ~3/4 of L1-I, large enough to spill the
+      // micro-op/loop buffers, small enough to avoid instruction fetches
+      // from L2 (Sec. IV-C). The first pass over the base is emitted before
+      // u is known and its bytes size u. That is exact: its line indices
+      // stay below the base's own line count, so every displacement
+      // encodes the same whether the level ends up streaming or resident.
+      for (; set < base.size(); ++set) emit_set(base[set], set);
+      const double per_set =
+          static_cast<double>(asm_.size() - loop_start) / static_cast<double>(base.size());
+      std::size_t l1i = caches_.l1i_size();
+      if (l1i == 0) l1i = 32 * 1024;
+      unroll = std::max(static_cast<std::uint32_t>(static_cast<double>(l1i) * 0.75 / per_set),
+                        static_cast<std::uint32_t>(base.size()));
+    }
+    prepare(base, unroll);
+    for (std::size_t at = set % base.size(); set < unroll; ++set) {
+      emit_set(base[at], set);
+      if (++at == base.size()) at = 0;
+    }
 
     // Advance and wrap each streaming-mode cursor. Regions are aligned to
     // twice their (power-of-two) size, so wrapping is a single AND that
@@ -244,11 +248,13 @@ class KernelBuilder {
   /// Memory operand for the next cache line of `level`. In streaming mode
   /// consecutive accesses within one iteration hit distinct lines; in
   /// resident mode the displacement wraps inside the region so the working
-  /// set stays exactly region-sized.
+  /// set stays exactly region-sized. One mask serves both: a streaming
+  /// level's span is below its region, so the mask never bites there, and
+  /// regions are powers of two, so for a resident level it is the modulo.
   Mem next_line(MemoryLevel level) {
     const auto idx = static_cast<std::size_t>(level);
-    std::uint64_t disp = static_cast<std::uint64_t>(line_cursor_[idx]++) * 64;
-    if (!streaming_[idx]) disp %= stats_.regions.bytes[idx];
+    const std::uint64_t disp =
+        (static_cast<std::uint64_t>(line_cursor_[idx]++) * 64) & line_mask_[idx];
     return jit::ptr(kCursor[idx], static_cast<std::int32_t>(disp));
   }
 
@@ -488,14 +494,14 @@ class KernelBuilder {
   const InstructionMix& mix_;
   const InstructionGroups& groups_;
   const arch::CacheHierarchy& caches_;
-  const CompileOptions options_;  // by value: the trial builder owns a temporary
+  const CompileOptions& options_;
 
   Assembler asm_;
-  std::vector<AccessKind> sequence_;
   PayloadStats stats_;
   jit::Label loop_label_{};
   jit::Label exit_label_{};
   std::array<std::uint32_t, kNumMemoryLevels> line_cursor_{};
+  std::array<std::uint64_t, kNumMemoryLevels> line_mask_{};  ///< region size - 1
   std::array<bool, kNumMemoryLevels> streaming_{};
 };
 
@@ -508,8 +514,10 @@ std::unique_ptr<WorkBuffer> CompiledPayload::make_buffer() const {
 CompiledPayload compile_payload(const InstructionMix& mix, const InstructionGroups& groups,
                                 const arch::CacheHierarchy& caches,
                                 const CompileOptions& options) {
+  TRACE_SPAN("jit.compile");
   KernelBuilder builder(mix, groups, caches, options);
-  std::vector<std::uint8_t> code = builder.build();
+  builder.build();
+  const std::vector<std::uint8_t> code = builder.code();
   log::debug() << "compiled payload " << mix.name << " M=" << groups.to_string()
                << " u=" << builder.stats().unroll << " loop=" << builder.stats().loop_bytes
                << "B instr/iter=" << builder.stats().instructions_per_iteration;
@@ -518,8 +526,9 @@ CompiledPayload compile_payload(const InstructionMix& mix, const InstructionGrou
 
 PayloadStats analyze_payload(const InstructionMix& mix, const InstructionGroups& groups,
                              const arch::CacheHierarchy& caches, const CompileOptions& options) {
+  TRACE_SPAN("payload.analyze");
   KernelBuilder builder(mix, groups, caches, options);
-  (void)builder.build();  // emits into a byte vector only; nothing is mapped
+  builder.build();  // emits into a byte vector only; nothing is mapped
   return builder.stats();
 }
 

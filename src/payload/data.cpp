@@ -58,8 +58,7 @@ RegionSizes RegionSizes::from_hierarchy(const arch::CacheHierarchy& caches,
   return sizes;
 }
 
-RegionSizes RegionSizes::finalized(const SequenceStats& stats) const {
-  (void)stats;  // sizing no longer depends on the sequence; kept for ABI stability
+RegionSizes RegionSizes::finalized() const {
   RegionSizes out = *this;
   for (int level = 1; level < kNumMemoryLevels; ++level) {
     std::size_t size = ceil_pow2(out.bytes[level]);
@@ -70,7 +69,7 @@ RegionSizes RegionSizes::finalized(const SequenceStats& stats) const {
 }
 
 WorkBuffer::WorkBuffer(const RegionSizes& sizes, const SequenceStats& stats)
-    : sizes_(sizes.finalized(stats)) {
+    : sizes_(sizes.finalized()) {
   // Constants + dump blocks (cache-line aligned).
   const std::size_t consts_bytes = ConstLayout::kDoubles * sizeof(double);
   allocations_[0] = aligned_allocate(64, consts_bytes);

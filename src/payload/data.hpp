@@ -48,8 +48,11 @@ struct KernelArgs {
   double* dump = nullptr;    ///< 16x8 doubles register dump area (may be null)
 };
 
-/// Sizes for the four streaming regions. All sizes are powers of two so the
-/// generated wrap-around code can mask the cursor with a single AND.
+/// Sizes for the four streaming regions. Once finalized, every size is a
+/// power of two of at least one 4 KiB page: the generated code wraps a
+/// streaming cursor by clearing the region-size address bit, and a resident
+/// level's displacements with `& (size - 1)`, both exact only for powers of
+/// two.
 struct RegionSizes {
   std::size_t bytes[kNumMemoryLevels] = {};  ///< indexed by MemoryLevel; [kReg] unused
 
@@ -64,12 +67,12 @@ struct RegionSizes {
   static RegionSizes from_hierarchy(const arch::CacheHierarchy& caches,
                                     std::size_t ram_bytes = 16ull << 20);
 
-  /// Grow regions so the per-iteration cursor advance of `stats` never
-  /// exceeds the region size (required for single-AND wrap-around), and
-  /// clamp to a one-page minimum. Idempotent. Both the payload compiler
-  /// (emitting the wrap masks) and WorkBuffer (allocating) apply this, so
-  /// generated code and buffers always agree.
-  RegionSizes finalized(const SequenceStats& stats) const;
+  /// Round every region up to a power of two of at least 4 KiB (the
+  /// invariant above). Idempotent. Both the payload compiler (emitting the
+  /// wrap masks) and WorkBuffer (allocating) apply this, so generated code
+  /// and buffers always agree. A level whose per-iteration span reaches its
+  /// region is not grown: the compiler addresses it in resident mode.
+  RegionSizes finalized() const;
 };
 
 /// Per-thread working memory of a compiled payload: one constants block,

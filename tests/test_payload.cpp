@@ -358,6 +358,13 @@ TEST(Analyze, RegionsFollowHierarchy) {
   EXPECT_GT(stats.regions.bytes[level(MemoryLevel::kL3)], 512u * 1024);
   EXPECT_GT(stats.regions.bytes[level(MemoryLevel::kRam)],
             stats.regions.bytes[level(MemoryLevel::kL3)]);
+  // The generated code wraps addresses by masking, which is exact only for
+  // power-of-two regions; every region is also at least one 4 KiB page.
+  for (int l = level(MemoryLevel::kL1); l < kNumMemoryLevels; ++l) {
+    const std::size_t bytes = stats.regions.bytes[l];
+    EXPECT_GE(bytes, 4096u) << to_string(static_cast<MemoryLevel>(l));
+    EXPECT_EQ(bytes & (bytes - 1), 0u) << to_string(static_cast<MemoryLevel>(l));
+  }
 }
 
 TEST(Analyze, BytesPerIterationMatchLines) {
