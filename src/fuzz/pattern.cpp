@@ -18,11 +18,10 @@ PatternSpec PatternSpec::parse(const std::string& text) {
   spec.groups = payload::InstructionGroups::parse(groups_text);
   if (bar == std::string::npos) return spec;
 
-  const std::string_view rest = strings::trim(text.substr(bar + 1));
+  const std::string rest(strings::trim(text.substr(bar + 1)));
   if (!strings::starts_with(rest, "u="))
     throw ConfigError("pattern spec '" + text + "': expected '|u=N' after the groups");
-  const std::uint64_t u =
-      strings::parse_u64(std::string(rest.substr(2)), "pattern unroll");
+  const std::uint64_t u = strings::parse_u64(rest.substr(2), "pattern unroll");
   if (u == 0 || u > kMaxUnroll)
     throw ConfigError(strings::format("pattern spec unroll must be within [1, %u]",
                                       kMaxUnroll));
