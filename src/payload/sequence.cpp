@@ -128,19 +128,26 @@ SequenceStats analyze_sequence(const std::vector<AccessKind>& sequence) {
 SequenceStats analyze_unrolled(const std::vector<AccessKind>& base, std::uint32_t u) {
   if (base.empty()) throw ConfigError("analyze_unrolled: empty base sequence");
   if (u == 0) throw ConfigError("analyze_unrolled: unroll factor must be >= 1");
-  // Set i of the base occurs once per full pass, plus once more if it lies
-  // in the trailing partial pass.
+  // Occurrences per (level, pattern): set i of the base occurs once per
+  // full pass, plus once more if it lies in the trailing partial pass.
+  constexpr int kPatterns = static_cast<int>(AccessPattern::kPrefetch) + 1;
+  std::uint32_t times[kNumMemoryLevels][kPatterns] = {};
   const std::uint32_t passes = u / static_cast<std::uint32_t>(base.size());
   const std::uint32_t partial = u % static_cast<std::uint32_t>(base.size());
+  for (std::uint32_t i = 0; i < base.size(); ++i)
+    times[static_cast<int>(base[i].level)][static_cast<int>(base[i].pattern)] +=
+        passes + (i < partial ? 1 : 0);
+
   SequenceStats stats;
   stats.sets = u;
-  for (std::uint32_t i = 0; i < base.size(); ++i) {
-    const AccessKind& kind = base[i];
-    const std::uint32_t times = passes + (i < partial ? 1 : 0);
-    const auto level = static_cast<std::size_t>(kind.level);
-    stats.loads[level] += times * static_cast<std::uint32_t>(kind.loads());
-    stats.stores[level] += times * static_cast<std::uint32_t>(kind.stores());
-    stats.prefetches[level] += times * static_cast<std::uint32_t>(kind.prefetches());
+  for (int level = 0; level < kNumMemoryLevels; ++level) {
+    for (int pattern = 0; pattern < kPatterns; ++pattern) {
+      const AccessKind kind{static_cast<MemoryLevel>(level), static_cast<AccessPattern>(pattern)};
+      const std::uint32_t n = times[level][pattern];
+      stats.loads[level] += n * static_cast<std::uint32_t>(kind.loads());
+      stats.stores[level] += n * static_cast<std::uint32_t>(kind.stores());
+      stats.prefetches[level] += n * static_cast<std::uint32_t>(kind.prefetches());
+    }
   }
   return stats;
 }
