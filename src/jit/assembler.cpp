@@ -7,9 +7,7 @@
 
 namespace fs2::jit {
 
-void Assembler::grow() {
-  code_.resize(std::max<std::size_t>(code_.size() * 2, 4096));
-}
+void Assembler::grow() { code_.resize(std::max<std::size_t>(code_.size() * 2, 4096)); }
 
 // ---- labels & control flow --------------------------------------------------
 
@@ -25,160 +23,72 @@ void Assembler::bind(Label label) {
 }
 
 void Assembler::jcc(std::uint8_t opcode2, Label target) {
-  Insn i;
-  i.byte(0x0F);
-  i.byte(opcode2);
-  fixups_.push_back(Fixup{size_ + i.size, target.index});
-  i.dword(0);
-  emit(i);
+  fixups_.push_back(Fixup{size_ + 2, target.index});
+  emit(Insn().byte(0x0F).byte(opcode2).dword(0));
 }
 
 void Assembler::jmp(Label target) {
-  Insn i;
-  i.byte(0xE9);
-  fixups_.push_back(Fixup{size_ + i.size, target.index});
-  i.dword(0);
-  emit(i);
+  fixups_.push_back(Fixup{size_ + 1, target.index});
+  emit(Insn().byte(0xE9).dword(0));
 }
 
 void Assembler::jnz(Label target) { jcc(0x85, target); }
 void Assembler::jz(Label target) { jcc(0x84, target); }
 
-void Assembler::ret() {
-  Insn i;
-  i.byte(0xC3);
-  emit(i);
-}
+void Assembler::ret() { emit(Insn().byte(0xC3)); }
 
-// ---- integer ALU --------------------------------------------------------------
+// ---- integer ALU (xor/shl/shr are inline in the header) --------------------------
 
 void Assembler::mov(Gp dst, std::uint64_t imm) {
-  Insn i;
-  i.rex(true, 0, id(dst));
-  i.byte(static_cast<std::uint8_t>(0xB8 | (id(dst) & 7)));
-  i.qword(imm);
-  emit(i);
+  emit(Insn().rex(true, 0, id(dst)).byte(static_cast<std::uint8_t>(0xB8 | (id(dst) & 7))).qword(imm));
 }
 
-void Assembler::mov(Gp dst, Gp src) {
-  Insn i;
-  i.rex(true, id(src), id(dst));
-  i.byte(0x89);
-  i.modrm_reg(id(src), id(dst));
-  emit(i);
-}
+void Assembler::mov(Gp dst, Gp src) { emit(op64(0x89, id(src), id(dst))); }
 
 void Assembler::mov(Gp dst, Mem src) {
-  Insn i;
-  i.rex(true, id(dst), id(src.base));
-  i.byte(0x8B);
-  i.modrm_mem(id(dst), src);
-  emit(i);
+  emit(Insn().rex(true, id(dst), id(src.base)).byte(0x8B).modrm_mem(id(dst), src));
 }
 
 void Assembler::mov(Mem dst, Gp src) {
-  Insn i;
-  i.rex(true, id(src), id(dst.base));
-  i.byte(0x89);
-  i.modrm_mem(id(src), dst);
-  emit(i);
+  emit(Insn().rex(true, id(src), id(dst.base)).byte(0x89).modrm_mem(id(src), dst));
 }
 
 void Assembler::add(Gp dst, std::int32_t imm) {
-  Insn i;
-  i.rex(true, 0, id(dst));
-  i.byte(0x81);
-  i.modrm_reg(0, id(dst));
-  i.dword(static_cast<std::uint32_t>(imm));
-  emit(i);
+  emit(op64(0x81, 0, id(dst)).dword(static_cast<std::uint32_t>(imm)));
 }
 
 void Assembler::sub(Gp dst, std::int32_t imm) {
-  Insn i;
-  i.rex(true, 0, id(dst));
-  i.byte(0x81);
-  i.modrm_reg(5, id(dst));
-  i.dword(static_cast<std::uint32_t>(imm));
-  emit(i);
+  emit(op64(0x81, 5, id(dst)).dword(static_cast<std::uint32_t>(imm)));
 }
 
-void Assembler::add(Gp dst, Gp src) {
-  Insn i;
-  i.rex(true, id(src), id(dst));
-  i.byte(0x01);
-  i.modrm_reg(id(src), id(dst));
-  emit(i);
-}
+void Assembler::add(Gp dst, Gp src) { emit(op64(0x01, id(src), id(dst))); }
 
 void Assembler::and_(Gp dst, std::int32_t imm) {
-  Insn i;
-  i.rex(true, 0, id(dst));
-  i.byte(0x81);
-  i.modrm_reg(4, id(dst));
-  i.dword(static_cast<std::uint32_t>(imm));
-  emit(i);
+  emit(op64(0x81, 4, id(dst)).dword(static_cast<std::uint32_t>(imm)));
 }
 
-void Assembler::dec(Gp dst) {
-  Insn i;
-  i.rex(true, 0, id(dst));
-  i.byte(0xFF);
-  i.modrm_reg(1, id(dst));
-  emit(i);
-}
-
-void Assembler::inc(Gp dst) {
-  Insn i;
-  i.rex(true, 0, id(dst));
-  i.byte(0xFF);
-  i.modrm_reg(0, id(dst));
-  emit(i);
-}
-
-void Assembler::test(Gp a, Gp b) {
-  Insn i;
-  i.rex(true, id(b), id(a));
-  i.byte(0x85);
-  i.modrm_reg(id(b), id(a));
-  emit(i);
-}
+void Assembler::dec(Gp dst) { emit(op64(0xFF, 1, id(dst))); }
+void Assembler::inc(Gp dst) { emit(op64(0xFF, 0, id(dst))); }
+void Assembler::test(Gp a, Gp b) { emit(op64(0x85, id(b), id(a))); }
 
 void Assembler::cmp(Gp a, std::int32_t imm) {
-  Insn i;
-  i.rex(true, 0, id(a));
-  i.byte(0x81);
-  i.modrm_reg(7, id(a));
-  i.dword(static_cast<std::uint32_t>(imm));
-  emit(i);
+  emit(op64(0x81, 7, id(a)).dword(static_cast<std::uint32_t>(imm)));
 }
 
-void Assembler::cmp(Gp a, Gp b) {
-  Insn i;
-  i.rex(true, id(b), id(a));
-  i.byte(0x39);
-  i.modrm_reg(id(b), id(a));
-  emit(i);
-}
+void Assembler::cmp(Gp a, Gp b) { emit(op64(0x39, id(b), id(a))); }
 
 void Assembler::push(Gp reg) {
-  Insn i;
-  i.rex(false, 0, id(reg));
-  i.byte(static_cast<std::uint8_t>(0x50 | (id(reg) & 7)));
-  emit(i);
+  emit(Insn().rex(false, 0, id(reg)).byte(static_cast<std::uint8_t>(0x50 | (id(reg) & 7))));
 }
 
 void Assembler::pop(Gp reg) {
-  Insn i;
-  i.rex(false, 0, id(reg));
-  i.byte(static_cast<std::uint8_t>(0x58 | (id(reg) & 7)));
-  emit(i);
+  emit(Insn().rex(false, 0, id(reg)).byte(static_cast<std::uint8_t>(0x58 | (id(reg) & 7))));
 }
 
 // ---- AVX / FMA (the per-set forms are inline in the header) ---------------------
 
 void Assembler::vmovapd(Ymm dst, Ymm src) { vex_rr(0x28, id(dst), 0, id(src), false, true, 1, 1); }
 void Assembler::vmovupd(Mem dst, Ymm src) { vex_rm(0x11, id(src), 0, dst, false, true, 1, 1); }
-
 void Assembler::vmulpd(Ymm dst, Ymm lhs, Mem rhs) {
   vex_rm(0x59, id(dst), id(lhs), rhs, false, true, 1, 1);
 }
@@ -186,13 +96,7 @@ void Assembler::vxorpd(Ymm dst, Ymm lhs, Ymm rhs) {
   vex_rr(0x57, id(dst), id(lhs), id(rhs), false, true, 1, 1);
 }
 
-void Assembler::vzeroupper() {
-  Insn i;
-  i.byte(0xC5);
-  i.byte(0xF8);
-  i.byte(0x77);
-  emit(i);
-}
+void Assembler::vzeroupper() { emit(Insn().byte(0xC5).byte(0xF8).byte(0x77)); }
 
 // ---- EVEX / AVX-512 -----------------------------------------------------------
 
@@ -227,9 +131,9 @@ void Assembler::nop(std::size_t bytes) {
   };
   while (bytes > 0) {
     const std::size_t chunk = bytes > 9 ? 9 : bytes;
-    Insn i;
-    for (std::size_t k = 0; k < chunk; ++k) i.byte(seqs[chunk - 1][k]);
-    emit(i);
+    Insn insn;
+    for (std::size_t i = 0; i < chunk; ++i) insn.byte(seqs[chunk - 1][i]);
+    emit(insn);
     bytes -= chunk;
   }
 }

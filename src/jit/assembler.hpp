@@ -30,10 +30,10 @@ struct Label {
 /// rsp/r12 bases), which keeps the encoder small enough to be verified
 /// byte-for-byte in tests.
 ///
-/// Each instruction is staged in a local 16-byte buffer and appended with a
-/// single capacity check. The encoders the payload generator calls once per
-/// instruction set are defined inline below the class, so they inline into
-/// its emission loop.
+/// Each instruction is staged in a 16-byte local buffer (two words, kept in
+/// registers) and appended with a single capacity check. The encoders the
+/// payload generator calls for every instruction set are defined inline
+/// below the class, so they inline into its emission loop.
 class Assembler {
  public:
   // ---- labels & control flow -------------------------------------------
@@ -112,50 +112,50 @@ class Assembler {
 
  private:
   /// One instruction being encoded, held in two little-endian words so it
-  /// stays in registers. x86-64 instructions are at most 15 bytes.
+  /// stays in registers; x86-64 instructions are at most 15 bytes. Each
+  /// step appends bytes and returns *this, so an encoder is one chain.
   struct Insn {
     std::uint64_t lo = 0;  ///< bytes 0-7
     std::uint64_t hi = 0;  ///< bytes 8-15
     unsigned size = 0;
 
-    void byte(std::uint8_t b) {
+    Insn& byte(std::uint8_t b) {
       if (size < 8)
         lo |= static_cast<std::uint64_t>(b) << (8 * size);
       else
         hi |= static_cast<std::uint64_t>(b) << (8 * (size - 8));
       ++size;
+      return *this;
     }
-    void dword(std::uint32_t v) {
+    Insn& dword(std::uint32_t v) {
       for (int i = 0; i < 4; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+      return *this;
     }
-    void qword(std::uint64_t v) {
+    Insn& qword(std::uint64_t v) {
       for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+      return *this;
     }
 
-    /// REX prefix. `w` selects 64-bit operands; reg/rm/index supply the
-    /// extension bits. The prefix is omitted when it would be 0x40 and not
-    /// required.
-    void rex(bool w, std::uint8_t reg, std::uint8_t rm, bool force = false,
-             std::uint8_t index = 0);
-
+    /// REX prefix. `w` selects 64-bit operands; reg/rm supply the extension
+    /// bits. Omitted when it would be a bare 0x40.
+    Insn& rex(bool w, std::uint8_t reg, std::uint8_t rm);
+    /// ModRM with a register rm operand.
+    Insn& modrm_reg(std::uint8_t reg, std::uint8_t rm) {
+      return byte(static_cast<std::uint8_t>((3 << 6) | ((reg & 7) << 3) | (rm & 7)));
+    }
     /// ModRM (+SIB +disp) addressing `mem` with `reg` in the reg field.
-    void modrm_mem(std::uint8_t reg, const Mem& mem);
+    Insn& modrm_mem(std::uint8_t reg, const Mem& mem);
     /// As modrm_mem, but always with a 32-bit displacement.
-    void modrm_mem_disp32(std::uint8_t reg, const Mem& mem);
-    void modrm_reg(std::uint8_t reg, std::uint8_t rm) {
-      byte(static_cast<std::uint8_t>((3 << 6) | ((reg & 7) << 3) | (rm & 7)));
-    }
-
+    Insn& modrm_mem_disp32(std::uint8_t reg, const Mem& mem);
     /// VEX prefix (2-byte form when legal, else 3-byte).
     /// mmmmm: 1=0F, 2=0F38, 3=0F3A; pp: 0=none, 1=66, 2=F3, 3=F2.
-    void vex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base, bool w, bool l256,
-             std::uint8_t mmmmm, std::uint8_t pp);
-
+    Insn& vex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base, bool w, bool l256,
+              std::uint8_t mmmmm, std::uint8_t pp);
     /// 4-byte EVEX prefix (512-bit vector length, no masking, no broadcast;
     /// registers restricted to 0-15 so R'/V' stay clear).
     /// mm: 1=0F, 2=0F38, 3=0F3A; pp as for VEX.
-    void evex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base, bool w,
-              std::uint8_t mm, std::uint8_t pp);
+    Insn& evex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base, bool w,
+               std::uint8_t mm, std::uint8_t pp);
   };
 
   /// Append a staged instruction: one capacity check, two word stores.
@@ -168,24 +168,41 @@ class Assembler {
   }
   void grow();
 
+  /// 64-bit integer op with a register rm operand: REX.W <opcode> /reg.
+  static Insn op64(std::uint8_t opcode, std::uint8_t reg, std::uint8_t rm) {
+    return Insn().rex(true, reg, rm).byte(opcode).modrm_reg(reg, rm);
+  }
+
   /// VEX op with register rm operand.
-  void vex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, std::uint8_t src,
-              bool w, bool l256, std::uint8_t mmmmm, std::uint8_t pp);
+  void vex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, std::uint8_t src, bool w,
+              bool l256, std::uint8_t mmmmm, std::uint8_t pp) {
+    emit(Insn().vex(dst, vvvv, src, w, l256, mmmmm, pp).byte(opcode).modrm_reg(dst, src));
+  }
   /// VEX op with memory rm operand.
-  void vex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, const Mem& mem,
-              bool w, bool l256, std::uint8_t mmmmm, std::uint8_t pp);
+  void vex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, const Mem& mem, bool w,
+              bool l256, std::uint8_t mmmmm, std::uint8_t pp) {
+    emit(Insn().vex(dst, vvvv, id(mem.base), w, l256, mmmmm, pp).byte(opcode).modrm_mem(dst, mem));
+  }
 
   /// EVEX op with register rm operand.
-  void evex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, std::uint8_t src,
-               bool w, std::uint8_t mm, std::uint8_t pp);
+  void evex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, std::uint8_t src, bool w,
+               std::uint8_t mm, std::uint8_t pp) {
+    emit(Insn().evex(dst, vvvv, src, w, mm, pp).byte(opcode).modrm_reg(dst, src));
+  }
   /// EVEX op with memory rm operand. Always uses disp32 addressing to
   /// sidestep EVEX's compressed-disp8 scaling rules.
-  void evex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, const Mem& mem,
-               bool w, std::uint8_t mm, std::uint8_t pp);
+  void evex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv, const Mem& mem, bool w,
+               std::uint8_t mm, std::uint8_t pp) {
+    emit(Insn().evex(dst, vvvv, id(mem.base), w, mm, pp).byte(opcode).modrm_mem_disp32(dst, mem));
+  }
 
   /// SSE op: 66 0F <opcode> /r forms.
-  void sse_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t src);
-  void sse_rm(std::uint8_t opcode, std::uint8_t reg, const Mem& mem);
+  void sse_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t src) {
+    emit(Insn().byte(0x66).rex(false, dst, src).byte(0x0F).byte(opcode).modrm_reg(dst, src));
+  }
+  void sse_rm(std::uint8_t opcode, std::uint8_t reg, const Mem& mem) {
+    emit(Insn().byte(0x66).rex(false, reg, id(mem.base)).byte(0x0F).byte(opcode).modrm_mem(reg, mem));
+  }
 
   void jcc(std::uint8_t opcode2, Label target);
 
@@ -202,19 +219,17 @@ class Assembler {
   std::vector<Fixup> fixups_;
 };
 
-// ---- inline encoding helpers and hot encoders ------------------------------
+// ---- inline encoding steps and the per-set encoders ---------------------------
 
-inline void Assembler::Insn::rex(bool w, std::uint8_t reg, std::uint8_t rm, bool force,
-                                 std::uint8_t index) {
+inline Assembler::Insn& Assembler::Insn::rex(bool w, std::uint8_t reg, std::uint8_t rm) {
   std::uint8_t prefix = 0x40;
   if (w) prefix |= 0x08;
   if (reg & 8) prefix |= 0x04;
-  if (index & 8) prefix |= 0x02;
   if (rm & 8) prefix |= 0x01;
-  if (prefix != 0x40 || force) byte(prefix);
+  return prefix != 0x40 ? byte(prefix) : *this;
 }
 
-inline void Assembler::Insn::modrm_mem(std::uint8_t reg, const Mem& mem) {
+inline Assembler::Insn& Assembler::Insn::modrm_mem(std::uint8_t reg, const Mem& mem) {
   const std::uint8_t base_low = id(mem.base) & 7;
   const bool sib = base_low == 4;  // rsp/r12 need a SIB byte
   std::uint8_t mod;
@@ -228,143 +243,56 @@ inline void Assembler::Insn::modrm_mem(std::uint8_t reg, const Mem& mem) {
   byte(static_cast<std::uint8_t>((mod << 6) | ((reg & 7) << 3) | (sib ? 4 : base_low)));
   // SIB with no index: scale=0, index=100 (none), base=base.
   if (sib) byte(static_cast<std::uint8_t>((4 << 3) | base_low));
-  if (mod == 1) {
-    byte(static_cast<std::uint8_t>(mem.disp));
-  } else if (mod == 2) {
-    dword(static_cast<std::uint32_t>(mem.disp));
-  }
+  if (mod == 1) return byte(static_cast<std::uint8_t>(mem.disp));
+  if (mod == 2) return dword(static_cast<std::uint32_t>(mem.disp));
+  return *this;
 }
 
-inline void Assembler::Insn::modrm_mem_disp32(std::uint8_t reg, const Mem& mem) {
+inline Assembler::Insn& Assembler::Insn::modrm_mem_disp32(std::uint8_t reg, const Mem& mem) {
   const std::uint8_t base_low = id(mem.base) & 7;
   const bool sib = base_low == 4;
   byte(static_cast<std::uint8_t>((2 << 6) | ((reg & 7) << 3) | (sib ? 4 : base_low)));
   if (sib) byte(static_cast<std::uint8_t>((4 << 3) | base_low));
-  dword(static_cast<std::uint32_t>(mem.disp));
+  return dword(static_cast<std::uint32_t>(mem.disp));
 }
 
-inline void Assembler::Insn::vex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base,
-                                 bool w, bool l256, std::uint8_t mmmmm, std::uint8_t pp) {
+inline Assembler::Insn& Assembler::Insn::vex(std::uint8_t reg, std::uint8_t vvvv,
+                                             std::uint8_t rm_or_base, bool w, bool l256,
+                                             std::uint8_t mmmmm, std::uint8_t pp) {
   const bool r = (reg & 8) != 0;
   const bool b = (rm_or_base & 8) != 0;
+  const auto last = static_cast<std::uint8_t>(((w ? 1 : 0) << 7) | ((~vvvv & 0xf) << 3) |
+                                              ((l256 ? 1 : 0) << 2) | pp);
   // Two-byte form is legal when B=0, X=0 (we never use an index register),
-  // W=0, and the opcode map is 0F.
-  if (!b && !w && mmmmm == 1) {
-    byte(0xC5);
-    byte(static_cast<std::uint8_t>(((r ? 0 : 1) << 7) | ((~vvvv & 0xf) << 3) |
-                                   ((l256 ? 1 : 0) << 2) | pp));
-    return;
-  }
-  byte(0xC4);
-  byte(static_cast<std::uint8_t>(((r ? 0 : 1) << 7) | (1 << 6) /* ~X */ |
-                                 ((b ? 0 : 1) << 5) | mmmmm));
-  byte(static_cast<std::uint8_t>(((w ? 1 : 0) << 7) | ((~vvvv & 0xf) << 3) |
-                                 ((l256 ? 1 : 0) << 2) | pp));
+  // W=0, and the opcode map is 0F; it carries ~R in place of W.
+  if (!b && !w && mmmmm == 1)
+    return byte(0xC5).byte(static_cast<std::uint8_t>(((r ? 0 : 1) << 7) | last));
+  return byte(0xC4)
+      .byte(static_cast<std::uint8_t>(((r ? 0 : 1) << 7) | (1 << 6) /* ~X */ |
+                                      ((b ? 0 : 1) << 5) | mmmmm))
+      .byte(last);
 }
 
-inline void Assembler::Insn::evex(std::uint8_t reg, std::uint8_t vvvv, std::uint8_t rm_or_base,
-                                  bool w, std::uint8_t mm, std::uint8_t pp) {
-  byte(0x62);
-  // P0: ~R ~X ~B ~R' 0 0 m m   (X is never used: no index registers)
-  byte(static_cast<std::uint8_t>(((reg & 8) ? 0 : 1) << 7 | (1 << 6) |
-                                 ((rm_or_base & 8) ? 0 : 1) << 5 | (1 << 4) | mm));
-  // P1: W ~v ~v ~v ~v 1 p p
-  byte(static_cast<std::uint8_t>(((w ? 1 : 0) << 7) | ((~vvvv & 0xf) << 3) | (1 << 2) | pp));
-  // P2: z L'L b ~V' aaa = 0 10 0 1 000 -> 512-bit, merge, no mask.
-  byte(0x48);
+inline Assembler::Insn& Assembler::Insn::evex(std::uint8_t reg, std::uint8_t vvvv,
+                                              std::uint8_t rm_or_base, bool w, std::uint8_t mm,
+                                              std::uint8_t pp) {
+  return byte(0x62)
+      // P0: ~R ~X ~B ~R' 0 0 m m   (X is never used: no index registers)
+      .byte(static_cast<std::uint8_t>(((reg & 8) ? 0 : 1) << 7 | (1 << 6) |
+                                      ((rm_or_base & 8) ? 0 : 1) << 5 | (1 << 4) | mm))
+      // P1: W ~v ~v ~v ~v 1 p p
+      .byte(static_cast<std::uint8_t>(((w ? 1 : 0) << 7) | ((~vvvv & 0xf) << 3) | (1 << 2) | pp))
+      // P2: z L'L b ~V' aaa = 0 10 0 1 000 -> 512-bit, merge, no mask.
+      .byte(0x48);
 }
 
-inline void Assembler::vex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv,
-                              std::uint8_t src, bool w, bool l256, std::uint8_t mmmmm,
-                              std::uint8_t pp) {
-  Insn i;
-  i.vex(dst, vvvv, src, w, l256, mmmmm, pp);
-  i.byte(opcode);
-  i.modrm_reg(dst, src);
-  emit(i);
-}
-
-inline void Assembler::vex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv,
-                              const Mem& mem, bool w, bool l256, std::uint8_t mmmmm,
-                              std::uint8_t pp) {
-  Insn i;
-  i.vex(dst, vvvv, id(mem.base), w, l256, mmmmm, pp);
-  i.byte(opcode);
-  i.modrm_mem(dst, mem);
-  emit(i);
-}
-
-inline void Assembler::evex_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv,
-                               std::uint8_t src, bool w, std::uint8_t mm, std::uint8_t pp) {
-  Insn i;
-  i.evex(dst, vvvv, src, w, mm, pp);
-  i.byte(opcode);
-  i.modrm_reg(dst, src);
-  emit(i);
-}
-
-inline void Assembler::evex_rm(std::uint8_t opcode, std::uint8_t dst, std::uint8_t vvvv,
-                               const Mem& mem, bool w, std::uint8_t mm, std::uint8_t pp) {
-  Insn i;
-  i.evex(dst, vvvv, id(mem.base), w, mm, pp);
-  i.byte(opcode);
-  i.modrm_mem_disp32(dst, mem);
-  emit(i);
-}
-
-inline void Assembler::sse_rr(std::uint8_t opcode, std::uint8_t dst, std::uint8_t src) {
-  Insn i;
-  i.byte(0x66);
-  i.rex(false, dst, src);
-  i.byte(0x0F);
-  i.byte(opcode);
-  i.modrm_reg(dst, src);
-  emit(i);
-}
-
-inline void Assembler::sse_rm(std::uint8_t opcode, std::uint8_t reg, const Mem& mem) {
-  Insn i;
-  i.byte(0x66);
-  i.rex(false, reg, id(mem.base));
-  i.byte(0x0F);
-  i.byte(opcode);
-  i.modrm_mem(reg, mem);
-  emit(i);
-}
-
-inline void Assembler::xor_(Gp dst, Gp src) {
-  Insn i;
-  i.rex(true, id(src), id(dst));
-  i.byte(0x31);
-  i.modrm_reg(id(src), id(dst));
-  emit(i);
-}
-
-inline void Assembler::shl(Gp dst, std::uint8_t imm) {
-  Insn i;
-  i.rex(true, 0, id(dst));
-  i.byte(0xC1);
-  i.modrm_reg(4, id(dst));
-  i.byte(imm);
-  emit(i);
-}
-
-inline void Assembler::shr(Gp dst, std::uint8_t imm) {
-  Insn i;
-  i.rex(true, 0, id(dst));
-  i.byte(0xC1);
-  i.modrm_reg(5, id(dst));
-  i.byte(imm);
-  emit(i);
-}
+inline void Assembler::xor_(Gp dst, Gp src) { emit(op64(0x31, id(src), id(dst))); }
+inline void Assembler::shl(Gp dst, std::uint8_t imm) { emit(op64(0xC1, 4, id(dst)).byte(imm)); }
+inline void Assembler::shr(Gp dst, std::uint8_t imm) { emit(op64(0xC1, 5, id(dst)).byte(imm)); }
 
 inline void Assembler::prefetch(Mem addr, PrefetchHint hint) {
-  Insn i;
-  i.rex(false, static_cast<std::uint8_t>(hint), id(addr.base));
-  i.byte(0x0F);
-  i.byte(0x18);
-  i.modrm_mem(static_cast<std::uint8_t>(hint), addr);
-  emit(i);
+  const auto h = static_cast<std::uint8_t>(hint);
+  emit(Insn().rex(false, h, id(addr.base)).byte(0x0F).byte(0x18).modrm_mem(h, addr));
 }
 
 inline void Assembler::vmovapd(Ymm dst, Mem src) { vex_rm(0x28, id(dst), 0, src, false, true, 1, 1); }
