@@ -40,7 +40,8 @@ void Assembler::ret() { emit(Insn().byte(0xC3)); }
 // ---- integer ALU (xor/shl/shr are inline in the header) --------------------------
 
 void Assembler::mov(Gp dst, std::uint64_t imm) {
-  emit(Insn().rex(true, 0, id(dst)).byte(static_cast<std::uint8_t>(0xB8 | (id(dst) & 7))).qword(imm));
+  const auto opcode = static_cast<std::uint8_t>(0xB8 | (id(dst) & 7));
+  emit(Insn().rex(true, 0, id(dst)).byte(opcode).qword(imm));
 }
 
 void Assembler::mov(Gp dst, Gp src) { emit(op64(0x89, id(src), id(dst))); }
@@ -158,7 +159,8 @@ std::vector<std::uint8_t> Assembler::finalize() {
           static_cast<std::uint8_t>(rel32 >> (8 * i));
   }
   fixups_.clear();
-  return std::vector<std::uint8_t>(code_.begin(), code_.begin() + static_cast<std::ptrdiff_t>(size_));
+  const auto end = code_.begin() + static_cast<std::ptrdiff_t>(size_);
+  return std::vector<std::uint8_t>(code_.begin(), end);
 }
 
 }  // namespace fs2::jit

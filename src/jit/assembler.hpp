@@ -201,7 +201,8 @@ class Assembler {
     emit(Insn().byte(0x66).rex(false, dst, src).byte(0x0F).byte(opcode).modrm_reg(dst, src));
   }
   void sse_rm(std::uint8_t opcode, std::uint8_t reg, const Mem& mem) {
-    emit(Insn().byte(0x66).rex(false, reg, id(mem.base)).byte(0x0F).byte(opcode).modrm_mem(reg, mem));
+    emit(Insn().byte(0x66).rex(false, reg, id(mem.base)).byte(0x0F).byte(opcode)
+             .modrm_mem(reg, mem));
   }
 
   void jcc(std::uint8_t opcode2, Label target);
@@ -232,14 +233,8 @@ inline Assembler::Insn& Assembler::Insn::rex(bool w, std::uint8_t reg, std::uint
 inline Assembler::Insn& Assembler::Insn::modrm_mem(std::uint8_t reg, const Mem& mem) {
   const std::uint8_t base_low = id(mem.base) & 7;
   const bool sib = base_low == 4;  // rsp/r12 need a SIB byte
-  std::uint8_t mod;
-  if (mem.disp == 0 && base_low != 5) {  // rbp/r13 have no disp-less form
-    mod = 0;
-  } else if (mem.disp >= -128 && mem.disp <= 127) {
-    mod = 1;
-  } else {
-    mod = 2;
-  }
+  // mod 0: [base] (rbp/r13 have no disp-less form), 1: disp8, 2: disp32.
+  const int mod = mem.disp == 0 && base_low != 5 ? 0 : mem.disp >= -128 && mem.disp <= 127 ? 1 : 2;
   byte(static_cast<std::uint8_t>((mod << 6) | ((reg & 7) << 3) | (sib ? 4 : base_low)));
   // SIB with no index: scale=0, index=100 (none), base=base.
   if (sib) byte(static_cast<std::uint8_t>((4 << 3) | base_low));
@@ -295,8 +290,12 @@ inline void Assembler::prefetch(Mem addr, PrefetchHint hint) {
   emit(Insn().rex(false, h, id(addr.base)).byte(0x0F).byte(0x18).modrm_mem(h, addr));
 }
 
-inline void Assembler::vmovapd(Ymm dst, Mem src) { vex_rm(0x28, id(dst), 0, src, false, true, 1, 1); }
-inline void Assembler::vmovapd(Mem dst, Ymm src) { vex_rm(0x29, id(src), 0, dst, false, true, 1, 1); }
+inline void Assembler::vmovapd(Ymm dst, Mem src) {
+  vex_rm(0x28, id(dst), 0, src, false, true, 1, 1);
+}
+inline void Assembler::vmovapd(Mem dst, Ymm src) {
+  vex_rm(0x29, id(src), 0, dst, false, true, 1, 1);
+}
 inline void Assembler::vaddpd(Ymm dst, Ymm lhs, Ymm rhs) {
   vex_rr(0x58, id(dst), id(lhs), id(rhs), false, true, 1, 1);
 }
