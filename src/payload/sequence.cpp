@@ -1,7 +1,5 @@
 #include "payload/sequence.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace fs2::payload {
