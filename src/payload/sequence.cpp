@@ -111,18 +111,6 @@ std::uint32_t SequenceStats::lines(MemoryLevel level) const {
   return loads[i] + stores[i] + prefetches[i];
 }
 
-SequenceStats analyze_sequence(const std::vector<AccessKind>& sequence) {
-  SequenceStats stats;
-  stats.sets = static_cast<std::uint32_t>(sequence.size());
-  for (const AccessKind& kind : sequence) {
-    const auto level = static_cast<std::size_t>(kind.level);
-    stats.loads[level] += static_cast<std::uint32_t>(kind.loads());
-    stats.stores[level] += static_cast<std::uint32_t>(kind.stores());
-    stats.prefetches[level] += static_cast<std::uint32_t>(kind.prefetches());
-  }
-  return stats;
-}
-
 SequenceStats analyze_unrolled(const std::vector<AccessKind>& base, std::uint32_t u) {
   if (base.empty()) throw ConfigError("analyze_unrolled: empty base sequence");
   if (u == 0) throw ConfigError("analyze_unrolled: unroll factor must be >= 1");

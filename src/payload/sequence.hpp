@@ -45,10 +45,8 @@ struct SequenceStats {
   std::uint32_t lines(MemoryLevel level) const;
 };
 
-SequenceStats analyze_sequence(const std::vector<AccessKind>& sequence);
-
-/// analyze_sequence(unroll_sequence(base, u)), computed from the base's
-/// counts without building the unrolled sequence.
+/// Statistics of unroll_sequence(base, u), computed from the base's counts
+/// without building the unrolled sequence.
 SequenceStats analyze_unrolled(const std::vector<AccessKind>& base, std::uint32_t u);
 
 }  // namespace fs2::payload

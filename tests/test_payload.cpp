@@ -239,8 +239,8 @@ TEST(Sequence, UnrollValidation) {
 }
 
 TEST(Sequence, AnalyzeCountsPerLevel) {
-  const auto seq = build_sequence(InstructionGroups::parse("REG:1,L1_2LS:1,RAM_P:1"), 6);
-  const SequenceStats stats = analyze_sequence(seq);
+  const auto base = base_sequence(InstructionGroups::parse("REG:1,L1_2LS:1,RAM_P:1"));
+  const SequenceStats stats = analyze_unrolled(base, 6);
   EXPECT_EQ(stats.sets, 6u);
   // 6 sets = 2 full passes over the 3-entry base sequence.
   EXPECT_EQ(stats.loads[static_cast<int>(MemoryLevel::kL1)], 4u);   // 2 per 2LS x 2
@@ -248,6 +248,47 @@ TEST(Sequence, AnalyzeCountsPerLevel) {
   EXPECT_EQ(stats.prefetches[static_cast<int>(MemoryLevel::kRam)], 2u);
   EXPECT_EQ(stats.total_memory_ops(), 8u);
   EXPECT_EQ(stats.lines(MemoryLevel::kL1), 6u);
+}
+
+TEST(Sequence, AnalyzeUnrolledCountsEveryUnrolledSet) {
+  // Reference: walk the unrolled sequence set by set. Seeded bases with u
+  // below, at and above the base length, partial passes included.
+  Xoshiro256 rng(0xa11);
+  const std::vector<AccessKind>& kinds = all_access_kinds();
+  for (int draw = 0; draw < 500; ++draw) {
+    std::vector<Group> list;
+    for (const AccessKind& kind : kinds)
+      if (rng.below(3) == 0)
+        list.push_back(Group{kind, static_cast<std::uint32_t>(1 + rng.below(40))});
+    if (list.empty()) list.push_back(Group{kinds[rng.below(kinds.size())], 1});
+    const std::vector<AccessKind> base = base_sequence(InstructionGroups(std::move(list)));
+    const std::uint32_t n = static_cast<std::uint32_t>(base.size());
+    for (const std::uint32_t u : {1u, std::max(1u, n - 1), n, n + 1, 2 * n,
+                                  static_cast<std::uint32_t>(1 + rng.below(3000))}) {
+      SequenceStats expected;
+      expected.sets = u;
+      for (const AccessKind& kind : unroll_sequence(base, u)) {
+        const auto level = static_cast<std::size_t>(kind.level);
+        expected.loads[level] += static_cast<std::uint32_t>(kind.loads());
+        expected.stores[level] += static_cast<std::uint32_t>(kind.stores());
+        expected.prefetches[level] += static_cast<std::uint32_t>(kind.prefetches());
+      }
+      const SequenceStats actual = analyze_unrolled(base, u);
+      ASSERT_EQ(actual.sets, expected.sets);
+      for (int level = 0; level < kNumMemoryLevels; ++level) {
+        ASSERT_EQ(actual.loads[level], expected.loads[level]) << "u=" << u << " level " << level;
+        ASSERT_EQ(actual.stores[level], expected.stores[level]) << "u=" << u << " level " << level;
+        ASSERT_EQ(actual.prefetches[level], expected.prefetches[level])
+            << "u=" << u << " level " << level;
+      }
+    }
+  }
+}
+
+TEST(Sequence, AnalyzeUnrolledValidation) {
+  const auto base = base_sequence(InstructionGroups::parse("REG:1"));
+  EXPECT_THROW(analyze_unrolled(base, 0), ConfigError);
+  EXPECT_THROW(analyze_unrolled({}, 5), ConfigError);
 }
 
 // ---- mix registry --------------------------------------------------------------------
