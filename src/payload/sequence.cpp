@@ -79,8 +79,7 @@ std::vector<AccessKind> unroll_sequence(const std::vector<AccessKind>& base, std
   if (u == 0) throw ConfigError("unroll_sequence: unroll factor must be >= 1");
   std::vector<AccessKind> out;
   out.reserve(u);
-  while (u - out.size() >= base.size()) out.insert(out.end(), base.begin(), base.end());
-  out.insert(out.end(), base.begin(), base.begin() + static_cast<std::ptrdiff_t>(u - out.size()));
+  for (std::uint32_t i = 0; i < u; ++i) out.push_back(base[i % base.size()]);
   return out;
 }
 
