@@ -85,7 +85,7 @@ struct Config {
   /// --flight-out FILE: keep a crash flight recorder — a bounded ring of
   /// recent alerts, lifecycle events, and metric snapshots rewritten to
   /// FILE on every update and dumped (async-signal-safely) on SIGTERM/
-  /// SIGINT or a watchdog trip.
+  /// SIGINT, node loss, a stalled fleet or a failed agent.
   std::optional<std::string> flight_out;
   /// --chaos SPEC: deterministic fault injection on a coordinator run, e.g.
   /// "seed=7,drop=1%,delay=5ms+-3ms,corrupt=0.1%,kill=node5@phase1". The

@@ -1,7 +1,5 @@
 #include "firestarter/firestarter.hpp"
 
-#include <chrono>
-#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -20,16 +18,13 @@
 #include "firestarter/sim_phases.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "gpu/dgemm_stress.hpp"
-#include "kernel/register_dump.hpp"
 #include "jit/disassembler.hpp"
 #include "kernel/selftest.hpp"
-#include "kernel/thread_manager.hpp"
-#include "kernel/watchdog.hpp"
 #include "metrics/coretemp.hpp"
 #include "metrics/external.hpp"
+#include "metrics/hw_events.hpp"
 #include "metrics/ipc_estimate.hpp"
 #include "metrics/measurement.hpp"
-#include "metrics/perf_ipc.hpp"
 #include "metrics/rapl.hpp"
 #include "payload/compiler.hpp"
 #include "payload/mix.hpp"
@@ -55,13 +50,6 @@ namespace {
 
 constexpr const char* kVersion = "fs2 2.0.0 (FIRESTARTER 2 reproduction)";
 
-/// The run's load schedule: --load-profile spec, or the classic --load duty
-/// cycle as a constant profile.
-sched::ProfilePtr resolve_profile(const Config& cfg) {
-  if (cfg.load_profile) return sched::parse_profile(*cfg.load_profile, cfg.load, cfg.period_s);
-  return std::make_shared<sched::ConstantProfile>(cfg.load);
-}
-
 /// Campaign keys a phase carries that something else overrides. Logged once
 /// per phase by whoever reads the campaign file: the local runner, or the
 /// coordinator for its whole fleet (agents stay quiet).
@@ -77,16 +65,64 @@ void warn_overridden_phase_keys(const sched::Campaign& campaign, bool budget_mod
   }
 }
 
-// ---- output files -----------------------------------------------------------
+// ---- single runs ------------------------------------------------------------
 
-/// Open an output file (--record-trace, --control-log) up front — before
-/// any stress runs — so a bad path fails in seconds, not after an
-/// hour-long burn-in has produced the data it was meant to keep.
-std::ofstream open_output_file(const std::string& path, const char* flag) {
-  std::ofstream out(path);
-  if (!out)
-    throw Error(std::string(flag) + ": cannot open '" + path + "' for writing");
-  return out;
+/// A run without --campaign is a campaign of one unnamed phase (the CSV's
+/// phase column stays empty): -t seconds (240 s simulated, unbounded on the
+/// host when -t is 0) under --load-profile or the --load duty cycle, or
+/// closed-loop under --target.
+sched::Campaign single_run_campaign(const Config& cfg) {
+  sched::CampaignPhase phase;
+  phase.duration_s = cfg.timeout_s > 0                  ? cfg.timeout_s
+                     : cfg.target != TargetSystem::kHost ? 240.0
+                                                         : std::numeric_limits<double>::infinity();
+  if (cfg.load_profile) phase.profile_spec = *cfg.load_profile;
+  phase.target_spec = cfg.target_spec;
+  if (cfg.target_spec && cfg.load_profile)
+    log::warn() << "--load-profile is ignored under --target (the controller owns "
+                   "the duty cycle)";
+  if (!cfg.target_spec && cfg.require_convergence)
+    log::warn() << "--require-convergence is ignored without --target "
+                   "(nothing is regulated)";
+  return sched::Campaign({std::move(phase)});
+}
+
+/// Single-run header: target and payload on stdout for simulated targets
+/// (logged on the host), then the closed-loop setpoint.
+void print_single_run_header(std::ostream& out, PhaseResolver& phases) {
+  const Target& target = phases.target();
+  const ResolvedPhase& phase = phases.phases().front();
+  if (!target.simulated) {
+    log::info() << "host: " << target.cpu.describe();
+    log::info() << "function: " << phase.fn->name << " M=" << phase.groups.to_string();
+    if (phase.setpoint) log::info() << "control: " << phase.setpoint->describe();
+    else if (!phase.profile->constant())
+      log::info() << "load profile: " << phase.profile->describe();
+    return;
+  }
+  const payload::PayloadStats& stats = phases.stats(phase);
+  out << "target: " << target.sim_config.name << "\n"
+      << "function: " << phase.fn->name << "  M=" << phase.groups.to_string()
+      << "  u=" << stats.unroll << " (" << stats.loop_bytes << " B loop)\n";
+  if (phase.setpoint) out << "control: " << phase.setpoint->describe() << "\n";
+}
+
+/// Simulated single-run footer: the closed-loop result, or the load profile
+/// and the steady state.
+void print_sim_footer(std::ostream& out, const ResolvedPhase& phase, const PhaseReport& report) {
+  if (phase.setpoint) {
+    out << strings::format("closed loop: %.1f %s achieved (setpoint %g), level %.0f %%, %s\n",
+                           report.achieved, control::unit_of(phase.setpoint->variable),
+                           phase.setpoint->value, report.level * 100.0,
+                           report.converged ? "converged" : "NOT converged");
+    return;
+  }
+  if (!phase.profile->constant()) out << "load profile: " << phase.profile->describe() << "\n";
+  const sim::WorkloadPoint& point = report.point;
+  out << strings::format(
+      "steady state: %.1f W, %.2f IPC/core, %.0f MHz%s, %.1f GFLOP/s, fetch from %s\n",
+      point.power_w, point.ipc_per_core, point.achieved_mhz,
+      point.throttled ? " (throttled)" : "", point.gflops, sim::to_string(point.fetch_source));
 }
 
 // ---- tracing ----------------------------------------------------------------
@@ -208,9 +244,7 @@ int Firestarter::run() {
     if (cfg_.optimize) return run_optimization();
     if (cfg_.dump_asm) return run_dump_asm();
     if (cfg_.selftest) return run_selftest_mode();
-    if (cfg_.campaign_file) return run_campaign();
-    if (cfg_.target != TargetSystem::kHost) return run_stress_simulated();
-    return run_stress_host();
+    return run_campaign();
   }();
   if (cfg_.trace_out) export_local_trace(*cfg_.trace_out, out_);
   return rc;
@@ -255,116 +289,65 @@ int Firestarter::list_metrics() {
   return 0;
 }
 
-int Firestarter::run_stress_simulated() {
-  const Target target = resolve_target(cfg_);
-  const payload::FunctionDef& fn = resolve_function(cfg_, target);
-  const auto groups = resolve_groups(cfg_, fn);
-  const auto stats = payload::analyze_payload(fn.mix, groups, target.caches,
-                                              compile_options(cfg_));
-
-  sim::SimulatedSystem system(target.sim_config);
-  const double duration = cfg_.timeout_s > 0 ? cfg_.timeout_s : 240.0;
-
-  telemetry::TelemetryBus bus;
-  RunSinks sinks(bus, cfg_, cfg_.measurement, cfg_.target_spec.has_value(),
-                 " without --target (no controller ticks to log)");
-
-  out_ << "target: " << target.sim_config.name << "\n"
-       << "function: " << fn.name << "  M=" << groups.to_string()
-       << "  u=" << stats.unroll << " (" << stats.loop_bytes << " B loop)\n";
-
-  if (cfg_.target_spec) {
-    // Closed-loop run against the virtual-time plant.
-    if (cfg_.load_profile)
-      log::warn() << "--load-profile is ignored under --target (the controller owns "
-                     "the duty cycle)";
-    const control::Setpoint sp = control::Setpoint::parse(*cfg_.target_spec);
-    out_ << "control: " << sp.describe() << "\n";
-    const SimChannels ch = register_sim_channels(bus, /*with_temp=*/true,
-                                                 /*trimmed_aux=*/true,
-                                                 /*summarize_load=*/true);
-    const TrimDeltas deltas = phase_deltas(cfg_, duration);
-    bus.begin_phase("", duration, deltas.start_s, deltas.stop_s);
-    ControlledSimPhaseRun run(system, cfg_, stats, sp, duration, cfg_.seed,
-                              /*warm_start_s=*/0.0, target.gpu_stress, std::nullopt,
-                              std::nullopt, std::nullopt, bus, ch);
-    while (!run.done()) run.step();
-    bus.finish();
-    system.set_point(run.point());
-    const bool converged = report_convergence(run.loop(), duration, "controller");
-    const double window = convergence_window_s(run.loop(), duration);
-    out_ << strings::format(
-        "closed loop: %.1f %s achieved (setpoint %g), level %.0f %%, %s\n",
-        run.loop().trailing_mean(window), control::unit_of(sp.variable), sp.value,
-        run.profile().level() * 100.0, converged ? "converged" : "NOT converged");
-
-    if (cfg_.measurement) metrics::print_csv(out_, sinks.summary.rows());
-    sinks.report_trace(cfg_);
-    return cfg_.require_convergence && !converged ? 1 : 0;
-  }
-
-  if (cfg_.require_convergence)
-    log::warn() << "--require-convergence is ignored without --target "
-                   "(nothing is regulated)";
-  const sched::ProfilePtr profile = resolve_profile(cfg_);
-  // The single-run mode reports IPC and load untrimmed (they are exact in
-  // virtual time; only the power trace has a warm-up to trim).
-  const SimChannels ch = register_sim_channels(bus, /*with_temp=*/false,
-                                               /*trimmed_aux=*/false,
-                                               /*summarize_load=*/!profile->constant());
-  bus.begin_phase("", duration, cfg_.start_delta_s, cfg_.stop_delta_s);
-  const SimPhaseResult result = run_sim_phase(system, cfg_, stats, *profile, duration,
-                                              cfg_.seed, /*warm_start_s=*/0.0,
-                                              target.gpu_stress, bus, ch);
-  bus.finish();
-  system.set_point(result.point);
-
-  if (!profile->constant()) out_ << "load profile: " << profile->describe() << "\n";
-  const sim::WorkloadPoint& point = result.point;
-  out_ << strings::format(
-      "steady state: %.1f W, %.2f IPC/core, %.0f MHz%s, %.1f GFLOP/s, fetch from %s\n",
-      point.power_w, point.ipc_per_core, point.achieved_mhz,
-      point.throttled ? " (throttled)" : "", point.gflops, sim::to_string(point.fetch_source));
-
-  if (cfg_.measurement) metrics::print_csv(out_, sinks.summary.rows());
-  sinks.report_trace(cfg_);
-  return 0;
-}
-
 int Firestarter::run_campaign() {
-  if (cfg_.load_profile)
+  // A single run keeps its own header, footer and warnings, and prints the
+  // summary CSV only under --measurement.
+  const bool single = !cfg_.campaign_file;
+  if (!single && cfg_.load_profile)
     log::warn() << "--load-profile is ignored under --campaign (phases define their "
                    "own profiles)";
-  if (cfg_.target_spec)
+  if (!single && cfg_.target_spec)
     log::warn() << "--target is ignored under --campaign (phases define their own "
                    "target= setpoints)";
-  PhaseResolver phases(cfg_, sched::Campaign::load(*cfg_.campaign_file));
-  warn_overridden_phase_keys(phases.campaign(), /*budget_mode=*/false);
+  PhaseResolver phases(cfg_, single ? single_run_campaign(cfg_)
+                                    : sched::Campaign::load(*cfg_.campaign_file));
   const Target& target = phases.target();
-  out_ << "campaign: " << phases.phases().size() << " phases, "
-       << strings::format("%.0f s total", phases.campaign().total_duration_s()) << " on "
-       << (target.simulated ? target.sim_config.name : "host") << "\n";
-  if (cfg_.require_convergence && !phases.any_target())
-    log::warn() << "--require-convergence is ignored: no campaign phase has a "
-                   "target= setpoint";
+  if (single) {
+    print_single_run_header(out_, phases);
+  } else {
+    warn_overridden_phase_keys(phases.campaign(), /*budget_mode=*/false);
+    out_ << "campaign: " << phases.phases().size() << " phases, "
+         << strings::format("%.0f s total", phases.campaign().total_duration_s()) << " on "
+         << (target.simulated ? target.sim_config.name : "host") << "\n";
+    if (cfg_.require_convergence && !phases.any_target())
+      log::warn() << "--require-convergence is ignored: no campaign phase has a "
+                     "target= setpoint";
+  }
 
+  const bool summarize = !single || cfg_.measurement;
   telemetry::TelemetryBus bus;
-  RunSinks sinks(bus, cfg_, /*want_summary=*/true, phases.any_target(),
-                 ": no campaign phase has a target= setpoint");
-  PhaseRunner runner(cfg_, phases, bus, PhaseRunner::Options{});
+  RunSinks sinks(bus, cfg_, summarize, phases.any_target(),
+                 single ? " without --target (no controller ticks to log)"
+                        : ": no campaign phase has a target= setpoint");
+  PhaseRunner::Options options;
+  options.sample_metrics = summarize;
+  PhaseRunner runner(cfg_, phases, bus, options);
   for (std::size_t i = 0; i < phases.phases().size(); ++i) {
     const ResolvedPhase& phase = phases.phases()[i];
-    out_ << strings::format("phase %zu '%s': %s for %.0f s (%s)\n", i + 1,
-                            phase.spec->name.c_str(), phase.fn->name.c_str(),
-                            phase.spec->duration_s,
-                            phase.setpoint ? phase.setpoint->describe().c_str()
-                                           : phase.profile->describe().c_str());
-    runner.begin(i);
+    // A single run trims by the CLI deltas as given (footnote 12 trims
+    // 120 s of a 240 s run); a closed-loop simulated one keeps the campaign
+    // clamp it always had.
+    std::optional<TrimDeltas> deltas;
+    if (single && !(target.simulated && phase.setpoint))
+      deltas = TrimDeltas{cfg_.start_delta_s, cfg_.stop_delta_s};
+    if (!single)
+      out_ << strings::format("phase %zu '%s': %s for %.0f s (%s)\n", i + 1,
+                              phase.spec->name.c_str(), phase.fn->name.c_str(),
+                              phase.spec->duration_s,
+                              phase.setpoint ? phase.setpoint->describe().c_str()
+                                             : phase.profile->describe().c_str());
+    runner.begin(i, std::nullopt, deltas);
     while (!runner.done()) {
       std::this_thread::sleep_until(runner.due());
       runner.step();
     }
-    runner.finish();
+    const PhaseReport report = runner.finish();
+    if (!target.simulated)
+      out_ << strings::format("executed %llu kernel loop iterations on %zu workers\n",
+                              static_cast<unsigned long long>(report.iterations),
+                              report.workers);
+    else if (single)
+      print_sim_footer(out_, phase, report);
   }
 
   if (gpu::DgemmStressor* gpu_stress = runner.gpu_stress()) {
@@ -375,9 +358,11 @@ int Firestarter::run_campaign() {
   }
   bus.finish();
   sinks.report_trace(cfg_);
-  metrics::print_csv(out_, sinks.summary.rows());
+  if (cfg_.dump_registers && !target.simulated)
+    log::info() << "register dump written to " << cfg_.dump_path;
+  if (summarize) metrics::print_csv(out_, sinks.summary.rows());
   if (cfg_.require_convergence && !runner.all_converged()) {
-    log::error() << "campaign failed --require-convergence";
+    if (!single) log::error() << "campaign failed --require-convergence";
     return 1;
   }
   return 0;
@@ -685,143 +670,6 @@ int Firestarter::run_selftest_mode() {
       kernel::run_selftest(payload, cpus, cfg_.selftest_iterations, cfg_.seed);
   out_ << result.describe() << "\n";
   return result.passed ? 0 : 1;
-}
-
-int Firestarter::run_stress_host() {
-  const Target target = resolve_target(cfg_);
-  const payload::FunctionDef& fn = resolve_function(cfg_, target);
-  if (!target.cpu.features.covers(fn.mix.required))
-    throw UnsupportedError("host CPU lacks features for " + fn.name + " (needs " +
-                           fn.mix.required.to_string() + ")");
-  const auto groups = resolve_groups(cfg_, fn);
-  log::info() << "host: " << target.cpu.describe();
-  log::info() << "function: " << fn.name << " M=" << groups.to_string();
-
-  auto payload = payload::compile_payload(fn.mix, groups, target.caches, compile_options(cfg_));
-  log::info() << "compiled loop: u=" << payload.stats().unroll << ", "
-              << payload.stats().loop_bytes << " B, "
-              << payload.stats().instructions_per_iteration << " instructions/iteration";
-
-  // Closed-loop --target: the controller's profile replaces the open-loop
-  // schedule as the actuator.
-  HostControl hc;
-  std::unique_ptr<control::FeedbackLoop> loop;
-  if (cfg_.target_spec) {
-    if (cfg_.load_profile)
-      log::warn() << "--load-profile is ignored under --target (the controller owns "
-                     "the duty cycle)";
-    const control::Setpoint sp = control::Setpoint::parse(*cfg_.target_spec);
-    if (cfg_.timeout_s > 0) sp.validate_duration(cfg_.timeout_s, "closed-loop run");
-    hc = make_host_control(cfg_, sp);
-    loop = std::move(hc.loop);
-    log::info() << "control: " << loop->setpoint().describe() << " via "
-                << hc.sensor->name();
-  } else if (cfg_.require_convergence) {
-    log::warn() << "--require-convergence is ignored without --target "
-                   "(nothing is regulated)";
-  }
-
-  kernel::RunOptions run_options;
-  run_options.cpus = resolve_worker_cpus(cfg_);
-  run_options.policy = policy_of(cfg_);
-  run_options.seed = cfg_.seed;
-  run_options.load = cfg_.load;
-  run_options.period_s = cfg_.period_s;
-  run_options.profile = loop ? hc.profile : resolve_profile(cfg_);
-  run_options.phase_offset_s = cfg_.phase_offset_s;
-  kernel::ThreadManager manager(payload, run_options);
-  if (!run_options.profile->constant())
-    log::info() << "load profile: " << run_options.profile->describe();
-
-  // Optional GPU stand-in stress, duty-cycling against the same schedule
-  // (or the controller's live profile) as the CPU workers.
-  std::unique_ptr<gpu::DgemmStressor> gpu_stress;
-  if (cfg_.gpus > 0) {
-    gpu::GpuStressOptions gpu_options;
-    gpu_options.devices = cfg_.gpus;
-    gpu_options.matrix_n = cfg_.gpu_matrix_n;
-    gpu_options.seed = cfg_.seed;
-    gpu_options.profile = run_options.profile;
-    gpu_stress = std::make_unique<gpu::DgemmStressor>(gpu_options);
-  }
-
-  telemetry::TelemetryBus bus;
-  RunSinks sinks(bus, cfg_, cfg_.measurement, loop != nullptr,
-                 " without --target (no controller ticks to log)");
-
-  // Metrics for --measurement. Row order: metric channels, the achieved
-  // load level (summarized only when a schedule modulates it — a controlled
-  // profile is never constant(), so --target runs are covered), then ctl-*.
-  auto metrics_set =
-      build_host_metrics(cfg_, manager, payload.stats().instructions_per_iteration,
-                         hc.owns_plugin, hc.owns_command);
-  metrics_set->register_channels(bus);
-  const bool summarize_load = cfg_.measurement && !run_options.profile->constant();
-  const telemetry::ChannelId load_ch =
-      bus.channel(kLoadChannel, "fraction", telemetry::TrimMode::kPhase, summarize_load);
-  if (loop) loop->attach_bus(&bus);
-
-  const double duration =
-      cfg_.timeout_s > 0 ? cfg_.timeout_s : std::numeric_limits<double>::infinity();
-  bus.begin_phase("", duration, cfg_.start_delta_s, cfg_.stop_delta_s);
-
-  kernel::Watchdog watchdog;
-  std::atomic<bool> done{false};
-  if (cfg_.timeout_s > 0)
-    watchdog.arm(std::chrono::duration<double>(cfg_.timeout_s), [&done] { done.store(true); });
-
-  log::info() << "stressing " << run_options.cpus.size() << " CPUs"
-              << (cfg_.timeout_s > 0 ? strings::format(" for %.0f s", cfg_.timeout_s)
-                                     : std::string(" until interrupted"));
-  manager.start();
-  if (gpu_stress) gpu_stress->start();
-  metrics_set->begin_all();
-  if (hc.sensor) hc.sensor->begin();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  double last_dump_s = 0.0;
-  std::ofstream dump_file;
-  if (cfg_.dump_registers) dump_file.open(cfg_.dump_path);
-  while (!done.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (cfg_.measurement) metrics_set->sample_all(bus, elapsed);
-    // Feeds the load summary row and --record-trace's streaming recorder;
-    // with neither sink attached the publish is a no-op. Before the
-    // controller poll so summary rows order metrics, load, then ctl.
-    bus.publish(load_ch, elapsed, manager.load_at(elapsed));
-    if (loop && loop->due(elapsed)) loop->poll(elapsed, *hc.sensor);
-    if (cfg_.dump_registers && elapsed - last_dump_s >= cfg_.dump_interval_s) {
-      kernel::write_dump(dump_file, kernel::capture_registers(manager));
-      dump_file.flush();
-      last_dump_s = elapsed;
-    }
-    if (cfg_.timeout_s <= 0 && elapsed >= 1e9) break;  // effectively forever
-  }
-  manager.stop();
-  if (gpu_stress) gpu_stress->stop();
-  if (cfg_.dump_registers) {
-    kernel::write_dump(dump_file, kernel::capture_registers(manager));
-    log::info() << "register dump written to " << cfg_.dump_path;
-  }
-  bus.finish();
-
-  out_ << strings::format("executed %llu kernel loop iterations on %zu workers\n",
-                          static_cast<unsigned long long>(manager.total_iterations()),
-                          manager.num_workers());
-  if (gpu_stress)
-    out_ << strings::format("gpu stand-in: %llu DGEMMs (%.1f GFLOP total)\n",
-                            static_cast<unsigned long long>(gpu_stress->total_gemms()),
-                            gpu_stress->total_flops() / 1e9);
-  bool converged = true;
-  if (loop) {
-    const double report_duration = cfg_.timeout_s > 0 ? cfg_.timeout_s : 0.0;
-    converged = report_convergence(*loop, report_duration, "controller");
-  }
-  if (cfg_.measurement) metrics::print_csv(out_, sinks.summary.rows());
-  sinks.report_trace(cfg_);
-  return cfg_.require_convergence && !converged ? 1 : 0;
 }
 
 int Firestarter::run_fuzzer() {

@@ -7,7 +7,7 @@
 namespace fs2::firestarter {
 
 /// Top-level orchestration: wires CPU detection, payload selection and
-/// compilation, worker threads, metrics, the watchdog, and the NSGA-II
+/// compilation, worker threads, metrics, the phase runner, and the NSGA-II
 /// tuning loop according to a parsed Config — the box labelled
 /// "FIRESTARTER" in Fig. 10.
 class Firestarter {
@@ -20,11 +20,10 @@ class Firestarter {
  private:
   int list_functions();
   int list_metrics();
-  int run_stress_host();
   int run_selftest_mode();
   int run_dump_asm();
-  int run_stress_simulated();
-  /// --campaign FILE on this machine: every phase through one PhaseRunner.
+  /// Every local stress run: --campaign FILE, or a single run as a campaign
+  /// of one phase, each phase through one PhaseRunner.
   int run_campaign();
   int run_coordinator();
   /// --agent HOST:PORT: one Agent on the AgentFleet poll loop; the

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "arch/topology.hpp"
+#include "kernel/register_dump.hpp"
 #include "metrics/coretemp.hpp"
 #include "payload/mix.hpp"
 #include "util/error.hpp"
@@ -36,6 +37,13 @@ std::vector<int> resolve_worker_cpus(const Config& cfg, std::optional<int> threa
   if (threads && *threads > 0 && static_cast<std::size_t>(*threads) < cpus.size())
     cpus.resize(static_cast<std::size_t>(*threads));
   return cpus;
+}
+
+std::ofstream open_output_file(const std::string& path, const char* flag) {
+  std::ofstream out(path);
+  if (!out)
+    throw Error(std::string(flag) + ": cannot open '" + path + "' for writing");
+  return out;
 }
 
 // ---- host sensors and control -----------------------------------------------
@@ -133,7 +141,9 @@ PhaseResolver::PhaseResolver(const Config& cfg, sched::Campaign campaign,
   std::set<control::ControlVariable> probed;  // one sensor probe per variable
   phases_.reserve(campaign_.size());
   for (const sched::CampaignPhase& spec : campaign_.phases()) {
-    const std::string where = "campaign phase '" + spec.name + "'";
+    // A single run's one phase is unnamed.
+    const std::string where =
+        spec.name.empty() ? std::string("the run") : "campaign phase '" + spec.name + "'";
     ResolvedPhase phase;
     phase.spec = &spec;
     phase.fn = spec.function ? &payload::find_function(*spec.function)
@@ -211,6 +221,7 @@ struct PhaseRunner::HostRun {
   telemetry::ChannelId load_ch = 0;
   Clock::time_point t0;
   Clock::time_point next_tick;
+  double last_dump_s = 0.0;  ///< phase time of the last --dump-registers write
   /// Wall-clock phase length — slightly over the nominal duration (ticks
   /// quantize at 50 ms); campaign time advances by this so cross-phase
   /// timestamps stay monotonic.
@@ -225,7 +236,10 @@ PhaseRunner::PhaseRunner(const Config& cfg, PhaseResolver& phases,
     system_ = std::make_unique<sim::SimulatedSystem>(target.sim_config);
     channels_ = register_sim_channels(bus_, phases_.any_target() || phases_.any_temp(),
                                       /*trimmed_aux=*/true, /*summarize_load=*/true);
-  } else if (cfg_.gpus > 0) {
+    return;
+  }
+  if (cfg_.dump_registers) dump_ = open_output_file(cfg_.dump_path, "--dump-path");
+  if (cfg_.gpus > 0) {
     // The GPU stand-in runs for the whole campaign; each phase retargets it
     // onto its own schedule.
     gpu::GpuStressOptions gpu_options;
@@ -239,13 +253,14 @@ PhaseRunner::PhaseRunner(const Config& cfg, PhaseResolver& phases,
 
 PhaseRunner::~PhaseRunner() = default;
 
-void PhaseRunner::begin(std::size_t index, std::optional<double> budget_w) {
+void PhaseRunner::begin(std::size_t index, std::optional<double> budget_w,
+                        std::optional<TrimDeltas> deltas) {
   const sched::CampaignPhase& spec = *phases_.phases()[index].spec;
   index_ = index;
   setpoint_ = phases_.phases()[index].setpoint;
   if (setpoint_ && budget_w) setpoint_->value = *budget_w;
-  const TrimDeltas deltas = phase_deltas(cfg_, spec.duration_s);
-  bus_.begin_phase(spec.name, spec.duration_s, deltas.start_s, deltas.stop_s);
+  if (!deltas) deltas = phase_deltas(cfg_, spec.duration_s);
+  bus_.begin_phase(spec.name, spec.duration_s, deltas->start_s, deltas->stop_s);
   state_ = State::kBegun;
 }
 
@@ -291,6 +306,7 @@ double PhaseRunner::step() {
       run_sim_phase(*system_, phase_cfg, phases_.stats(phase), *phase.profile,
                     spec.duration_s, seed, campaign_time_s, target.gpu_stress, bus_,
                     channels_, carry_temp_c_);
+  open_point_ = result.point;
   // Advance the thermal carry through this open-loop phase too — the exact
   // integrated temperature when the phase published the temp channel,
   // otherwise a first-order settle toward the phase's mean-power steady
@@ -324,12 +340,14 @@ void PhaseRunner::start_host() {
   options.phase_offset_s = cfg_.phase_offset_s;
   options.epoch = options_.epoch;
   run->manager = std::make_unique<kernel::ThreadManager>(run->payload, options);
-  run->metrics = build_host_metrics(cfg_, *run->manager,
-                                    run->payload.stats().instructions_per_iteration,
-                                    run->control.owns_plugin, run->control.owns_command);
   // Row order per phase: the metric channels, the ctl-* channels, then the
   // achieved load level — matching the measurement CSV layout.
-  run->metrics->register_channels(bus_);
+  if (options_.sample_metrics) {
+    run->metrics = build_host_metrics(cfg_, *run->manager,
+                                      run->payload.stats().instructions_per_iteration,
+                                      run->control.owns_plugin, run->control.owns_command);
+    run->metrics->register_channels(bus_);
+  }
   if (run->control.loop) run->control.loop->attach_bus(&bus_);
   run->load_ch = bus_.channel(kLoadChannel, "fraction");
   // The GPU stand-in backdrop follows this phase's schedule too (for
@@ -337,7 +355,7 @@ void PhaseRunner::start_host() {
   if (gpu_stress_) gpu_stress_->set_profile(profile);
 
   run->manager->start();
-  run->metrics->begin_all();
+  if (run->metrics) run->metrics->begin_all();
   if (run->control.sensor) run->control.sensor->begin();
   run->t0 = Clock::now();
   run->next_tick = run->t0 + kHostTick;
@@ -349,38 +367,58 @@ double PhaseRunner::step_host() {
   HostRun& run = *host_run_;
   const Clock::time_point now = Clock::now();
   const double elapsed = std::chrono::duration<double>(now - run.t0).count();
-  run.metrics->sample_all(bus_, elapsed);
+  if (run.metrics) run.metrics->sample_all(bus_, elapsed);
   control::FeedbackLoop* loop = run.control.loop.get();
   if (loop && loop->due(elapsed)) loop->poll(elapsed, *run.control.sensor);
   bus_.publish(run.load_ch, elapsed, run.manager->load_at(elapsed));
+  if (dump_.is_open() && elapsed - run.last_dump_s >= cfg_.dump_interval_s) {
+    kernel::write_dump(dump_, kernel::capture_registers(*run.manager));
+    dump_.flush();
+    run.last_dump_s = elapsed;
+  }
   run.elapsed_s = elapsed;
   run.next_tick = now + kHostTick;
   if (elapsed >= phases_.phases()[index_].spec->duration_s) state_ = State::kDone;
   return elapsed;
 }
 
-void PhaseRunner::finish() {
+PhaseReport PhaseRunner::finish() {
   const sched::CampaignPhase& spec = *phases_.phases()[index_].spec;
-  const std::string label = "phase '" + spec.name + "'";
+  PhaseReport report;
+  if (host_run_) {
+    kernel::ThreadManager& manager = *host_run_->manager;
+    manager.stop();
+    if (dump_.is_open()) {
+      kernel::write_dump(dump_, kernel::capture_registers(manager));
+      dump_.flush();
+    }
+    report.iterations = manager.total_iterations();
+    report.workers = manager.num_workers();
+  }
+  if (control::FeedbackLoop* closed = loop()) {
+    const std::string label = spec.name.empty() ? "controller" : "phase '" + spec.name + "'";
+    report.achieved = closed->trailing_mean(convergence_window_s(*closed, spec.duration_s));
+    report.level = closed->profile().level();
+    report.converged = report_convergence(*closed, spec.duration_s, label, options_.quiet);
+    all_converged_ &= report.converged;
+  }
   double elapsed_s = -1.0;  // simulated phases advance by the nominal duration
   if (sim_run_) {
-    all_converged_ &=
-        report_convergence(sim_run_->loop(), spec.duration_s, label, options_.quiet);
+    report.point = sim_run_->point();
     carry_temp_c_ = sim_run_->final_temp_c();
     sim_run_.reset();
   } else if (host_run_) {
-    host_run_->manager->stop();
-    if (host_run_->control.loop)
-      all_converged_ &= report_convergence(*host_run_->control.loop, spec.duration_s,
-                                           label, options_.quiet);
     // Advance by the *actual* phase length: a nominal offset would make
     // the next phase's first timestamps non-monotonic (the trace recorder
     // would silently drop them).
     elapsed_s = host_run_->elapsed_s;
     host_run_.reset();
+  } else {
+    report.point = open_point_;
   }
   bus_.end_phase(elapsed_s);
   state_ = State::kIdle;
+  return report;
 }
 
 }  // namespace fs2::firestarter

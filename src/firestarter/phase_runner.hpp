@@ -1,6 +1,7 @@
 #pragma once
 
 #include <chrono>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -16,7 +17,7 @@
 #include "kernel/thread_manager.hpp"
 #include "metrics/external.hpp"
 #include "metrics/ipc_estimate.hpp"
-#include "metrics/perf_ipc.hpp"
+#include "metrics/hw_events.hpp"
 #include "metrics/rapl.hpp"
 #include "payload/compiler.hpp"
 #include "sched/campaign.hpp"
@@ -43,6 +44,11 @@ payload::CompileOptions compile_options(const Config& cfg,
 /// --threads (or a campaign phase's threads= override) when set.
 std::vector<int> resolve_worker_cpus(const Config& cfg,
                                      std::optional<int> threads_override = std::nullopt);
+
+/// Open an output file (--record-trace, --control-log, --dump-path) up
+/// front — before any stress runs — so a bad path fails in seconds, not
+/// after an hour-long burn-in has produced the data it was meant to keep.
+std::ofstream open_output_file(const std::string& path, const char* flag);
 
 // ---- host sensors and control -----------------------------------------------
 
@@ -146,14 +152,26 @@ class PhaseResolver {
   bool any_temp_ = false;
 };
 
+/// What finish() learned about the phase it closed. The single-run footer
+/// prints it (steady state, closed-loop result, kernel iterations); agents
+/// ignore it.
+struct PhaseReport {
+  sim::WorkloadPoint point;      ///< simulated phases: the steady state
+  double achieved = 0.0;         ///< closed loop: trailing mean of the measurement
+  double level = 0.0;            ///< closed loop: the last commanded level
+  bool converged = true;         ///< closed loop: the convergence verdict
+  std::uint64_t iterations = 0;  ///< host phases: kernel loop iterations
+  std::size_t workers = 0;       ///< host phases: worker threads
+};
+
 /// Runs resolved campaign phases one step at a time, so a driver can pause
 /// between steps without a thread parked inside the phase: a step is a
 /// whole open-loop simulated phase (virtual time, no wall clock), one
 /// controller tick of a closed-loop simulated phase, or one 50 ms sampling
-/// tick of a host phase. The local campaign runner drives it straight
-/// through; a cluster agent yields between steps wherever the protocol
-/// waits (budget rounds, host sampling ticks) and answers the coordinator
-/// meanwhile.
+/// tick of a host phase. The local runner drives it straight through (a
+/// run without --campaign is a campaign of one phase); a cluster agent
+/// yields between steps wherever the protocol waits (budget rounds, host
+/// sampling ticks) and answers the coordinator meanwhile.
 class PhaseRunner {
  public:
   using Clock = std::chrono::steady_clock;
@@ -165,10 +183,14 @@ class PhaseRunner {
     /// Suppress the per-phase convergence log lines (large loopback fleets
     /// would emit thousands).
     bool quiet = false;
+    /// Host phases sample their metric set every tick. A single run
+    /// without --measurement has no summary to feed, and --metric-command
+    /// would spawn a process per sample for nothing.
+    bool sample_metrics = true;
   };
 
-  /// Registers the simulated channels on `bus` (attach the sinks first)
-  /// and starts the GPU stand-in of a host run.
+  /// Registers the simulated channels on `bus` (attach the sinks first),
+  /// opens the --dump-path file and starts the GPU stand-in of a host run.
   PhaseRunner(const Config& cfg, PhaseResolver& phases, telemetry::TelemetryBus& bus,
               Options options);
   ~PhaseRunner();
@@ -176,8 +198,11 @@ class PhaseRunner {
   /// Open phase `index`: only the begin bracket goes on the bus here — the
   /// phase's work starts at the first step(), so a barrier release reaches
   /// a whole fleet before any node starts computing. `budget_w` is the
-  /// budget mode's current share for the phase's power setpoint.
-  void begin(std::size_t index, std::optional<double> budget_w = std::nullopt);
+  /// budget mode's current share for the phase's power setpoint. `deltas`
+  /// overrides the campaign clamp of phase_deltas(): a single run trims by
+  /// the CLI deltas as given (footnote 12's 120 s start trim of a 240 s run).
+  void begin(std::size_t index, std::optional<double> budget_w = std::nullopt,
+             std::optional<TrimDeltas> deltas = std::nullopt);
 
   /// The open phase has done all its work (finish() is next).
   bool done() const { return state_ == State::kDone; }
@@ -189,8 +214,9 @@ class PhaseRunner {
   /// Advance the open phase by one step; returns its phase-local time.
   double step();
 
-  /// Close the phase: convergence verdict, thermal carry, end bracket.
-  void finish();
+  /// Close the phase: convergence verdict, thermal carry, final register
+  /// dump, end bracket.
+  PhaseReport finish();
 
   /// The open phase's feedback loop (null when it runs open-loop).
   control::FeedbackLoop* loop();
@@ -225,10 +251,12 @@ class PhaseRunner {
   /// temperature.
   std::optional<double> carry_temp_c_;
   std::unique_ptr<ControlledSimPhaseRun> sim_run_;
+  sim::WorkloadPoint open_point_;  ///< the last open-loop phase's steady state
 
   // Host targets.
   std::unique_ptr<gpu::DgemmStressor> gpu_stress_;
   std::unique_ptr<HostRun> host_run_;
+  std::ofstream dump_;  ///< --dump-registers output, open on host runs only
 };
 
 }  // namespace fs2::firestarter

@@ -39,11 +39,11 @@ payload::DataInitPolicy policy_of(const Config& cfg);
 
 inline double clamp01(double value) { return std::min(std::max(value, 0.0), 1.0); }
 
-/// Effective trim deltas for a phase of `duration_s`: honor the configured
-/// --start/--stop deltas but never let them eat a short phase (campaign
-/// phases are often a few seconds; the paper's 5 s/2 s defaults assume
-/// multi-minute runs). An infinite duration disables the clamp — that case
-/// is a single run where the user set the deltas deliberately.
+/// Effective trim deltas for a campaign phase of `duration_s`: honor the
+/// configured --start/--stop deltas but never let them eat a short phase
+/// (campaign phases are often a few seconds; the paper's 5 s/2 s defaults
+/// assume multi-minute runs). A single run hands PhaseRunner::begin the
+/// deltas as given instead.
 struct TrimDeltas {
   double start_s = 0.0;
   double stop_s = 0.0;
@@ -62,8 +62,7 @@ struct SimChannels {
 };
 
 /// `trimmed_aux` selects whether the IPC and load channels get the phase's
-/// trim deltas (campaign/controlled summaries) or none (the open-loop
-/// single-run mode reports them untrimmed); `summarize_load` drops the
+/// trim deltas like the power channel or none; `summarize_load` drops the
 /// load-level summary row while trace recording still sees the samples.
 SimChannels register_sim_channels(telemetry::TelemetryBus& bus, bool with_temp,
                                   bool trimmed_aux, bool summarize_load);
@@ -122,7 +121,6 @@ class ControlledSimPhaseRun {
   double step();
 
   control::FeedbackLoop& loop() { return *loop_; }
-  const control::ControlledProfile& profile() const { return *profile_; }
   const sim::WorkloadPoint& point() const { return point_; }
   /// Noise-free thermal state for the next phase (valid once done()).
   double final_temp_c() const { return plant_.true_temp_c(); }

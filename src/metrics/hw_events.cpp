@@ -79,8 +79,11 @@ std::vector<std::uint64_t> HwEventGroup::read() const {
   return values;
 }
 
-HwRatioMetric::HwRatioMetric(std::string name, HwEvent numerator, HwEvent denominator)
-    : name_(std::move(name)), group_({std::move(numerator), std::move(denominator)}) {}
+HwRatioMetric::HwRatioMetric(std::string name, HwEvent numerator, HwEvent denominator,
+                             std::string unit)
+    : name_(std::move(name)),
+      unit_(std::move(unit)),
+      group_({std::move(numerator), std::move(denominator)}) {}
 
 void HwRatioMetric::begin() {
   group_.begin();

@@ -54,22 +54,36 @@ class HwEventGroup {
 };
 
 /// Ratio metric over two hardware events (e.g. op-cache uops / total
-/// uops): plugs PMU validation into the normal measurement pipeline.
+/// uops): plugs PMU validation into the normal measurement pipeline. Each
+/// sample is the ratio of the counter deltas since the previous one.
 class HwRatioMetric : public Metric {
  public:
-  HwRatioMetric(std::string name, HwEvent numerator, HwEvent denominator);
+  HwRatioMetric(std::string name, HwEvent numerator, HwEvent denominator,
+                std::string unit = "ratio");
 
   std::string name() const override { return name_; }
-  std::string unit() const override { return "ratio"; }
+  std::string unit() const override { return unit_; }
   bool available() const override { return group_.available(); }
   void begin() override;
   double sample() override;
 
  private:
   std::string name_;
+  std::string unit_;
   HwEventGroup group_;
   std::uint64_t last_num_ = 0;
   std::uint64_t last_den_ = 0;
+};
+
+/// IPC via perf_event_open (Sec. III-C): instructions retired over CPU
+/// cycles, counted for the calling process across all CPUs it runs on.
+/// Unavailable when the kernel denies the syscall (perf_event_paranoid,
+/// seccomp, missing PMU) — callers fall back to IpcEstimateMetric.
+class PerfIpcMetric : public HwRatioMetric {
+ public:
+  PerfIpcMetric()
+      : HwRatioMetric("perf-ipc", HwEvent::instructions(), HwEvent::cycles(),
+                      "instructions/cycle") {}
 };
 
 }  // namespace fs2::metrics

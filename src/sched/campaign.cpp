@@ -30,7 +30,7 @@ std::vector<std::string> split_tokens(std::string_view line) {
 }  // namespace
 
 Campaign Campaign::parse(std::istream& in, const std::string& origin) {
-  Campaign campaign;
+  std::vector<CampaignPhase> phases;
   std::string line;
   int line_no = 0;
   auto fail = [&origin, &line_no](const std::string& message) -> ConfigError {
@@ -48,7 +48,7 @@ Campaign Campaign::parse(std::istream& in, const std::string& origin) {
       throw fail("expected 'phase key=value ...', got '" + tokens.front() + "'");
 
     CampaignPhase phase;
-    phase.name = strings::format("phase%zu", campaign.phases_.size() + 1);
+    phase.name = strings::format("phase%zu", phases.size() + 1);
     bool have_duration = false;
     for (std::size_t i = 1; i < tokens.size(); ++i) {
       const auto eq = tokens[i].find('=');
@@ -127,7 +127,7 @@ Campaign Campaign::parse(std::istream& in, const std::string& origin) {
     // Phase names key everything downstream — summary-row attribution, the
     // cluster layer's phase-major CSV merge, log lines. A duplicate would
     // silently fold two phases' rows together, so reject it here.
-    for (const CampaignPhase& existing : campaign.phases_)
+    for (const CampaignPhase& existing : phases)
       if (existing.name == phase.name)
         throw fail("duplicate phase name '" + phase.name + "'");
 
@@ -142,12 +142,12 @@ Campaign Campaign::parse(std::istream& in, const std::string& origin) {
       throw fail("phase '" + phase.name + "': " + e.what());
     }
 
-    campaign.phases_.push_back(std::move(phase));
+    phases.push_back(std::move(phase));
   }
 
-  if (campaign.phases_.empty())
+  if (phases.empty())
     throw ConfigError("campaign " + origin + ": no phases defined");
-  return campaign;
+  return Campaign(std::move(phases));
 }
 
 Campaign Campaign::load(const std::string& path) {

@@ -58,6 +58,10 @@ struct CampaignPhase {
 /// stress starts.
 class Campaign {
  public:
+  /// A campaign of the given phases (a single run's one phase). The campaign
+  /// runner's resolve pass still validates their profile and target specs.
+  explicit Campaign(std::vector<CampaignPhase> phases) : phases_(std::move(phases)) {}
+
   /// Parse campaign text. `origin` names the source in error messages.
   static Campaign parse(std::istream& in, const std::string& origin);
 

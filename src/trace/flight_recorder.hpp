@@ -15,7 +15,7 @@ namespace fs2::trace {
 /// campaigns are the ones that die.
 ///
 /// Three exits write the dump:
-///  - dump(reason): normal code paths (watchdog trip, node loss, run end
+///  - dump(reason): normal code paths (fleet stall, node loss, run end
 ///    with alerts) write the configured --flight-out file directly.
 ///  - SIGTERM/SIGINT: configure() pre-opens the output fd and keeps the
 ///    serialized dump in a pre-rendered buffer republished after every

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -69,6 +70,17 @@ TEST(Cli, SimulatedRunPrintsSteadyStateAndCsv) {
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("steady state:"), std::string::npos);
   EXPECT_NE(r.output.find("metric,unit,samples,mean"), std::string::npos);
+}
+
+TEST(Cli, PaperMeasurementWindowKeepsCliDeltas) {
+  // Footnote 12's invocation: a 240 s run trimmed by 120 s at the start and
+  // 2 s at the end. A single run keeps those deltas as given; the campaign
+  // clamp to a quarter of the phase would trim only 60 s (3560 samples).
+  const CliResult r = run_cli(
+      "--simulate=zen2 --freq 1500 -t 240 --measurement --start-delta=120000 "
+      "--stop-delta=2000 --log-level warn");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("\nsim-wall-power,W,2360,426.3082,"), std::string::npos) << r.output;
 }
 
 TEST(Cli, SimulatedHaswellGpuRun) {
@@ -243,6 +255,16 @@ TEST(Cli, BadRecordTracePathFailsBeforeStressing) {
   EXPECT_EQ(r.output.find("converged"), std::string::npos);
 }
 
+TEST(Cli, BadDumpPathFailsBeforeStressing) {
+  const CliResult r = run_cli(
+      "-t 0.4 --threads 1 --dump-registers=0.2 --dump-path /nonexistent-dir/regs.dump "
+      "--log-level warn");
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.output.find("--dump-path"), std::string::npos) << r.output;
+  // Fails up front: no kernel iterations were reported first.
+  EXPECT_EQ(r.output.find("kernel loop iterations"), std::string::npos) << r.output;
+}
+
 TEST(Cli, SetpointCampaignProducesDistinctPlateaus) {
   {
     std::ofstream campaign("/tmp/fs2_cli_campaign_setpoints");
@@ -347,6 +369,72 @@ double phase_mean(const std::string& output, const std::string& metric,
   return -1.0;
 }
 
+/// The measurement-CSV rows of `output` with the trailing phase column cut.
+std::vector<std::string> csv_rows_without_phase(const std::string& output) {
+  std::vector<std::string> rows;
+  std::istringstream lines(output);
+  std::string line;
+  bool in_csv = false;
+  while (std::getline(lines, line)) {
+    if (line.rfind("metric,unit,", 0) == 0) in_csv = true;
+    else if (in_csv) rows.push_back(line.substr(0, line.rfind(',')));
+  }
+  return rows;
+}
+
+TEST(Cli, SingleRunMatchesOnePhaseCampaign) {
+  // A single run is a campaign of one phase: the golden sine and
+  // power-setpoint runs print the same CSV rows as the same phase written
+  // as a one-line campaign file, apart from the phase column.
+  struct Case {
+    const char* single_args;
+    const char* phase_line;
+    const char* shared_args;
+  };
+  const Case cases[] = {
+      {"-t 30 --load-profile=sine:low=10,high=90,period=5 --measurement",
+       "phase name=p duration=30 profile=sine:low=10,high=90,period=5\n",
+       "--start-delta=2000 --stop-delta=1000"},
+      {"-t 30 --target power=300W --measurement", "phase name=p duration=30 target=power=300W\n",
+       "--require-convergence"},
+  };
+  for (const Case& c : cases) {
+    {
+      std::ofstream campaign("/tmp/fs2_cli_one_phase.campaign");
+      campaign << c.phase_line;
+    }
+    const std::string common = std::string("--simulate=zen2 --freq 1500 --log-level error ") +
+                               c.shared_args + " ";
+    const CliResult single = run_cli(common + c.single_args);
+    const CliResult campaign = run_cli(common + "--campaign /tmp/fs2_cli_one_phase.campaign");
+    ASSERT_EQ(single.exit_code, 0) << single.output;
+    ASSERT_EQ(campaign.exit_code, 0) << campaign.output;
+    const std::vector<std::string> rows = csv_rows_without_phase(single.output);
+    EXPECT_GE(rows.size(), 3u) << single.output;
+    EXPECT_EQ(rows, csv_rows_without_phase(campaign.output))
+        << "single run:\n" << single.output << "campaign:\n" << campaign.output;
+  }
+}
+
+TEST(Cli, HostSingleRunSamplesMetricsOnlyUnderMeasurement) {
+  // Without --measurement nobody reads the metric channels, so a host run
+  // must not sample them: a --metric-command meter never runs.
+  const char* calls = "/tmp/fs2_cli_meter_calls";
+  const std::string meter =
+      std::string("-t 0.2 --threads 1 --log-level warn --metric-command 'echo x >> ") +
+      calls + "; echo 1'";
+  std::remove(calls);
+  const CliResult quiet = run_cli(meter);
+  ASSERT_EQ(quiet.exit_code, 0) << quiet.output;
+  EXPECT_FALSE(std::ifstream(calls).good()) << "the meter ran without --measurement";
+  const CliResult measured = run_cli(meter + " --measurement");
+  ASSERT_EQ(measured.exit_code, 0) << measured.output;
+  EXPECT_TRUE(std::ifstream(calls).good()) << measured.output;
+  EXPECT_NE(measured.output.find("external-command,value,"), std::string::npos)
+      << measured.output;
+  std::remove(calls);
+}
+
 TEST(Cli, HostCampaignRunsEveryPhaseOnTheRealMachine) {
   // Real stress on one worker through the host branch of the phase runner:
   // 50 ms sampling ticks, the loop-count IPC estimate, and the commanded
@@ -446,6 +534,26 @@ TEST(Cli, HostRegisterDump) {
   EXPECT_NE(std::fgets(line, sizeof line, dump), nullptr);
   std::fclose(dump);
   EXPECT_NE(std::string(line).find("worker 0:"), std::string::npos);
+}
+
+TEST(Cli, HostCampaignWritesRegisterDump) {
+  // The phase runner owns the dump loop, so a host campaign writes
+  // --dump-registers snapshots like a single run.
+  {
+    std::ofstream campaign("/tmp/fs2_cli_host_dump.campaign");
+    campaign << "phase name=hold duration=0.3 profile=constant:100\n";
+  }
+  const char* path = "/tmp/fs2_cli_campaign_regs.dump";
+  std::remove(path);
+  const CliResult r = run_cli(
+      "--campaign /tmp/fs2_cli_host_dump.campaign --threads 1 --dump-registers=0.1 "
+      "--dump-path /tmp/fs2_cli_campaign_regs.dump --log-level warn");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream dump(path);
+  ASSERT_TRUE(dump.good()) << r.output;
+  std::string line;
+  std::getline(dump, line);
+  EXPECT_NE(line.find("worker 0:"), std::string::npos) << line;
 }
 
 }  // namespace

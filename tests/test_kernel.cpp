@@ -1,6 +1,6 @@
 // Tests for the kernel runtime: worker threads actually execute JIT'd
-// payloads with pinning and duty-cycling, the register dump captures SIMD
-// state, and the watchdog enforces -t.
+// payloads with pinning and duty-cycling, and the register dump captures
+// SIMD state.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "kernel/register_dump.hpp"
 #include "kernel/selftest.hpp"
 #include "kernel/thread_manager.hpp"
-#include "kernel/watchdog.hpp"
 #include "payload/mix.hpp"
 #include "util/error.hpp"
 
@@ -185,34 +184,6 @@ TEST(Selftest, FailureDescriptionNamesWorkers) {
   result.diverging_workers.clear();
   result.invalid_values = true;
   EXPECT_NE(result.describe().find("non-finite"), std::string::npos);
-}
-
-TEST(Watchdog, FiresAfterTimeout) {
-  Watchdog watchdog;
-  std::atomic<bool> fired{false};
-  watchdog.arm(std::chrono::milliseconds(30), [&fired] { fired.store(true); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_TRUE(fired.load());
-  EXPECT_TRUE(watchdog.fired());
-}
-
-TEST(Watchdog, CancelPreventsFiring) {
-  Watchdog watchdog;
-  std::atomic<bool> fired{false};
-  watchdog.arm(std::chrono::milliseconds(80), [&fired] { fired.store(true); });
-  watchdog.cancel();
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_FALSE(fired.load());
-  EXPECT_FALSE(watchdog.fired());
-}
-
-TEST(Watchdog, RearmReplacesTimer) {
-  Watchdog watchdog;
-  std::atomic<int> count{0};
-  watchdog.arm(std::chrono::milliseconds(20), [&count] { ++count; });
-  watchdog.arm(std::chrono::milliseconds(20), [&count] { ++count; });
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_EQ(count.load(), 1);  // the first timer was torn down before firing
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "metrics/hw_events.hpp"
 #include "metrics/ipc_estimate.hpp"
 #include "metrics/measurement.hpp"
-#include "metrics/perf_ipc.hpp"
 #include "metrics/rapl.hpp"
 #include "metrics/sim_metrics.hpp"
 #include "payload/mix.hpp"
