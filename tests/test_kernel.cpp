@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <sstream>
 #include <thread>
 
@@ -91,6 +93,40 @@ TEST(ThreadManager, DutyCycleReducesThroughput) {
   // 50 % duty cycle should land well below full throughput (generous margin
   // for scheduler noise).
   EXPECT_LT(static_cast<double>(half), static_cast<double>(full) * 0.85);
+}
+
+// Every operand byte of `a` and `b`: the constants block and each region
+// with the pad past its end.
+bool same_operands(const payload::WorkBuffer& a, const payload::WorkBuffer& b,
+                   const payload::SequenceStats& stats) {
+  if (std::memcmp(a.args().consts, b.args().consts,
+                  payload::ConstLayout::kDoubles * sizeof(double)) != 0)
+    return false;
+  const double* regions_a[] = {a.args().l1, a.args().l2, a.args().l3, a.args().ram};
+  const double* regions_b[] = {b.args().l1, b.args().l2, b.args().l3, b.args().ram};
+  for (int level = 1; level < payload::kNumMemoryLevels; ++level) {
+    const std::size_t size = a.sizes().bytes[level];
+    const std::size_t span =
+        static_cast<std::size_t>(stats.lines(static_cast<payload::MemoryLevel>(level))) * 64;
+    if (std::memcmp(regions_a[level - 1], regions_b[level - 1],
+                    size + std::min(span, size) + 64) != 0)
+      return false;
+  }
+  return true;
+}
+
+TEST(ThreadManager, WorkerBuffersUsePerWorkerSeeds) {
+  if (!host_has_fma()) GTEST_SKIP() << "host lacks FMA";
+  auto payload = small_payload();
+  RunOptions options = two_workers();
+  options.seed = 77;
+  ThreadManager manager(payload, options);
+  for (std::size_t i = 0; i < manager.num_workers(); ++i) {
+    auto expected = payload.make_buffer();
+    expected->init(options.policy, options.seed + i * 0x9e3779b97f4a7c15ULL);
+    EXPECT_TRUE(same_operands(manager.buffer(i), *expected, payload.stats().sequence))
+        << "worker " << i;
+  }
 }
 
 TEST(ThreadManager, ValidatesOptions) {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "arch/cpuid.hpp"
@@ -219,6 +221,71 @@ TEST(PayloadBuffer, InitIsDeterministic) {
   b.init(DataInitPolicy::kSafe, 5);
   const auto n = stats.regions.bytes[static_cast<int>(MemoryLevel::kL1)] / sizeof(double);
   for (std::size_t i = 0; i < n; i += 97) EXPECT_EQ(a.args().l1[i], b.args().l1[i]);
+}
+
+std::uint64_t fnv1a(const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// A region as the kernel may touch it: its size plus the pad past the end
+// (the furthest line span, capped at the size, and one vector).
+std::size_t region_bytes(const WorkBuffer& buffer, const SequenceStats& stats, int level) {
+  const std::size_t size = buffer.sizes().bytes[level];
+  const std::size_t span =
+      static_cast<std::size_t>(stats.lines(static_cast<MemoryLevel>(level))) * 64;
+  return size + std::min(span, size) + 64;
+}
+
+TEST(PayloadBuffer, OperandDigestMatchesRecord) {
+  struct Record {
+    DataInitPolicy policy;
+    std::uint64_t seed;
+    std::uint64_t digests[kNumMemoryLevels];  ///< constants block, then L1, L2, L3, RAM
+  };
+  // FNV-1a of every operand byte, recorded before buffers were filled at
+  // construction: the fill must keep its draw order and cover every pad.
+  const Record records[] = {
+      {DataInitPolicy::kSafe,
+       5,
+       {0x7f4f4dd382d5c2faULL, 0x38e9c41ba949c9dfULL, 0xf64a9a787bb10df0ULL,
+        0x582de3ce217123beULL, 0x77d4d9c5e0f8cef5ULL}},
+      {DataInitPolicy::kSafe,
+       0x5eed,
+       {0x6a429c1f32ef32eeULL, 0xe37fcec5e031a2a7ULL, 0x562d3e62f1588e5eULL,
+        0xef1fa6b4fd255e3dULL, 0x5b197493fea30a2aULL}},
+      {DataInitPolicy::kV174InfinityBug,
+       5,
+       {0xdda7b36656a9785aULL, 0x38e9c41ba949c9dfULL, 0xf64a9a787bb10df0ULL,
+        0x582de3ce217123beULL, 0x77d4d9c5e0f8cef5ULL}},
+      {DataInitPolicy::kV174InfinityBug,
+       0x5eed,
+       {0xbe3506c2abfe122eULL, 0xe37fcec5e031a2a7ULL, 0x562d3e62f1588e5eULL,
+        0xef1fa6b4fd255e3dULL, 0x5b197493fea30a2aULL}},
+  };
+  const auto& fn = find_function("FUNC_FMA_256_ZEN2");
+  auto stats =
+      analyze_payload(fn.mix, InstructionGroups::parse("RAM_L:1,L3_LS:1,L2_LS:2,L1_LS:8,REG:4"),
+                      test_caches(), small_options(16));
+  for (const Record& record : records) {
+    WorkBuffer buffer(stats.regions, stats.sequence);
+    buffer.init(record.policy, record.seed);
+    const double* regions[] = {buffer.args().l1, buffer.args().l2, buffer.args().l3,
+                               buffer.args().ram};
+    std::uint64_t digests[kNumMemoryLevels] = {
+        fnv1a(buffer.args().consts, ConstLayout::kDoubles * sizeof(double))};
+    for (int level = 1; level < kNumMemoryLevels; ++level)
+      digests[level] = fnv1a(regions[level - 1], region_bytes(buffer, stats.sequence, level));
+    for (int part = 0; part < kNumMemoryLevels; ++part)
+      EXPECT_EQ(digests[part], record.digests[part])
+          << "seed " << record.seed << " part " << part << ": measured 0x" << std::hex
+          << digests[part];
+  }
 }
 
 TEST(PayloadBuffer, SafeInitHasNoTrivialOperands) {
