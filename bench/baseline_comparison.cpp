@@ -110,8 +110,7 @@ int main() {
     auto workload = payload::compile_payload(
         fn.mix, payload::InstructionGroups::parse("REG:4,L1_LS:2"),
         arch::CacheHierarchy::from_sysfs(), options);
-    auto buffer = workload.make_buffer();
-    buffer->init(payload::DataInitPolicy::kSafe, 1);
+    auto buffer = workload.make_buffer(payload::DataInitPolicy::kSafe, 1);
     std::uint64_t iters = 0;
     const auto [reps, elapsed] = timed_reps(kSlot, [&](int) {
       iters += workload.fn()(&buffer->args(), 2000);

@@ -82,8 +82,7 @@ void BM_KernelIteration(benchmark::State& state) {
   options.ram_region_bytes = 1 << 20;
   auto payload = payload::compile_payload(fn.mix, payload::InstructionGroups::parse("REG:1"),
                                           arch::CacheHierarchy::zen2(), options);
-  auto buffer = payload.make_buffer();
-  buffer->init(payload::DataInitPolicy::kSafe, 1);
+  auto buffer = payload.make_buffer(payload::DataInitPolicy::kSafe, 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(payload.fn()(&buffer->args(), 100));
   }

@@ -54,8 +54,7 @@ int main() {
   auto payload = payload::compile_payload(mix, payload::InstructionGroups::parse("REG:1"),
                                           caches, options);
   auto check = [&](payload::DataInitPolicy policy) {
-    auto buffer = payload.make_buffer();
-    buffer->init(policy, 42);
+    auto buffer = payload.make_buffer(policy, 42);
     payload.fn()(&buffer->args(), 20000);
     int finite = 0, infinite = 0;
     for (int reg = 0; reg < 11; ++reg)

@@ -43,8 +43,7 @@ int main() {
   // One deterministic burst: a fixed iteration count, not wall time, so the
   // register contents are a pure function of the seed.
   auto burst = [&](std::uint64_t seed) {
-    auto buffer = workload.make_buffer();
-    buffer->init(payload::DataInitPolicy::kSafe, seed);
+    auto buffer = workload.make_buffer(payload::DataInitPolicy::kSafe, seed);
     workload.fn()(&buffer->args(), 2'000'000);
     kernel::RegisterSnapshot snapshot;
     snapshot.values.emplace_back(buffer->dump(), buffer->dump() + 11 * 4);

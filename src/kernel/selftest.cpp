@@ -40,11 +40,10 @@ SelftestResult run_selftest(const payload::CompiledPayload& payload,
   buffers.reserve(n);
   // Identical seed on purpose: unlike a stress run (where per-worker data
   // maximizes toggling), the self-test needs every worker to compute the
-  // same function.
-  for (std::size_t i = 0; i < n; ++i) {
-    buffers.push_back(payload.make_buffer());
-    buffers.back()->init(payload::DataInitPolicy::kSafe, seed);
-  }
+  // same function. Built here, not on the workers: nothing times the
+  // self-test's set-up.
+  for (std::size_t i = 0; i < n; ++i)
+    buffers.push_back(payload.make_buffer(payload::DataInitPolicy::kSafe, seed));
 
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};

@@ -5,6 +5,7 @@
 
 #include <chrono>
 
+#include "trace/tracer.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -33,19 +34,23 @@ ThreadManager::ThreadManager(const payload::CompiledPayload& payload, RunOptions
     throw Error("ThreadManager: phase offset must be >= 0");
   profile_ = options_.profile ? options_.profile
                               : std::make_shared<sched::ConstantProfile>(options_.load);
-  buffers_.reserve(options_.cpus.size());
-  workers_.reserve(options_.cpus.size());
-  for (std::size_t i = 0; i < options_.cpus.size(); ++i) {
-    buffers_.push_back(payload_.make_buffer());
-    workers_.push_back(std::make_unique<Worker>());
+  const std::size_t n = options_.cpus.size();
+  buffers_.resize(n);
+  workers_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) workers_.push_back(std::make_unique<Worker>());
+  try {
+    for (std::size_t i = 0; i < n; ++i)
+      workers_[i]->thread = std::thread(&ThreadManager::worker_main, this, i, options_.cpus[i]);
+    // Wait until every worker built its operand buffer so start() hits all
+    // of them simultaneously (no staggered power ramp).
+    while (ready_count_.load(std::memory_order_acquire) < static_cast<int>(n))
+      std::this_thread::yield();
+    for (const auto& worker : workers_)
+      if (worker->error) std::rethrow_exception(worker->error);
+  } catch (...) {
+    stop();  // a joinable std::thread must not be destroyed
+    throw;
   }
-  for (std::size_t i = 0; i < options_.cpus.size(); ++i)
-    workers_[i]->thread = std::thread(&ThreadManager::worker_main, this, i, options_.cpus[i]);
-  // Wait until every worker initialized its operand buffer so start() hits
-  // all of them simultaneously (no staggered power ramp).
-  while (ready_count_.load(std::memory_order_acquire) <
-         static_cast<int>(options_.cpus.size()))
-    std::this_thread::yield();
 }
 
 ThreadManager::~ThreadManager() { stop(); }
@@ -76,17 +81,26 @@ std::uint64_t ThreadManager::total_iterations() const {
 }
 
 void ThreadManager::worker_main(std::size_t index, int cpu) {
-  pin_to_cpu(cpu);
-  payload::WorkBuffer& buffer = *buffers_[index];
-  // Distinct seed per worker: identical operand streams across cores would
-  // underestimate data-toggle power on a real machine.
-  buffer.init(options_.policy, options_.seed + index * 0x9e3779b97f4a7c15ULL);
+  Worker& self = *workers_[index];
+  try {
+    pin_to_cpu(cpu);
+    TRACE_SPAN("kernel.buffer_init");
+    // Built after pinning, so this CPU touches every page first and the
+    // pages land on its memory node. Distinct seed per worker: identical
+    // operand streams across cores would underestimate data-toggle power
+    // on a real machine.
+    buffers_[index] =
+        payload_.make_buffer(options_.policy, options_.seed + index * 0x9e3779b97f4a7c15ULL);
+  } catch (...) {
+    self.error = std::current_exception();
+  }
   ready_count_.fetch_add(1, std::memory_order_release);
+  if (self.error) return;
 
   while (!started_.load(std::memory_order_acquire)) std::this_thread::yield();
 
+  payload::WorkBuffer& buffer = *buffers_[index];
   const payload::KernelFn kernel = payload_.fn();
-  Worker& self = *workers_[index];
   const sched::LoadProfile& profile = *profile_;
   const double period = options_.period_s;
   // Rotating-load shift: worker i samples the profile `i * offset` into the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -50,14 +51,18 @@ struct RunOptions {
 /// duty-cycling, and loop accounting for the IPC-estimate metric.
 class ThreadManager {
  public:
-  /// Workers are created suspended; call start() to begin stressing.
-  /// The payload must outlive the manager.
+  /// Spawns the workers and returns once each has pinned itself and built
+  /// its own operand buffer on its CPU, all in parallel; they then wait for
+  /// start(). If a worker cannot be spawned or cannot build its buffer,
+  /// every worker started is stopped and joined and the first error is
+  /// rethrown. The payload must outlive the manager.
   ThreadManager(const payload::CompiledPayload& payload, RunOptions options);
   ~ThreadManager();
   ThreadManager(const ThreadManager&) = delete;
   ThreadManager& operator=(const ThreadManager&) = delete;
 
-  /// Release all workers (they spin-wait after initializing their buffers).
+  /// Release all workers at once (their buffers are built by the time the
+  /// constructor returns).
   void start();
 
   /// Signal stop and join all workers. Idempotent.
@@ -94,6 +99,7 @@ class ThreadManager {
   struct Worker {
     std::thread thread;
     std::atomic<std::uint64_t> iterations{0};
+    std::exception_ptr error;  ///< buffer build failure, published by ready_count_
   };
 
   void worker_main(std::size_t index, int cpu);
@@ -102,7 +108,7 @@ class ThreadManager {
   RunOptions options_;
   sched::ProfilePtr profile_;  ///< options_.profile or ConstantProfile(load)
   sched::PhaseClock clock_;    ///< re-anchored by start()
-  std::vector<std::unique_ptr<payload::WorkBuffer>> buffers_;
+  std::vector<std::unique_ptr<payload::WorkBuffer>> buffers_;  ///< [i] built by worker i
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_flag_{false};

@@ -507,8 +507,9 @@ class KernelBuilder {
 
 }  // namespace
 
-std::unique_ptr<WorkBuffer> CompiledPayload::make_buffer() const {
-  return std::make_unique<WorkBuffer>(stats_.regions, stats_.sequence);
+std::unique_ptr<WorkBuffer> CompiledPayload::make_buffer(DataInitPolicy policy,
+                                                         std::uint64_t seed) const {
+  return std::make_unique<WorkBuffer>(stats_.regions, stats_.sequence, policy, seed);
 }
 
 CompiledPayload compile_payload(const InstructionMix& mix, const InstructionGroups& groups,

@@ -78,9 +78,10 @@ class CompiledPayload {
   const InstructionMix& mix() const { return mix_; }
   const InstructionGroups& groups() const { return groups_; }
 
-  /// Allocate a per-thread work buffer matching the region sizes baked
-  /// into this payload's code.
-  std::unique_ptr<WorkBuffer> make_buffer() const;
+  /// A per-thread work buffer matching the region sizes baked into this
+  /// payload's code, its operands filled under `policy` from `seed` by the
+  /// calling thread (see WorkBuffer).
+  std::unique_ptr<WorkBuffer> make_buffer(DataInitPolicy policy, std::uint64_t seed) const;
 
  private:
   jit::ExecutableBuffer code_;

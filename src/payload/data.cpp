@@ -1,5 +1,6 @@
 #include "payload/data.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -17,13 +18,13 @@ std::size_t ceil_pow2(std::size_t value) {
   return p;
 }
 
+/// Uninitialized: the caller writes every byte it asked for.
 void* aligned_allocate(std::size_t alignment, std::size_t bytes) {
   void* mem = nullptr;
   if (alignment < sizeof(void*)) alignment = sizeof(void*);
   if (::posix_memalign(&mem, alignment, bytes) != 0)
     throw Error(strings::format("WorkBuffer: allocation of %zu bytes (align %zu) failed", bytes,
                                 alignment));
-  std::memset(mem, 0, bytes);
   return mem;
 }
 
@@ -68,47 +69,24 @@ RegionSizes RegionSizes::finalized() const {
   return out;
 }
 
-WorkBuffer::WorkBuffer(const RegionSizes& sizes, const SequenceStats& stats)
+WorkBuffer::WorkBuffer(const RegionSizes& sizes, const SequenceStats& stats,
+                       DataInitPolicy policy, std::uint64_t seed)
     : sizes_(sizes.finalized()) {
+  Xoshiro256 rng(seed);
+
   // Constants + dump blocks (cache-line aligned).
   const std::size_t consts_bytes = ConstLayout::kDoubles * sizeof(double);
-  allocations_[0] = aligned_allocate(64, consts_bytes);
-  args_.consts = static_cast<double*>(allocations_[0]);
+  allocations_[0].reset(aligned_allocate(64, consts_bytes));
+  args_.consts = static_cast<double*>(allocations_[0].get());
   allocated_ += consts_bytes;
-
-  const std::size_t dump_bytes = 16 * 8 * sizeof(double);
-  allocations_[1] = aligned_allocate(64, dump_bytes);
-  args_.dump = static_cast<double*>(allocations_[1]);
-  allocated_ += dump_bytes;
-
-  double** region_ptrs[kNumMemoryLevels] = {nullptr, &args_.l1, &args_.l2, &args_.l3, &args_.ram};
-  for (int level = 1; level < kNumMemoryLevels; ++level) {
-    const std::size_t size = sizes_.bytes[level];
-    const std::size_t span =
-        static_cast<std::size_t>(stats.lines(static_cast<MemoryLevel>(level))) * 64;
-    // Streaming mode reaches past the cursor by the full line span;
-    // resident mode wraps displacements inside the region. Either way the
-    // furthest access is cursor + min(span, size) + one vector width.
-    pad_bytes_[level] = std::min(span, size) + 64;
-    allocations_[level + 1] = aligned_allocate(2 * size, size + pad_bytes_[level]);
-    *region_ptrs[level] = static_cast<double*>(allocations_[level + 1]);
-    allocated_ += size + pad_bytes_[level];
-  }
-}
-
-WorkBuffer::~WorkBuffer() {
-  for (void* mem : allocations_) std::free(mem);
-}
-
-void WorkBuffer::init(DataInitPolicy policy, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
 
   // Small magnitude keeps the accumulator random walk bounded over billions
   // of iterations while still toggling mantissa bits every FMA.
   const double x = 0x1.0p-20 * (1.0 + rng.uniform());
   double* consts = args_.consts;
   for (int i = 0; i < 8; ++i) {
-    consts[ConstLayout::kMultPos + static_cast<std::size_t>(i)] = x;
+    consts[ConstLayout::kMultPos + static_cast<std::size_t>(i)] =
+        policy == DataInitPolicy::kSafe ? x : 0x1.0p+1020;
     consts[ConstLayout::kMultNeg + static_cast<std::size_t>(i)] =
         policy == DataInitPolicy::kSafe ? -x
                                         // v1.7.4 bug: the sign flip is missing and the
@@ -117,9 +95,6 @@ void WorkBuffer::init(DataInitPolicy policy, std::uint64_t seed) {
                                         : 0x1.0p+1020;
     consts[ConstLayout::kOnes + static_cast<std::size_t>(i)] = 1.0;
   }
-  if (policy == DataInitPolicy::kV174InfinityBug)
-    for (int i = 0; i < 8; ++i)
-      consts[ConstLayout::kMultPos + static_cast<std::size_t>(i)] = 0x1.0p+1020;
 
   // Multiplicative toggle pair for the non-FMA mixes: alternating *m and
   // *(1/m) keeps accumulators bounded while never presenting the trivial
@@ -135,13 +110,28 @@ void WorkBuffer::init(DataInitPolicy policy, std::uint64_t seed) {
   for (std::size_t i = 0; i < 16 * 8; ++i)
     consts[ConstLayout::kAccSeeds + i] = 1.0 + rng.uniform();
 
-  double* regions[] = {args_.l1, args_.l2, args_.l3, args_.ram};
+  const std::size_t dump_bytes = 16 * 8 * sizeof(double);
+  allocations_[1].reset(aligned_allocate(64, dump_bytes));
+  args_.dump = static_cast<double*>(allocations_[1].get());
+  std::memset(args_.dump, 0, dump_bytes);
+  allocated_ += dump_bytes;
+
+  double** region_ptrs[kNumMemoryLevels] = {nullptr, &args_.l1, &args_.l2, &args_.l3, &args_.ram};
   for (int level = 1; level < kNumMemoryLevels; ++level) {
-    double* region = regions[level - 1];
-    const std::size_t doubles = (sizes_.bytes[level] + pad_bytes_[level]) / sizeof(double);
+    const std::size_t size = sizes_.bytes[level];
+    const std::size_t span =
+        static_cast<std::size_t>(stats.lines(static_cast<MemoryLevel>(level))) * 64;
+    // Streaming mode reaches past the cursor by the full line span;
+    // resident mode wraps displacements inside the region. Either way the
+    // furthest access is cursor + min(span, size) + one vector width.
+    const std::size_t bytes = size + std::min(span, size) + 64;
+    allocations_[level + 1].reset(aligned_allocate(2 * size, bytes));
+    double* region = static_cast<double*>(allocations_[level + 1].get());
+    *region_ptrs[level] = region;
+    allocated_ += bytes;
     // Alternate the sign line-by-line so memory-sourced FMA contributions
     // cancel statistically instead of drifting.
-    for (std::size_t i = 0; i < doubles; ++i) {
+    for (std::size_t i = 0; i < bytes / sizeof(double); ++i) {
       const double sign = ((i / 8) % 2 == 0) ? 1.0 : -1.0;
       region[i] = sign * (1.0 + rng.uniform());
     }

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 
 #include "arch/cache.hpp"
@@ -78,20 +79,22 @@ struct RegionSizes {
 /// Per-thread working memory of a compiled payload: one constants block,
 /// four streaming regions (each aligned to twice its size so the kernel can
 /// wrap cursors by masking a single address bit), and a register-dump area.
+/// Its operands are written once, by the constructing thread, which is
+/// therefore the thread that touches every page first: build a worker's
+/// buffer on the worker's own CPU and the pages land on that CPU's node.
 class WorkBuffer {
  public:
   /// Allocate regions of `sizes`, with enough padding for `stats`' maximum
-  /// per-iteration line span. Throws fs2::Error on allocation failure.
-  WorkBuffer(const RegionSizes& sizes, const SequenceStats& stats);
-  ~WorkBuffer();
+  /// per-iteration line span, and fill every operand under `policy` with
+  /// deterministic values derived from `seed`: the constants block, then
+  /// the L1, L2, L3 and RAM regions, pads included. Only the register-dump
+  /// area is zeroed. Throws fs2::Error on allocation failure.
+  WorkBuffer(const RegionSizes& sizes, const SequenceStats& stats, DataInitPolicy policy,
+             std::uint64_t seed);
   WorkBuffer(const WorkBuffer&) = delete;
   WorkBuffer& operator=(const WorkBuffer&) = delete;
   WorkBuffer(WorkBuffer&&) = delete;
   WorkBuffer& operator=(WorkBuffer&&) = delete;
-
-  /// (Re-)initialize all operand data under `policy` with deterministic
-  /// values derived from `seed`.
-  void init(DataInitPolicy policy, std::uint64_t seed);
 
   KernelArgs& args() { return args_; }
   const KernelArgs& args() const { return args_; }
@@ -106,10 +109,13 @@ class WorkBuffer {
   std::size_t allocated_bytes() const { return allocated_; }
 
  private:
+  struct Free {
+    void operator()(void* mem) const { std::free(mem); }
+  };
+
   RegionSizes sizes_;
-  std::size_t pad_bytes_[kNumMemoryLevels] = {};
   KernelArgs args_;
-  void* allocations_[6] = {};
+  std::unique_ptr<void, Free> allocations_[6];  ///< freed even when a later one fails
   std::size_t allocated_ = 0;
 };
 

@@ -134,8 +134,7 @@ TEST(Integration, OptimizeThenCrossEvaluate) {
   if (host_supports(fn.mix)) {
     auto workload =
         payload::compile_payload(fn.mix, groups, arch::CacheHierarchy::zen2(), fast_options());
-    auto buffer = workload.make_buffer();
-    buffer->init(payload::DataInitPolicy::kSafe, 1);
+    auto buffer = workload.make_buffer(payload::DataInitPolicy::kSafe, 1);
     EXPECT_EQ(workload.fn()(&buffer->args(), 100), 100u);
   }
 }

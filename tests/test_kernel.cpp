@@ -9,12 +9,14 @@
 #include <cstring>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "arch/cpuid.hpp"
 #include "kernel/register_dump.hpp"
 #include "kernel/selftest.hpp"
 #include "kernel/thread_manager.hpp"
 #include "payload/mix.hpp"
+#include "trace/tracer.hpp"
 #include "util/error.hpp"
 
 namespace fs2::kernel {
@@ -25,10 +27,11 @@ bool host_has_fma() {
       payload::find_function("FUNC_FMA_256_ZEN2").mix.required);
 }
 
-payload::CompiledPayload small_payload(bool dump = false) {
+payload::CompiledPayload small_payload(bool dump = false,
+                                       std::size_t ram_region_bytes = 1 << 20) {
   payload::CompileOptions options;
   options.unroll = 64;
-  options.ram_region_bytes = 1 << 20;
+  options.ram_region_bytes = ram_region_bytes;
   options.dump_registers = dump;
   const auto& fn = payload::find_function("FUNC_FMA_256_ZEN2");
   return payload::compile_payload(fn.mix, payload::InstructionGroups::parse("REG:2,L1_L:1"),
@@ -122,11 +125,33 @@ TEST(ThreadManager, WorkerBuffersUsePerWorkerSeeds) {
   options.seed = 77;
   ThreadManager manager(payload, options);
   for (std::size_t i = 0; i < manager.num_workers(); ++i) {
-    auto expected = payload.make_buffer();
-    expected->init(options.policy, options.seed + i * 0x9e3779b97f4a7c15ULL);
+    auto expected = payload.make_buffer(options.policy, options.seed + i * 0x9e3779b97f4a7c15ULL);
     EXPECT_TRUE(same_operands(manager.buffer(i), *expected, payload.stats().sequence))
         << "worker " << i;
   }
+}
+
+TEST(ThreadManager, BufferAllocationFailureThrowsFromConstructor) {
+  if (!host_has_fma()) GTEST_SKIP() << "host lacks FMA";
+  // A 1 TiB RAM region aligned to 2 TiB: the workers' allocations fail, and
+  // the constructor must join them all and throw instead of terminating.
+  auto payload = small_payload(/*dump=*/false, 1ull << 40);
+  EXPECT_THROW(ThreadManager(payload, two_workers()), Error);
+}
+
+TEST(ThreadManager, TracesOneBufferInitSpanPerWorker) {
+  if (!host_has_fma()) GTEST_SKIP() << "host lacks FMA";
+  auto payload = small_payload();
+  trace::Tracer::reset();
+  trace::Tracer::set_enabled(true);
+  { ThreadManager manager(payload, two_workers()); }
+  trace::Tracer::set_enabled(false);
+  std::vector<trace::SpanEvent> events;
+  trace::Tracer::drain(events);
+  const auto spans = std::count_if(events.begin(), events.end(), [](const trace::SpanEvent& e) {
+    return std::strcmp(e.name, "kernel.buffer_init") == 0;
+  });
+  EXPECT_EQ(spans, 2);
 }
 
 TEST(ThreadManager, ValidatesOptions) {

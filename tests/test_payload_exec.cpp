@@ -46,8 +46,7 @@ TEST_P(PayloadExecution, RunsAndReturnsIterationCount) {
   if (!host_supports(fn.mix)) GTEST_SKIP() << "host lacks " << fn.mix.name;
   auto payload = compile_payload(fn.mix, InstructionGroups::parse(GetParam().groups),
                                  test_caches(), small_options());
-  auto buffer = payload.make_buffer();
-  buffer->init(DataInitPolicy::kSafe, 42);
+  auto buffer = payload.make_buffer(DataInitPolicy::kSafe, 42);
   EXPECT_EQ(payload.fn()(&buffer->args(), 1000), 1000u);
   EXPECT_EQ(payload.fn()(&buffer->args(), 1), 1u);
   EXPECT_EQ(payload.fn()(&buffer->args(), 0), 0u);
@@ -83,8 +82,7 @@ TEST(PayloadSafety, AccumulatorsStayFiniteAfterMillionsOfSets) {
   options.dump_registers = true;
   auto payload = compile_payload(fn.mix, InstructionGroups::parse("REG:4,L1_LS:2,L2_L:1"),
                                  test_caches(), options);
-  auto buffer = payload.make_buffer();
-  buffer->init(DataInitPolicy::kSafe, 7);
+  auto buffer = payload.make_buffer(DataInitPolicy::kSafe, 7);
 
   // 100k iterations x 128 sets x 2 FMA = ~25.6M FMA operations.
   EXPECT_EQ(payload.fn()(&buffer->args(), 100000), 100000u);
@@ -112,8 +110,7 @@ TEST(PayloadSafety, V174BugDrivesRegistersToInfinity) {
   options.dump_registers = true;
   auto payload =
       compile_payload(fn.mix, InstructionGroups::parse("REG:1"), test_caches(), options);
-  auto buffer = payload.make_buffer();
-  buffer->init(DataInitPolicy::kV174InfinityBug, 7);
+  auto buffer = payload.make_buffer(DataInitPolicy::kV174InfinityBug, 7);
 
   EXPECT_EQ(payload.fn()(&buffer->args(), 50000), 50000u);
 
@@ -136,8 +133,7 @@ TEST(PayloadDump, DumpIsDeterministicAcrossRuns) {
                                  test_caches(), options);
 
   auto run = [&](std::uint64_t seed) {
-    auto buffer = payload.make_buffer();
-    buffer->init(DataInitPolicy::kSafe, seed);
+    auto buffer = payload.make_buffer(DataInitPolicy::kSafe, seed);
     payload.fn()(&buffer->args(), 5000);
     return std::vector<double>(buffer->dump(), buffer->dump() + 11 * 8);
   };
@@ -153,8 +149,7 @@ TEST(PayloadDump, WithoutDumpFlagDumpAreaUntouched) {
   if (!host_supports(fn.mix)) GTEST_SKIP() << "host lacks FMA";
   auto payload = compile_payload(fn.mix, InstructionGroups::parse("REG:1"), test_caches(),
                                  small_options(16));
-  auto buffer = payload.make_buffer();
-  buffer->init(DataInitPolicy::kSafe, 1);
+  auto buffer = payload.make_buffer(DataInitPolicy::kSafe, 1);
   payload.fn()(&buffer->args(), 100);
   for (int i = 0; i < 16 * 8; ++i) EXPECT_EQ(buffer->dump()[i], 0.0);
 }
@@ -164,8 +159,7 @@ TEST(PayloadMemory, StoresActuallyWriteTheRegion) {
   if (!host_supports(fn.mix)) GTEST_SKIP() << "host lacks FMA";
   auto payload = compile_payload(fn.mix, InstructionGroups::parse("L1_S:1"), test_caches(),
                                  small_options(16));
-  auto buffer = payload.make_buffer();
-  buffer->init(DataInitPolicy::kSafe, 3);
+  auto buffer = payload.make_buffer(DataInitPolicy::kSafe, 3);
   // Snapshot the first lines of the L1 region, run, and expect changes.
   std::vector<double> before(buffer->args().l1, buffer->args().l1 + 64);
   payload.fn()(&buffer->args(), 10);
@@ -178,8 +172,7 @@ TEST(PayloadMemory, RegOnlyWorkloadLeavesRegionsUntouched) {
   if (!host_supports(fn.mix)) GTEST_SKIP() << "host lacks FMA";
   auto payload = compile_payload(fn.mix, InstructionGroups::parse("REG:1"), test_caches(),
                                  small_options(16));
-  auto buffer = payload.make_buffer();
-  buffer->init(DataInitPolicy::kSafe, 3);
+  auto buffer = payload.make_buffer(DataInitPolicy::kSafe, 3);
   std::vector<double> before(buffer->args().ram, buffer->args().ram + 512);
   payload.fn()(&buffer->args(), 1000);
   std::vector<double> after(buffer->args().ram, buffer->args().ram + 512);
@@ -195,8 +188,7 @@ TEST(PayloadMemory, StreamingCursorCoversWholeRegionWithoutFaulting) {
   options.ram_region_bytes = 64 * 1024;
   auto payload = compile_payload(fn.mix, InstructionGroups::parse("RAM_LS:1,REG:1"),
                                  test_caches(), options);
-  auto buffer = payload.make_buffer();
-  buffer->init(DataInitPolicy::kSafe, 11);
+  auto buffer = payload.make_buffer(DataInitPolicy::kSafe, 11);
   EXPECT_EQ(payload.fn()(&buffer->args(), 10000), 10000u);
 }
 
@@ -204,23 +196,11 @@ TEST(PayloadBuffer, AllocationsAlignedToTwiceRegionSize) {
   const auto& fn = find_function("FUNC_FMA_256_ZEN2");
   auto stats = analyze_payload(fn.mix, InstructionGroups::parse("L1_L:1,L2_L:1"), test_caches(),
                                small_options(16));
-  WorkBuffer buffer(stats.regions, stats.sequence);
+  WorkBuffer buffer(stats.regions, stats.sequence, DataInitPolicy::kSafe, 1);
   const auto l1_size = stats.regions.bytes[static_cast<int>(MemoryLevel::kL1)];
   const auto l2_size = stats.regions.bytes[static_cast<int>(MemoryLevel::kL2)];
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buffer.args().l1) % (2 * l1_size), 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buffer.args().l2) % (2 * l2_size), 0u);
-}
-
-TEST(PayloadBuffer, InitIsDeterministic) {
-  const auto& fn = find_function("FUNC_FMA_256_ZEN2");
-  auto stats = analyze_payload(fn.mix, InstructionGroups::parse("L1_L:1"), test_caches(),
-                               small_options(16));
-  WorkBuffer a(stats.regions, stats.sequence);
-  WorkBuffer b(stats.regions, stats.sequence);
-  a.init(DataInitPolicy::kSafe, 5);
-  b.init(DataInitPolicy::kSafe, 5);
-  const auto n = stats.regions.bytes[static_cast<int>(MemoryLevel::kL1)] / sizeof(double);
-  for (std::size_t i = 0; i < n; i += 97) EXPECT_EQ(a.args().l1[i], b.args().l1[i]);
 }
 
 std::uint64_t fnv1a(const void* data, std::size_t bytes) {
@@ -249,7 +229,8 @@ TEST(PayloadBuffer, OperandDigestMatchesRecord) {
     std::uint64_t digests[kNumMemoryLevels];  ///< constants block, then L1, L2, L3, RAM
   };
   // FNV-1a of every operand byte, recorded before buffers were filled at
-  // construction: the fill must keep its draw order and cover every pad.
+  // construction: the fill must keep its draw order, cover every pad, and
+  // give the same bytes for the same (policy, seed) in every process.
   const Record records[] = {
       {DataInitPolicy::kSafe,
        5,
@@ -273,8 +254,7 @@ TEST(PayloadBuffer, OperandDigestMatchesRecord) {
       analyze_payload(fn.mix, InstructionGroups::parse("RAM_L:1,L3_LS:1,L2_LS:2,L1_LS:8,REG:4"),
                       test_caches(), small_options(16));
   for (const Record& record : records) {
-    WorkBuffer buffer(stats.regions, stats.sequence);
-    buffer.init(record.policy, record.seed);
+    WorkBuffer buffer(stats.regions, stats.sequence, record.policy, record.seed);
     const double* regions[] = {buffer.args().l1, buffer.args().l2, buffer.args().l3,
                                buffer.args().ram};
     std::uint64_t digests[kNumMemoryLevels] = {
@@ -292,8 +272,7 @@ TEST(PayloadBuffer, SafeInitHasNoTrivialOperands) {
   const auto& fn = find_function("FUNC_FMA_256_ZEN2");
   auto stats = analyze_payload(fn.mix, InstructionGroups::parse("L1_L:1"), test_caches(),
                                small_options(16));
-  WorkBuffer buffer(stats.regions, stats.sequence);
-  buffer.init(DataInitPolicy::kSafe, 5);
+  WorkBuffer buffer(stats.regions, stats.sequence, DataInitPolicy::kSafe, 5);
   const double* consts = buffer.args().consts;
   for (std::size_t i = 0; i < ConstLayout::kDoubles; ++i) {
     EXPECT_TRUE(std::isfinite(consts[i]));
