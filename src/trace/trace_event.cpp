@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 
 #include "util/error.hpp"
 
@@ -37,6 +38,33 @@ void write_escaped(std::ostream& out, const std::string& s) {
 /// accepts fractional but integers keep files small and diffs stable).
 std::int64_t to_us(double seconds) {
   return static_cast<std::int64_t>(seconds * 1e6 + (seconds >= 0 ? 0.5 : -0.5));
+}
+
+/// A track (tid) per span such that the spans on each track nest: Perfetto
+/// drops a complete event that overlaps another on its track without
+/// nesting in it, and spans from different threads (the stress workers'
+/// parallel buffer builds) overlap. In begin order, each span takes the
+/// first track whose innermost open span encloses it, or a new track.
+std::vector<int> nesting_tracks(const std::vector<std::int64_t>& begin,
+                                const std::vector<std::int64_t>& end) {
+  std::vector<std::size_t> order(begin.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return begin[a] != begin[b] ? begin[a] < begin[b] : end[a] > end[b];  // encloser first
+  });
+  std::vector<std::vector<std::int64_t>> open;  ///< per track: open spans' ends, innermost last
+  std::vector<int> track(begin.size());
+  for (const std::size_t i : order) {
+    std::size_t t = 0;
+    for (; t < open.size(); ++t) {
+      while (!open[t].empty() && open[t].back() <= begin[i]) open[t].pop_back();
+      if (open[t].empty() || end[i] <= open[t].back()) break;
+    }
+    if (t == open.size()) open.emplace_back();
+    open[t].push_back(end[i]);
+    track[i] = static_cast<int>(t) + 1;
+  }
+  return track;
 }
 
 }  // namespace
@@ -139,14 +167,18 @@ void TraceCollector::write_json(std::ostream& out) const {
         << ",\"tid\":0,\"args\":{\"name\":";
     write_escaped(out, n.name);
     out << "}}";
+    std::vector<std::int64_t> begin, end;
     for (const Span& s : n.spans) {
-      const double begin = s.begin_s - n.offset_s - min_s;
-      const double dur = s.end_s - s.begin_s;
+      begin.push_back(to_us(s.begin_s - n.offset_s - min_s));
+      end.push_back(begin.back() + to_us(std::max(s.end_s - s.begin_s, 0.0)));
+    }
+    const std::vector<int> tracks = nesting_tracks(begin, end);
+    for (std::size_t i = 0; i < n.spans.size(); ++i) {
       sep();
       out << "{\"name\":";
-      write_escaped(out, s.name);
-      out << ",\"ph\":\"X\",\"ts\":" << to_us(begin) << ",\"dur\":" << to_us(std::max(dur, 0.0))
-          << ",\"pid\":" << pid + 1 << ",\"tid\":1}";
+      write_escaped(out, n.spans[i].name);
+      out << ",\"ph\":\"X\",\"ts\":" << begin[i] << ",\"dur\":" << end[i] - begin[i]
+          << ",\"pid\":" << pid + 1 << ",\"tid\":" << tracks[i] << "}";
     }
     // Counters land at the node's last rebased timestamp: they are
     // end-of-run snapshots, not a time series.

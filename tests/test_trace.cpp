@@ -224,6 +224,27 @@ TEST(TraceCollector, WriteJsonRoundTripsThroughTraceEventFormat) {
   EXPECT_FALSE(in_string);
 }
 
+TEST(TraceCollector, OverlappingSpansGetTheirOwnTrack) {
+  TraceCollector collector;
+  collector.add_node("local", 0.0);
+  collector.add_spans("local", {{"phase", 0.0, 1.0},
+                                {"worker0", 0.1, 0.4},   // nests in phase
+                                {"worker1", 0.2, 0.5},   // overlaps worker0, nests in neither
+                                {"after", 0.6, 0.7}});   // nests in phase again
+  std::ostringstream out;
+  collector.write_json(out);
+  const std::string json = out.str();
+  auto tid_of = [&json](const std::string& name) {
+    const std::size_t at = json.find("{\"name\":\"" + name + "\"");
+    EXPECT_NE(at, std::string::npos) << name;
+    return std::stoi(json.substr(json.find("\"tid\":", at) + 6));
+  };
+  EXPECT_EQ(tid_of("phase"), 1);
+  EXPECT_EQ(tid_of("worker0"), 1);
+  EXPECT_EQ(tid_of("worker1"), 2);
+  EXPECT_EQ(tid_of("after"), 1);
+}
+
 // ---- wire round trips for the new message types -----------------------------
 
 TEST(TraceMessages, TraceSpansRoundTrip) {
