@@ -97,9 +97,9 @@ class ThreadManager {
 
  private:
   struct Worker {
-    std::thread thread;
     std::atomic<std::uint64_t> iterations{0};
     std::exception_ptr error;  ///< buffer build failure, published by ready_count_
+    std::thread thread;        ///< after the members it uses
   };
 
   void worker_main(std::size_t index, int cpu);
