@@ -133,9 +133,11 @@ TEST(ThreadManager, WorkerBuffersUsePerWorkerSeeds) {
 
 TEST(ThreadManager, BufferAllocationFailureThrowsFromConstructor) {
   if (!host_has_fma()) GTEST_SKIP() << "host lacks FMA";
-  // A 1 TiB RAM region aligned to 2 TiB: the workers' allocations fail, and
-  // the constructor must join them all and throw instead of terminating.
-  auto payload = small_payload(/*dump=*/false, 1ull << 40);
+  // A 64 TiB RAM region aligned to 128 TiB needs more address space than
+  // x86-64 user space has, so the workers' allocations fail under every
+  // overcommit policy, and the constructor must join them all and throw
+  // instead of terminating.
+  auto payload = small_payload(/*dump=*/false, 1ull << 46);
   EXPECT_THROW(ThreadManager(payload, two_workers()), Error);
 }
 
