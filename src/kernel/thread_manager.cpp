@@ -47,6 +47,12 @@ ThreadManager::ThreadManager(const payload::CompiledPayload& payload, RunOptions
       std::this_thread::yield();
     for (const auto& worker : workers_)
       if (worker->error) std::rethrow_exception(worker->error);
+    // Recorded here, not on the workers: a worker thread lives for one
+    // phase, and the first span a thread records gives it a tracer ring
+    // that is kept until the process exits.
+    if (trace::Tracer::enabled())
+      for (const auto& worker : workers_)
+        trace::Tracer::record("kernel.buffer_init", worker->build_begin_s, worker->build_end_s);
   } catch (...) {
     stop();  // a joinable std::thread must not be destroyed
     throw;
@@ -84,13 +90,14 @@ void ThreadManager::worker_main(std::size_t index, int cpu) {
   Worker& self = *workers_[index];
   try {
     pin_to_cpu(cpu);
-    TRACE_SPAN("kernel.buffer_init");
+    self.build_begin_s = trace::now_s();
     // Built after pinning, so this CPU touches every page first and the
     // pages land on its memory node. Distinct seed per worker: identical
     // operand streams across cores would underestimate data-toggle power
     // on a real machine.
     buffers_[index] =
         payload_.make_buffer(options_.policy, options_.seed + index * 0x9e3779b97f4a7c15ULL);
+    self.build_end_s = trace::now_s();
   } catch (...) {
     self.error = std::current_exception();
   }

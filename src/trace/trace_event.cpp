@@ -42,8 +42,8 @@ std::int64_t to_us(double seconds) {
 
 /// A track (tid) per span such that the spans on each track nest: Perfetto
 /// drops a complete event that overlaps another on its track without
-/// nesting in it, and spans from different threads (the stress workers'
-/// parallel buffer builds) overlap. In begin order, each span takes the
+/// nesting in it, and spans of work on different threads (the stress
+/// workers' parallel buffer builds) overlap. In begin order, each span takes the
 /// first track whose innermost open span encloses it, or a new track.
 std::vector<int> nesting_tracks(const std::vector<std::int64_t>& begin,
                                 const std::vector<std::int64_t>& end) {

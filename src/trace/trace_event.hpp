@@ -51,10 +51,10 @@ class TraceCollector {
   /// Write {"traceEvents":[...]} — "M" process_name metadata per node,
   /// "X" complete events per span, "C" counter events per snapshot entry.
   /// A node's spans share tid 1 unless they overlap without nesting (spans
-  /// of parallel threads); each of those goes to the next track on which
-  /// it nests. Spans carry no thread identity, so a track is a nesting
-  /// lane: a short span of one thread can sit under a longer span of
-  /// another.
+  /// of work on parallel threads); each of those goes to the next track on
+  /// which it nests. Spans carry no thread identity, so a track is a
+  /// nesting lane: a short span of one thread can sit under a longer span
+  /// of another.
   void write_json(std::ostream& out) const;
 
  private:

@@ -45,9 +45,11 @@ struct ThreadRing {
 
 /// Rings are registered once per thread and retained for the life of the
 /// process (the global list holds a shared_ptr), so events buffered by a
-/// thread that has since exited are still drained losslessly. Thread counts
-/// here are small and bounded (workers + reactor + main), so the list never
-/// grows meaningfully.
+/// thread that has since exited are still drained losslessly. Each ring is
+/// ~384 KiB, so only threads that live as long as a run (main, reactor,
+/// coordinator) may record; a thread that lives for one phase must hand
+/// its spans to one of those, as ThreadManager does for its workers. The
+/// list then stays small and bounded.
 struct RingDirectory {
   std::mutex mutex;
   std::vector<std::shared_ptr<ThreadRing>> rings;
@@ -89,6 +91,12 @@ std::uint64_t Tracer::dropped() {
   std::uint64_t total = 0;
   for (const auto& ring : dir.rings) total += ring->dropped.load(std::memory_order_relaxed);
   return total;
+}
+
+std::size_t Tracer::rings() {
+  RingDirectory& dir = directory();
+  std::lock_guard<std::mutex> lock(dir.mutex);
+  return dir.rings.size();
 }
 
 void Tracer::reset() {

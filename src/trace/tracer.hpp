@@ -60,6 +60,10 @@ class Tracer {
   /// Events dropped on full rings since the last reset().
   static std::uint64_t dropped();
 
+  /// Rings held: one per thread that has ever recorded a span, kept until
+  /// the process exits (reset() empties them but keeps them). Test hook.
+  static std::size_t rings();
+
   /// Discard all buffered events, drop counts, and the enabled flag.
   /// Test/benchmark hook; not thread-safe against live producers.
   static void reset();

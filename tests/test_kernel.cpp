@@ -143,17 +143,27 @@ TEST(ThreadManager, BufferAllocationFailureThrowsFromConstructor) {
 
 TEST(ThreadManager, TracesOneBufferInitSpanPerWorker) {
   if (!host_has_fma()) GTEST_SKIP() << "host lacks FMA";
+  // Every host phase and tuning candidate starts fresh workers. The tracer
+  // keeps a thread's ring until the process exits, so the workers' spans
+  // must go on the constructing thread's ring, not on rings of their own.
   auto payload = small_payload();
   trace::Tracer::reset();
   trace::Tracer::set_enabled(true);
-  { ThreadManager manager(payload, two_workers()); }
+  { ThreadManager first(payload, two_workers()); }  // may give this thread its ring
+  const std::size_t rings = trace::Tracer::rings();
+  for (int i = 0; i < 16; ++i) {
+    ThreadManager manager(payload, two_workers());
+  }
   trace::Tracer::set_enabled(false);
+  EXPECT_EQ(trace::Tracer::rings(), rings);
   std::vector<trace::SpanEvent> events;
   trace::Tracer::drain(events);
   const auto spans = std::count_if(events.begin(), events.end(), [](const trace::SpanEvent& e) {
-    return std::strcmp(e.name, "kernel.buffer_init") == 0;
+    return std::strcmp(e.name, "kernel.buffer_init") == 0 && 0.0 < e.begin_s &&
+           e.begin_s <= e.end_s;
   });
-  EXPECT_EQ(spans, 2);
+  EXPECT_EQ(spans, 2 * 17);
+  trace::Tracer::reset();
 }
 
 TEST(ThreadManager, ValidatesOptions) {
