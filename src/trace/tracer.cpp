@@ -45,11 +45,10 @@ struct ThreadRing {
 
 /// Rings are registered once per thread and retained for the life of the
 /// process (the global list holds a shared_ptr), so events buffered by a
-/// thread that has since exited are still drained losslessly. Each ring is
-/// ~384 KiB, so only threads that live as long as a run (main, reactor,
-/// coordinator) may record; a thread that lives for one phase must hand
-/// its spans to one of those, as ThreadManager does for its workers. The
-/// list then stays small and bounded.
+/// thread that has since exited are still drained losslessly. A ring is
+/// ~384 KiB, so a thread that lives for one phase should hand its spans to
+/// a longer-lived thread rather than record them, as ThreadManager does for
+/// its stress workers.
 struct RingDirectory {
   std::mutex mutex;
   std::vector<std::shared_ptr<ThreadRing>> rings;
