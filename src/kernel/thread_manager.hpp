@@ -99,9 +99,10 @@ class ThreadManager {
   struct Worker {
     std::atomic<std::uint64_t> iterations{0};
     std::exception_ptr error;  ///< buffer build failure, published by ready_count_
-    double build_begin_s = 0.0;  ///< buffer build span (trace::now_s), published
-    double build_end_s = 0.0;    ///< by ready_count_ like error
-    std::thread thread;        ///< after the members it uses
+    /// Buffer build span in trace::now_s() seconds, published by ready_count_.
+    double build_begin_s = 0.0;
+    double build_end_s = 0.0;
+    std::thread thread;  ///< after the members it uses
   };
 
   void worker_main(std::size_t index, int cpu);
