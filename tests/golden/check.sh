@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Golden-output check: runs fs2 on the deterministic simulated workloads CI
 # smokes (three example campaigns, the sine and power-target single runs,
-# and an open-loop loopback fleet) and compares stdout, --record-trace and
-# --control-log byte for byte against the files in this directory.
+# a fixed-seed NSGA-II tuning run and an open-loop loopback fleet) and
+# compares stdout, --record-trace, --control-log and --optimization-log
+# byte for byte against the files in this directory.
 #
 #   tests/golden/check.sh FS2_BINARY REPO_ROOT            # compare (ctest)
 #   tests/golden/check.sh FS2_BINARY REPO_ROOT --update   # rewrite the files
@@ -61,6 +62,12 @@ run sine --simulate=zen2 --freq 1500 -t 30 \
     --measurement --start-delta=2000 --stop-delta=1000
 run target_power --simulate=zen2 --freq 1500 -t 30 --target power=300W \
     --measurement --require-convergence
+
+# Self-tuning (Sec. IV-E) on the simulator: the log holds every
+# candidate's objectives, so any change to the measurement window shows.
+"$fs2" --simulate=zen2 --freq 2000 --optimize=NSGA2 --individuals 20 --generations 10 \
+    --seed 1 --optimization-log optimize.csv --log-level error > optimize.out
+check optimize.out optimize.csv
 
 # Loopback fleet: only the per-node rows of the merged CSV are
 # deterministic. The coordinator's port, clock offsets, begin spreads and

@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "firestarter/backends.hpp"
 #include "firestarter/config.hpp"
 #include "firestarter/firestarter.hpp"
+#include "metrics/measurement.hpp"
+#include "payload/compiler.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace fs2::firestarter {
 namespace {
@@ -230,6 +234,55 @@ TEST(SimBackendTest, EvaluationIsApproximatelyDeterministic) {
   // Different measurement noise per evaluation, but within the noise band.
   EXPECT_NEAR(a[0], b[0], a[0] * 0.01);
   EXPECT_DOUBLE_EQ(a[1], b[1]);  // IPC has no noise
+}
+
+TEST(SimBackendTest, WindowMatchesStreamingReference) {
+  // The objectives are exactly the means a metrics::TimeSeries window
+  // reports over the same samples: the simulated LMG95 at 20 Sa/s with
+  // 0.4 % noise from Xoshiro256(seed + n) on the n-th evaluation, and the
+  // noiseless IPC counter, with a start trim of 10 % (at most 1 s).
+  // 0.06 s leaves one sample at t = 0, which the trim removes, so the
+  // window falls back to the untrimmed mean.
+  const auto& mix = payload::find_function("FUNC_FMA_256_ZEN2").mix;
+  const auto caches = arch::CacheHierarchy::zen2();
+  sim::RunConditions cond;
+  cond.freq_mhz = 2000;
+  const std::uint64_t seed = 17;
+  for (const double duration : {10.0, 5.0, 0.5, 0.12, 0.06}) {
+    SCOPED_TRACE(duration);
+    sim::SimulatedSystem system(sim::MachineConfig::zen2_epyc7502_2s());
+    SimBackend backend(system, mix, caches, cond, duration, seed);
+    backend.preheat();
+    tuning::GroupsProblem problem(backend);
+    Xoshiro256 genomes(static_cast<std::uint64_t>(duration * 100.0));
+    for (std::uint64_t n = 1; n <= 50; ++n) {
+      tuning::Genome genome(problem.genome_length());
+      for (std::size_t i = 0; i < genome.size(); ++i)
+        genome[i] = static_cast<std::uint32_t>(genomes.below(problem.gene_max(i) + 1));
+      const std::vector<double> objectives = problem.evaluate(genome);
+
+      const sim::WorkloadPoint point = system.simulator().run(
+          payload::analyze_payload(mix, tuning::GroupsProblem::to_groups(genome), caches), cond);
+      EXPECT_EQ(system.point().power_w, point.power_w);  // published for other readers
+      const double trim = std::min(1.0, duration * 0.1);
+      metrics::TimeSeries power("power", "W", trim, 0.0);
+      metrics::TimeSeries ipc("ipc", "instructions/cycle", trim, 0.0);
+      Xoshiro256 noise(seed + n);
+      const auto samples = static_cast<std::size_t>(duration * 20.0);
+      for (std::size_t i = 0; i < samples; ++i) {
+        const double t = static_cast<double>(i) / 20.0;
+        power.add(t, point.power_w * (1.0 + 0.004 * noise.normal()));
+        ipc.add(t, point.ipc_per_core);
+      }
+      ASSERT_EQ(objectives.size(), 2u);
+      EXPECT_EQ(objectives[0], power.summarize().mean);
+      EXPECT_EQ(objectives[1], ipc.summarize().mean);
+    }
+  }
+  // 0.04 s at 20 Sa/s is no sample at all.
+  sim::SimulatedSystem system(sim::MachineConfig::zen2_epyc7502_2s());
+  SimBackend backend(system, mix, caches, cond, 0.04, seed);
+  EXPECT_THROW(backend.evaluate(payload::InstructionGroups::parse("REG:1")), Error);
 }
 
 }  // namespace
