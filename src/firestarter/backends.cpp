@@ -1,13 +1,17 @@
 #include "firestarter/backends.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
 #include "kernel/thread_manager.hpp"
 #include "metrics/measurement.hpp"
-#include "metrics/sim_metrics.hpp"
 #include "payload/compiler.hpp"
+#include "util/error.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
+#include "util/strings.hpp"
 
 namespace fs2::firestarter {
 
@@ -29,27 +33,37 @@ void SimBackend::preheat() {
 
 std::vector<double> SimBackend::evaluate(const payload::InstructionGroups& groups) {
   const auto stats = payload::analyze_payload(mix_, groups, caches_);
-  system_.set_point(system_.simulator().run(stats, conditions_));
+  const sim::WorkloadPoint point = system_.simulator().run(stats, conditions_);
+  system_.set_point(point);
 
-  // "Measure" through the same Metric interface a real run uses: the
-  // simulated LMG95 at 20 Sa/s plus the simulated IPC counter, aggregated
-  // over the candidate window with a short start trim (the trim window
-  // binds when the streaming measurement window opens).
-  metrics::SimPowerMetric power(&system_, seed_ + ++evaluations_);
-  metrics::SimIpcMetric ipc(&system_);
-  const double start_trim = std::min(1.0, duration_s_ * 0.1);
-  metrics::TimeSeries power_series(power.name(), power.unit(), start_trim, 0.0);
-  metrics::TimeSeries ipc_series(ipc.name(), ipc.unit(), start_trim, 0.0);
+  // "Measure" the candidate the way the testbed does: the LMG95 at 20 Sa/s
+  // with 0.4 % noise, plus the IPC counter, over the candidate window in
+  // virtual time with a short start trim. The objectives are the window
+  // means; Accumulator's Welford update is the arithmetic of
+  // metrics::TimeSeries, so they equal a TimeSeries window bit for bit.
+  Xoshiro256 noise(seed_ + ++evaluations_);
   const double sample_hz = 20.0;
   const auto samples = static_cast<std::size_t>(duration_s_ * sample_hz);
-  power.begin();
-  ipc.begin();
-  for (std::size_t i = 0; i < samples; ++i) {
-    const double t = static_cast<double>(i) / sample_hz;  // virtual time
-    power_series.add(t, power.sample());
-    ipc_series.add(t, ipc.sample());
+  if (samples == 0)
+    throw Error(strings::format("SimBackend: a %g s candidate window holds no sample at %g Sa/s",
+                                duration_s_, sample_hz));
+  const double start_trim = std::min(1.0, duration_s_ * 0.1);
+  std::size_t first = 0;  // first sample at t >= start_trim
+  while (first < samples && static_cast<double>(first) / sample_hz < start_trim) ++first;
+  if (first == samples) {
+    log::warn() << "SimBackend: the " << start_trim << " s start trim removed every sample of the "
+                << duration_s_ << " s candidate window; reporting the untrimmed means";
+    first = 0;
   }
-  return {power_series.summarize().mean, ipc_series.summarize().mean};
+  stats::Accumulator power;
+  stats::Accumulator ipc;
+  for (std::size_t i = 0; i < samples; ++i) {
+    const double watts = point.power_w * (1.0 + 0.004 * noise.normal());  // trimmed draws too
+    if (i < first) continue;
+    power.add(watts);
+    ipc.add(point.ipc_per_core);
+  }
+  return {power.mean(), ipc.mean()};
 }
 
 HostBackend::HostBackend(payload::InstructionMix mix, arch::CacheHierarchy caches,

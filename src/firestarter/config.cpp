@@ -259,6 +259,10 @@ Config parse_args(int argc, const char* const* argv) {
     }
   }
 
+  // The candidate window samples at 20 Sa/s: below 0.1 s it holds fewer
+  // than two samples, and the 10 % start trim may leave none.
+  if (cfg.optimize && cfg.candidate_duration_s < 0.1)
+    throw ConfigError("-t under --optimize must be at least 0.1 seconds per candidate");
   if (cfg.optimize && cfg.optimization_metrics.empty()) {
     // Paper default: power + IPC (Sec. III-C).
     cfg.optimization_metrics = {"power", "ipc"};
@@ -283,7 +287,8 @@ Workload (Sec. III):
   --allow-infinity-bug         reproduce the v1.7.4 operand bug (Sec. III-D)
 
 Execution:
-  -t, --timeout SEC            stop after SEC seconds
+  -t, --timeout SEC            stop after SEC seconds (with --optimize: each
+                               candidate's window, at least 0.1)
   -l, --load PCT               busy fraction per period (default 100)
   -p, --period US              load/idle modulation period in microseconds
                                (default 100000)

@@ -14,7 +14,7 @@ using Sample = telemetry::Sample;
 
 /// A measurable quantity of the system under stress (paper Sec. III-C).
 /// Implementations: RAPL package power, perf_event IPC, estimated IPC,
-/// external plugin metrics, and the simulated power meter.
+/// and external plugin metrics.
 ///
 /// Protocol: `begin()` arms the metric (resets counters); `sample()` is
 /// polled periodically and returns the metric's value over the interval

@@ -8,9 +8,7 @@ namespace fs2::sim {
 
 /// Thread-safe "system under test" handle for simulator-backed runs: the
 /// orchestrator publishes the current operating point whenever the workload
-/// or frequency changes, and metric providers (the simulated power meter,
-/// the simulated IPC counter) read it concurrently — exactly the role the
-/// LMG95 + MetricQ pipeline plays for the real testbed (Fig. 10).
+/// or frequency changes, and readers on other threads see the latest one.
 class SimulatedSystem {
  public:
   explicit SimulatedSystem(MachineConfig config) : simulator_(std::move(config)) {}

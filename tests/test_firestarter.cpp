@@ -121,6 +121,11 @@ TEST(Cli, RejectsBadInput) {
   EXPECT_THROW(parse({"--optimize=SIMPLEX"}), ConfigError);
   EXPECT_THROW(parse({"--nsga2-m=1.5"}), ConfigError);
   EXPECT_THROW(parse({"-t"}), ConfigError);  // missing value
+  // A candidate window shorter than two 20 Sa/s samples.
+  EXPECT_THROW(parse({"--optimize=NSGA2", "-t", "0.04"}), ConfigError);
+  EXPECT_THROW(parse({"-t", "0.06", "--optimize=NSGA2"}), ConfigError);
+  EXPECT_DOUBLE_EQ(parse({"--optimize=NSGA2", "-t", "0.1"}).candidate_duration_s, 0.1);
+  EXPECT_DOUBLE_EQ(parse({"-t", "0.04"}).timeout_s, 0.04);  // no window without --optimize
 }
 
 TEST(Cli, OptimizeDefaultsMetrics) {

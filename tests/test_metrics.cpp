@@ -1,7 +1,7 @@
 // Tests for the metric framework: measurement windows with start/stop-delta
 // trimming, RAPL sysfs parsing against fixture trees (including counter
 // wraparound), the perf/estimate IPC pair, external plugin and command
-// metrics, and the simulated power meter.
+// metrics, and the simulated system's idle point.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +16,7 @@
 #include "metrics/ipc_estimate.hpp"
 #include "metrics/measurement.hpp"
 #include "metrics/rapl.hpp"
-#include "metrics/sim_metrics.hpp"
-#include "payload/mix.hpp"
+#include "sim/sim_system.hpp"
 #include "util/error.hpp"
 
 namespace fs2::metrics {
@@ -274,25 +273,6 @@ TEST(HwEvents, UnknownRawEventIsUnavailableNotFatal) {
 }
 
 // ---- simulated metrics ----------------------------------------------------------------------
-
-TEST(SimMetrics, TrackTheSimulatedSystemPoint) {
-  sim::SimulatedSystem system(sim::MachineConfig::zen2_epyc7502_2s());
-  const auto& mix = payload::find_function("FUNC_FMA_256_ZEN2").mix;
-  const auto stats = payload::analyze_payload(
-      mix, payload::InstructionGroups::parse("REG:1"), arch::CacheHierarchy::zen2());
-  sim::RunConditions cond;
-  cond.freq_mhz = 1500;
-  system.set_point(system.simulator().run(stats, cond));
-
-  SimPowerMetric power(&system, 7);
-  SimIpcMetric ipc(&system);
-  ASSERT_TRUE(power.available());
-  ASSERT_TRUE(ipc.available());
-  const double expected = system.point().power_w;
-  // Noise is 0.4 %: a hundred samples all stay within 3 %.
-  for (int i = 0; i < 100; ++i) EXPECT_NEAR(power.sample(), expected, expected * 0.03);
-  EXPECT_DOUBLE_EQ(ipc.sample(), system.point().ipc_per_core);
-}
 
 TEST(SimMetrics, IdleBeforeAnyPointIsPublished) {
   sim::SimulatedSystem system(sim::MachineConfig::zen2_epyc7502_2s());
