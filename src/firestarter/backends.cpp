@@ -58,7 +58,8 @@ std::vector<double> SimBackend::evaluate(const payload::InstructionGroups& group
   stats::Accumulator power;
   stats::Accumulator ipc;
   for (std::size_t i = 0; i < samples; ++i) {
-    const double watts = point.power_w * (1.0 + 0.004 * noise.normal());  // trimmed draws too
+    // Trimmed samples draw their noise too, so every sample keeps its draw.
+    const double watts = point.power_w * (1.0 + 0.004 * noise.normal());
     if (i < first) continue;
     power.add(watts);
     ipc.add(point.ipc_per_core);

@@ -257,7 +257,6 @@ TEST(SimBackendTest, WindowMatchesStreamingReference) {
     SCOPED_TRACE(duration);
     sim::SimulatedSystem system(sim::MachineConfig::zen2_epyc7502_2s());
     SimBackend backend(system, mix, caches, cond, duration, seed);
-    backend.preheat();
     tuning::GroupsProblem problem(backend);
     Xoshiro256 genomes(static_cast<std::uint64_t>(duration * 100.0));
     for (std::uint64_t n = 1; n <= 50; ++n) {
