@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -182,6 +183,35 @@ TEST(Backoff, DeterministicScheduleWithBoundedJitter) {
 
 // ---- wire-protocol hardening ------------------------------------------------
 
+/// Decode one message of `type` from `in` and hand it to `fn`.
+template <class Fn>
+void decode_as(MessageType type, WireReader& in, Fn&& fn) {
+  switch (type) {
+    case MessageType::kHello: fn(HelloMsg::decode(in)); break;
+    case MessageType::kSyncProbe: fn(SyncProbeMsg::decode(in)); break;
+    case MessageType::kSyncReply: fn(SyncReplyMsg::decode(in)); break;
+    case MessageType::kCampaign: fn(CampaignMsg::decode(in)); break;
+    case MessageType::kEpoch: fn(EpochMsg::decode(in)); break;
+    case MessageType::kChannel: fn(ChannelMsg::decode(in)); break;
+    case MessageType::kPhaseBracket: fn(PhaseBracketMsg::decode(in)); break;
+    case MessageType::kSampleBatch: fn(SampleBatchMsg::decode(in)); break;
+    case MessageType::kPhaseGo: fn(PhaseGoMsg::decode(in)); break;
+    case MessageType::kBudgetReport: fn(BudgetReportMsg::decode(in)); break;
+    case MessageType::kBudgetAssign: fn(BudgetAssignMsg::decode(in)); break;
+    case MessageType::kVerdict: fn(VerdictMsg::decode(in)); break;
+    case MessageType::kShutdown: fn(ShutdownMsg::decode(in)); break;
+    case MessageType::kNodeSummary: fn(NodeSummaryMsg::decode(in)); break;
+    case MessageType::kTraceSpans: fn(TraceSpansMsg::decode(in)); break;
+    case MessageType::kCounterSnapshot: fn(CounterSnapshotMsg::decode(in)); break;
+    case MessageType::kStatusRequest: fn(StatusRequestMsg::decode(in)); break;
+    case MessageType::kStatusReply: fn(StatusReplyMsg::decode(in)); break;
+    case MessageType::kMetricUpdate: fn(MetricUpdateMsg::decode(in)); break;
+    case MessageType::kFlightRecord: fn(FlightRecordMsg::decode(in)); break;
+    case MessageType::kRejoin: fn(RejoinMsg::decode(in)); break;
+    case MessageType::kRejoinAck: fn(RejoinAckMsg::decode(in)); break;
+  }
+}
+
 /// Decode `payload` as `type`; returns true if the decoder accepted it.
 /// Anything other than a clean return or a WireError is a hardening bug
 /// (uncaught std::length_error from a hostile vector resize, a segfault,
@@ -189,34 +219,31 @@ TEST(Backoff, DeterministicScheduleWithBoundedJitter) {
 bool decode_any(MessageType type, const std::vector<std::uint8_t>& payload) {
   WireReader in(payload);
   try {
-    switch (type) {
-      case MessageType::kHello: HelloMsg::decode(in); break;
-      case MessageType::kSyncProbe: SyncProbeMsg::decode(in); break;
-      case MessageType::kSyncReply: SyncReplyMsg::decode(in); break;
-      case MessageType::kCampaign: CampaignMsg::decode(in); break;
-      case MessageType::kEpoch: EpochMsg::decode(in); break;
-      case MessageType::kChannel: ChannelMsg::decode(in); break;
-      case MessageType::kPhaseBracket: PhaseBracketMsg::decode(in); break;
-      case MessageType::kSampleBatch: SampleBatchMsg::decode(in); break;
-      case MessageType::kPhaseGo: PhaseGoMsg::decode(in); break;
-      case MessageType::kBudgetReport: BudgetReportMsg::decode(in); break;
-      case MessageType::kBudgetAssign: BudgetAssignMsg::decode(in); break;
-      case MessageType::kVerdict: VerdictMsg::decode(in); break;
-      case MessageType::kShutdown: ShutdownMsg::decode(in); break;
-      case MessageType::kNodeSummary: NodeSummaryMsg::decode(in); break;
-      case MessageType::kTraceSpans: TraceSpansMsg::decode(in); break;
-      case MessageType::kCounterSnapshot: CounterSnapshotMsg::decode(in); break;
-      case MessageType::kStatusRequest: StatusRequestMsg::decode(in); break;
-      case MessageType::kStatusReply: StatusReplyMsg::decode(in); break;
-      case MessageType::kMetricUpdate: MetricUpdateMsg::decode(in); break;
-      case MessageType::kFlightRecord: FlightRecordMsg::decode(in); break;
-      case MessageType::kRejoin: RejoinMsg::decode(in); break;
-      case MessageType::kRejoinAck: RejoinAckMsg::decode(in); break;
-    }
+    decode_as(type, in, [](const auto&) {});
   } catch (const WireError&) {
     return false;  // the one sanctioned failure mode
   }
   return true;
+}
+
+/// Decode a frame and encode the message again.
+Frame reencode(const Frame& frame) {
+  WireReader in(frame.payload);
+  Frame out;
+  decode_as(frame.type, in, [&](const auto& m) { out = m.encode(); });
+  return out;
+}
+
+/// FNV-1a 64 over the type byte and the payload.
+std::uint64_t frame_digest(const Frame& frame) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint8_t byte) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  };
+  mix(static_cast<std::uint8_t>(frame.type));
+  for (const std::uint8_t byte : frame.payload) mix(byte);
+  return hash;
 }
 
 /// One well-formed exemplar frame per message type, with strings and
@@ -244,7 +271,10 @@ std::vector<Frame> exemplar_frames() {
     frames.push_back(m.encode()); }
   { TraceSpansMsg m; m.spans.push_back(trace::Span{"agent.phase", 1.0, 2.0});
     frames.push_back(m.encode()); }
-  { CounterSnapshotMsg m; frames.push_back(m.encode()); }
+  { CounterSnapshotMsg m;
+    m.counters.push_back(trace::MetricSnapshot{"cluster.frames_sent", 42.0, true});
+    m.counters.push_back(trace::MetricSnapshot{"cluster.queue_depth", 3.5, false});
+    frames.push_back(m.encode()); }
   { StatusRequestMsg m; frames.push_back(m.encode()); }
   { StatusReplyMsg m; m.nodes_expected = 2;
     StatusNodeRec rec; rec.name = "alpha"; rec.sku = "sim-zen2"; rec.rejoins = 1;
@@ -253,8 +283,14 @@ std::vector<Frame> exemplar_frames() {
     spread.max_node = "beta"; m.spreads.push_back(spread);
     StatusAlertRec alert; alert.kind = "node-lost"; alert.node = "beta";
     alert.detail = "peer closed"; m.alerts.push_back(alert);
+    m.counters.push_back(trace::MetricSnapshot{"coordinator.frames_in", 128.0, true});
     frames.push_back(m.encode()); }
-  { MetricUpdateMsg m; m.seq = 1; frames.push_back(m.encode()); }
+  { MetricUpdateMsg m; m.seq = 1; m.t_agent_s = 2.5;
+    m.delta.defs.push_back(trace::MetricDefRec{4, "agent.poll_us", trace::MetricKind::kHistogram});
+    m.delta.counters.push_back(trace::CounterDeltaRec{1, 7});
+    m.delta.gauges.push_back(trace::GaugeValueRec{2, 0.75});
+    m.delta.hists.push_back(trace::HistogramDeltaRec{4, 5, 12.5, 4.0, {{3, 2}, {7, 3}}});
+    frames.push_back(m.encode()); }
   { FlightRecordMsg m; m.reason = "test"; m.dump = "dump text"; frames.push_back(m.encode()); }
   { RejoinMsg m; m.node_name = "alpha"; m.campaign_id = 0xFEEDF00Dull;
     m.phases_ended = 1; frames.push_back(m.encode()); }
@@ -264,6 +300,21 @@ std::vector<Frame> exemplar_frames() {
 }
 
 TEST(WireHardening, ExemplarCorpusCoversEveryMessageType) {
+  // FNV-1a of each exemplar's type byte and payload, indexed by MessageType
+  // value - 1. They pin the wire bytes of every message type.
+  const std::uint64_t recorded[22] = {
+      0x24f42639489f4cc4ULL, 0x8ea80b3453e0374fULL,  // hello, sync-probe
+      0xc8e5bb43b9e4c1f9ULL, 0xefa5c84b20fc0e94ULL,  // sync-reply, campaign
+      0x22a3169517d714c8ULL, 0x7d96a0133cdf66f5ULL,  // epoch, channel
+      0x6dee849dda84dd0dULL, 0xc05392d59295a8daULL,  // phase-bracket, sample-batch
+      0x7d79de133ec34b26ULL, 0xf89a2e4642a9756aULL,  // phase-go, budget-report
+      0x01ce8c8ad121c7c3ULL, 0x06208bb84de53745ULL,  // budget-assign, verdict
+      0x083cbb07b4f41b1bULL, 0x41ac2fcbd2667d15ULL,  // shutdown, node-summary
+      0xcf8115d7fedbe541ULL, 0x08c136c30d76de55ULL,  // trace-spans, counter-snapshot
+      0xc30b9b3d7a31ef69ULL, 0x94eabb729cc52828ULL,  // status-request, status-reply
+      0xbe85bcab75c05439ULL, 0x7ebe263f14dbf287ULL,  // metric-update, flight-record
+      0x51010d31ae0f6ccfULL, 0x5f867c1052a947d5ULL,  // rejoin, rejoin-ack
+  };
   // If a new MessageType lands without an exemplar, the corpus silently
   // stops covering it — fail loudly instead.
   const auto frames = exemplar_frames();
@@ -271,10 +322,19 @@ TEST(WireHardening, ExemplarCorpusCoversEveryMessageType) {
   std::vector<bool> seen(64, false);
   for (const Frame& f : frames) {
     const auto idx = static_cast<std::size_t>(f.type);
+    ASSERT_GE(idx, 1u);
+    ASSERT_LE(idx, 22u);
     EXPECT_FALSE(seen[idx]) << "duplicate exemplar for " << to_string(f.type);
     seen[idx] = true;
     EXPECT_TRUE(decode_any(f.type, f.payload))
         << to_string(f.type) << ": a well-formed frame must decode";
+    const Frame again = reencode(f);
+    EXPECT_EQ(again.type, f.type);
+    EXPECT_EQ(again.payload, f.payload)
+        << to_string(f.type) << ": decode then encode changed the bytes";
+    EXPECT_EQ(frame_digest(f), recorded[idx - 1])
+        << to_string(f.type) << ": wire bytes changed (measured 0x" << std::hex << frame_digest(f)
+        << "); a wire change must bump kProtocolVersion and re-record this digest";
   }
 }
 
@@ -320,6 +380,20 @@ TEST(WireHardening, HostileLengthPrefixesAreRejectedNotAllocated) {
     WireWriter w;
     w.u32(0xFFFFFFFFu);  // absurd count/length with no bytes behind it
     EXPECT_FALSE(decode_any(type, w.bytes())) << to_string(type);
+  }
+}
+
+TEST(WireHardening, HostileCountAtEveryOffsetFailsCleanly) {
+  // Stamping 0xFFFFFFFF over every 4-byte window lands a ~4 Gi count on each
+  // length prefix in turn, nested ones included (histogram buckets, status
+  // rows), without the test knowing the layout. Every decoder must check the
+  // count against the bytes left before it allocates.
+  for (const Frame& frame : exemplar_frames()) {
+    for (std::size_t at = 0; at < frame.payload.size(); ++at) {
+      std::vector<std::uint8_t> hostile = frame.payload;
+      for (std::size_t i = at; i < std::min(at + 4, hostile.size()); ++i) hostile[i] = 0xFF;
+      decode_any(frame.type, hostile);  // clean accept or WireError only
+    }
   }
 }
 
