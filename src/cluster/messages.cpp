@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 namespace fs2::cluster {
 
@@ -35,147 +37,199 @@ const char* to_string(MessageType type) {
 
 namespace {
 
-Frame make_frame(MessageType type, WireWriter&& w) {
+// ---- one field list per record ---------------------------------------------
+//
+// `fields(record, io)` names a record's fields in wire order, which is their
+// declaration order in messages.hpp (and trace/ for the nested trace
+// records). FieldWriter and FieldReader turn that single list into every
+// encode() and decode() below:
+//   - u8, bool and enums are one byte;
+//   - u32, u64, f64 and strings are as WireWriter writes them;
+//   - a vector is its u32 count followed by its elements.
+
+class FieldWriter {
+ public:
+  template <class... T>
+  void operator()(const T&... v) { (put(v), ...); }
+  std::size_t size() const { return w_.bytes().size(); }
+  std::vector<std::uint8_t> take() { return w_.take(); }
+
+ private:
+  void put(std::uint8_t v) { w_.u8(v); }
+  void put(bool v) { w_.u8(v ? 1 : 0); }
+  void put(std::uint32_t v) { w_.u32(v); }
+  void put(std::uint64_t v) { w_.u64(v); }
+  void put(double v) { w_.f64(v); }
+  void put(const std::string& v) { w_.str(v); }
+  template <class E> requires std::is_enum_v<E>
+  void put(E v) { w_.u8(static_cast<std::uint8_t>(v)); }
+  template <class A, class B>
+  void put(const std::pair<A, B>& v) {
+    put(v.first);
+    put(v.second);
+  }
+  template <class T>
+  void put(const std::vector<T>& v) {
+    w_.u32(static_cast<std::uint32_t>(v.size()));
+    for (const T& e : v) put(e);
+  }
+  /// A record: its field list. The writer only reads, so one non-const
+  /// `fields` serves both directions.
+  template <class R> requires std::is_class_v<R>
+  void put(const R& record) { fields(const_cast<R&>(record), *this); }
+
+  WireWriter w_;
+};
+
+/// Wire size of a default-constructed T. Strings and vectors default to
+/// empty and every other field has a fixed width, so no T is shorter.
+template <class T>
+std::size_t min_wire_size() {
+  static const std::size_t size = [] {
+    FieldWriter w;
+    w(T{});
+    return w.size();
+  }();
+  return size;
+}
+
+class FieldReader {
+ public:
+  explicit FieldReader(WireReader& in) : in_(in) {}
+  template <class... T>
+  void operator()(T&... v) { (get(v), ...); }
+
+ private:
+  void get(std::uint8_t& v) { v = in_.u8(); }
+  void get(bool& v) { v = in_.u8() != 0; }
+  void get(std::uint32_t& v) { v = in_.u32(); }
+  void get(std::uint64_t& v) { v = in_.u64(); }
+  void get(double& v) { v = in_.f64(); }
+  void get(std::string& v) { v = in_.str(); }
+  template <class E> requires std::is_enum_v<E>
+  void get(E& v) { v = static_cast<E>(in_.u8()); }
+  template <class A, class B>
+  void get(std::pair<A, B>& v) {
+    get(v.first);
+    get(v.second);
+  }
+  template <class T>
+  void get(std::vector<T>& v) {
+    const std::uint32_t n = in_.u32();
+    // Count check before reserving: a hostile count must not drive a
+    // multi-gigabyte allocation.
+    if (in_.remaining() < std::size_t{n} * min_wire_size<T>())
+      throw WireError("cluster wire: sequence shorter than its count");
+    v.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) get(v.emplace_back());
+  }
+  template <class R> requires std::is_class_v<R>
+  void get(R& record) { fields(record, *this); }
+
+  WireReader& in_;
+};
+
+template <class M>
+Frame encode_message(MessageType type, const M& m) {
+  FieldWriter w;
+  w(m);
   return Frame{type, w.take()};
+}
+
+template <class M>
+M decode_message(WireReader& in) {
+  M m;
+  FieldReader{in}(m);
+  return m;
+}
+
+// ---- field lists, in wire order --------------------------------------------
+
+void fields(HelloMsg& m, auto& io) { io(m.version, m.node_name, m.sku); }
+void fields(SyncProbeMsg& m, auto& io) { io(m.seq, m.t_coord_s); }
+void fields(SyncReplyMsg& m, auto& io) { io(m.seq, m.t_coord_s, m.t_agent_s); }
+void fields(CampaignMsg& m, auto& io) {
+  io(m.campaign_text, m.has_budget, m.initial_setpoint_w, m.ctl_interval_s, m.budget_interval_s,
+     m.budget_band, m.trace_enabled, m.metrics_interval_s, m.campaign_id);
+}
+void fields(EpochMsg& m, auto& io) { io(m.t0_agent_s, m.offset_s, m.rtt_s); }
+void fields(ChannelMsg& m, auto& io) {
+  io(m.channel_id, m.name, m.unit, m.trim_phase, m.summarize);
+}
+void fields(PhaseBracketMsg& m, auto& io) {
+  io(m.is_begin, m.phase_index, m.phase_name, m.duration_s, m.time_offset_s, m.start_delta_s,
+     m.stop_delta_s, m.epoch_elapsed_s);
+}
+void fields(NodeSummaryMsg& m, auto& io) {
+  io(m.phase_index, m.name, m.unit, m.samples, m.mean, m.stddev, m.min, m.max, m.p50, m.p95,
+     m.p99);
+}
+void fields(PhaseGoMsg& m, auto& io) { io(m.phase_index); }
+void fields(BudgetReportMsg& m, auto& io) { io(m.seq, m.achieved_w, m.setpoint_w, m.level); }
+void fields(BudgetAssignMsg& m, auto& io) { io(m.seq, m.setpoint_w); }
+void fields(VerdictMsg& m, auto& io) { io(m.converged, m.detail); }
+void fields(ShutdownMsg& m, auto& io) { io(m.ok); }
+void fields(trace::Span& s, auto& io) { io(s.name, s.begin_s, s.end_s); }
+void fields(TraceSpansMsg& m, auto& io) { io(m.spans, m.dropped); }
+void fields(trace::MetricSnapshot& c, auto& io) { io(c.name, c.value, c.is_counter); }
+void fields(CounterSnapshotMsg& m, auto& io) { io(m.counters); }
+void fields(trace::MetricDefRec& d, auto& io) { io(d.id, d.name, d.kind); }
+void fields(trace::CounterDeltaRec& c, auto& io) { io(c.id, c.delta); }
+void fields(trace::GaugeValueRec& g, auto& io) { io(g.id, g.value); }
+void fields(trace::HistogramDeltaRec& h, auto& io) {
+  io(h.id, h.count_delta, h.sum_delta, h.max, h.buckets);
+}
+void fields(MetricUpdateMsg& m, auto& io) {
+  io(m.seq, m.t_agent_s, m.delta.defs, m.delta.counters, m.delta.gauges, m.delta.hists);
+}
+void fields(FlightRecordMsg& m, auto& io) { io(m.reason, m.dump); }
+void fields(RejoinMsg& m, auto& io) { io(m.version, m.node_name, m.campaign_id, m.phases_ended); }
+void fields(RejoinAckMsg& m, auto& io) { io(m.accepted, m.resume_phase, m.detail); }
+void fields(StatusRequestMsg& m, auto& io) { io(m.version); }
+void fields(StatusNodeRec& n, auto& io) {
+  io(n.name, n.sku, n.connected, n.phases_begun, n.phases_ended, n.clock_offset_s, n.clock_rtt_s,
+     n.achieved_w, n.setpoint_w, n.level, n.lost, n.last_metrics_age_s, n.rejoins);
+}
+void fields(StatusSpreadRec& s, auto& io) {
+  io(s.phase, s.min_node, s.max_node, s.min_begin_s, s.max_begin_s, s.nodes);
+}
+void fields(StatusAlertRec& a, auto& io) { io(a.kind, a.node, a.detail, a.t_s); }
+void fields(StatusReplyMsg& m, auto& io) {
+  io(m.accepting, m.nodes_expected, m.phase_count, m.queued_samples, m.budget_w, m.fleet_healthy,
+     m.nodes, m.spreads, m.counters, m.alerts);
 }
 
 }  // namespace
 
-Frame HelloMsg::encode() const {
-  WireWriter w;
-  w.u32(version);
-  w.str(node_name);
-  w.str(sku);
-  return make_frame(MessageType::kHello, std::move(w));
-}
+// Every message but SampleBatchMsg (hand-written below: its samples cross
+// the wire as one memcpy) encodes and decodes through its field list.
+#define FS2_WIRE_MESSAGE(Msg, type)                                               \
+  Frame Msg::encode() const { return encode_message(MessageType::type, *this); } \
+  Msg Msg::decode(WireReader& in) { return decode_message<Msg>(in); }
 
-HelloMsg HelloMsg::decode(WireReader& in) {
-  HelloMsg m;
-  m.version = in.u32();
-  m.node_name = in.str();
-  m.sku = in.str();
-  return m;
-}
+FS2_WIRE_MESSAGE(HelloMsg, kHello)
+FS2_WIRE_MESSAGE(SyncProbeMsg, kSyncProbe)
+FS2_WIRE_MESSAGE(SyncReplyMsg, kSyncReply)
+FS2_WIRE_MESSAGE(CampaignMsg, kCampaign)
+FS2_WIRE_MESSAGE(EpochMsg, kEpoch)
+FS2_WIRE_MESSAGE(ChannelMsg, kChannel)
+FS2_WIRE_MESSAGE(PhaseBracketMsg, kPhaseBracket)
+FS2_WIRE_MESSAGE(NodeSummaryMsg, kNodeSummary)
+FS2_WIRE_MESSAGE(PhaseGoMsg, kPhaseGo)
+FS2_WIRE_MESSAGE(BudgetReportMsg, kBudgetReport)
+FS2_WIRE_MESSAGE(BudgetAssignMsg, kBudgetAssign)
+FS2_WIRE_MESSAGE(VerdictMsg, kVerdict)
+FS2_WIRE_MESSAGE(ShutdownMsg, kShutdown)
+FS2_WIRE_MESSAGE(TraceSpansMsg, kTraceSpans)
+FS2_WIRE_MESSAGE(CounterSnapshotMsg, kCounterSnapshot)
+FS2_WIRE_MESSAGE(MetricUpdateMsg, kMetricUpdate)
+FS2_WIRE_MESSAGE(FlightRecordMsg, kFlightRecord)
+FS2_WIRE_MESSAGE(RejoinMsg, kRejoin)
+FS2_WIRE_MESSAGE(RejoinAckMsg, kRejoinAck)
+FS2_WIRE_MESSAGE(StatusRequestMsg, kStatusRequest)
+FS2_WIRE_MESSAGE(StatusReplyMsg, kStatusReply)
 
-Frame SyncProbeMsg::encode() const {
-  WireWriter w;
-  w.u32(seq);
-  w.f64(t_coord_s);
-  return make_frame(MessageType::kSyncProbe, std::move(w));
-}
-
-SyncProbeMsg SyncProbeMsg::decode(WireReader& in) {
-  SyncProbeMsg m;
-  m.seq = in.u32();
-  m.t_coord_s = in.f64();
-  return m;
-}
-
-Frame SyncReplyMsg::encode() const {
-  WireWriter w;
-  w.u32(seq);
-  w.f64(t_coord_s);
-  w.f64(t_agent_s);
-  return make_frame(MessageType::kSyncReply, std::move(w));
-}
-
-SyncReplyMsg SyncReplyMsg::decode(WireReader& in) {
-  SyncReplyMsg m;
-  m.seq = in.u32();
-  m.t_coord_s = in.f64();
-  m.t_agent_s = in.f64();
-  return m;
-}
-
-Frame CampaignMsg::encode() const {
-  WireWriter w;
-  w.str(campaign_text);
-  w.u8(has_budget);
-  w.f64(initial_setpoint_w);
-  w.f64(ctl_interval_s);
-  w.f64(budget_interval_s);
-  w.f64(budget_band);
-  w.u8(trace_enabled);
-  w.f64(metrics_interval_s);
-  w.u64(campaign_id);
-  return make_frame(MessageType::kCampaign, std::move(w));
-}
-
-CampaignMsg CampaignMsg::decode(WireReader& in) {
-  CampaignMsg m;
-  m.campaign_text = in.str();
-  m.has_budget = in.u8();
-  m.initial_setpoint_w = in.f64();
-  m.ctl_interval_s = in.f64();
-  m.budget_interval_s = in.f64();
-  m.budget_band = in.f64();
-  m.trace_enabled = in.u8();
-  m.metrics_interval_s = in.f64();
-  m.campaign_id = in.u64();
-  return m;
-}
-
-Frame EpochMsg::encode() const {
-  WireWriter w;
-  w.f64(t0_agent_s);
-  w.f64(offset_s);
-  w.f64(rtt_s);
-  return make_frame(MessageType::kEpoch, std::move(w));
-}
-
-EpochMsg EpochMsg::decode(WireReader& in) {
-  EpochMsg m;
-  m.t0_agent_s = in.f64();
-  m.offset_s = in.f64();
-  m.rtt_s = in.f64();
-  return m;
-}
-
-Frame ChannelMsg::encode() const {
-  WireWriter w;
-  w.u32(channel_id);
-  w.str(name);
-  w.str(unit);
-  w.u8(trim_phase);
-  w.u8(summarize);
-  return make_frame(MessageType::kChannel, std::move(w));
-}
-
-ChannelMsg ChannelMsg::decode(WireReader& in) {
-  ChannelMsg m;
-  m.channel_id = in.u32();
-  m.name = in.str();
-  m.unit = in.str();
-  m.trim_phase = in.u8();
-  m.summarize = in.u8();
-  return m;
-}
-
-Frame PhaseBracketMsg::encode() const {
-  WireWriter w;
-  w.u8(is_begin);
-  w.u32(phase_index);
-  w.str(phase_name);
-  w.f64(duration_s);
-  w.f64(time_offset_s);
-  w.f64(start_delta_s);
-  w.f64(stop_delta_s);
-  w.f64(epoch_elapsed_s);
-  return make_frame(MessageType::kPhaseBracket, std::move(w));
-}
-
-PhaseBracketMsg PhaseBracketMsg::decode(WireReader& in) {
-  PhaseBracketMsg m;
-  m.is_begin = in.u8();
-  m.phase_index = in.u32();
-  m.phase_name = in.str();
-  m.duration_s = in.f64();
-  m.time_offset_s = in.f64();
-  m.start_delta_s = in.f64();
-  m.stop_delta_s = in.f64();
-  m.epoch_elapsed_s = in.f64();
-  return m;
-}
+#undef FS2_WIRE_MESSAGE
 
 // The wire layout of one sample is two packed little-endian IEEE doubles —
 // identical to telemetry::Sample's in-memory layout on little-endian hosts,
@@ -221,443 +275,12 @@ void SampleBatchMsg::decode_into(WireReader& in, SampleBatchMsg& out) {
 Frame SampleBatchMsg::encode() const {
   WireWriter w;
   encode_into(w, channel_id, samples.data(), samples.size());
-  return make_frame(MessageType::kSampleBatch, std::move(w));
+  return Frame{MessageType::kSampleBatch, w.take()};
 }
 
 SampleBatchMsg SampleBatchMsg::decode(WireReader& in) {
   SampleBatchMsg m;
   decode_into(in, m);
-  return m;
-}
-
-Frame NodeSummaryMsg::encode() const {
-  WireWriter w;
-  w.u32(phase_index);
-  w.str(name);
-  w.str(unit);
-  w.u64(samples);
-  w.f64(mean);
-  w.f64(stddev);
-  w.f64(min);
-  w.f64(max);
-  w.f64(p50);
-  w.f64(p95);
-  w.f64(p99);
-  return make_frame(MessageType::kNodeSummary, std::move(w));
-}
-
-NodeSummaryMsg NodeSummaryMsg::decode(WireReader& in) {
-  NodeSummaryMsg m;
-  m.phase_index = in.u32();
-  m.name = in.str();
-  m.unit = in.str();
-  m.samples = in.u64();
-  m.mean = in.f64();
-  m.stddev = in.f64();
-  m.min = in.f64();
-  m.max = in.f64();
-  m.p50 = in.f64();
-  m.p95 = in.f64();
-  m.p99 = in.f64();
-  return m;
-}
-
-Frame PhaseGoMsg::encode() const {
-  WireWriter w;
-  w.u32(phase_index);
-  return make_frame(MessageType::kPhaseGo, std::move(w));
-}
-
-PhaseGoMsg PhaseGoMsg::decode(WireReader& in) {
-  PhaseGoMsg m;
-  m.phase_index = in.u32();
-  return m;
-}
-
-Frame BudgetReportMsg::encode() const {
-  WireWriter w;
-  w.u32(seq);
-  w.f64(achieved_w);
-  w.f64(setpoint_w);
-  w.f64(level);
-  return make_frame(MessageType::kBudgetReport, std::move(w));
-}
-
-BudgetReportMsg BudgetReportMsg::decode(WireReader& in) {
-  BudgetReportMsg m;
-  m.seq = in.u32();
-  m.achieved_w = in.f64();
-  m.setpoint_w = in.f64();
-  m.level = in.f64();
-  return m;
-}
-
-Frame BudgetAssignMsg::encode() const {
-  WireWriter w;
-  w.u32(seq);
-  w.f64(setpoint_w);
-  return make_frame(MessageType::kBudgetAssign, std::move(w));
-}
-
-BudgetAssignMsg BudgetAssignMsg::decode(WireReader& in) {
-  BudgetAssignMsg m;
-  m.seq = in.u32();
-  m.setpoint_w = in.f64();
-  return m;
-}
-
-Frame VerdictMsg::encode() const {
-  WireWriter w;
-  w.u8(converged);
-  w.str(detail);
-  return make_frame(MessageType::kVerdict, std::move(w));
-}
-
-VerdictMsg VerdictMsg::decode(WireReader& in) {
-  VerdictMsg m;
-  m.converged = in.u8();
-  m.detail = in.str();
-  return m;
-}
-
-Frame ShutdownMsg::encode() const {
-  WireWriter w;
-  w.u8(ok);
-  return make_frame(MessageType::kShutdown, std::move(w));
-}
-
-ShutdownMsg ShutdownMsg::decode(WireReader& in) {
-  ShutdownMsg m;
-  m.ok = in.u8();
-  return m;
-}
-
-Frame TraceSpansMsg::encode() const {
-  WireWriter w;
-  w.u32(static_cast<std::uint32_t>(spans.size()));
-  for (const trace::Span& s : spans) {
-    w.str(s.name);
-    w.f64(s.begin_s);
-    w.f64(s.end_s);
-  }
-  w.u64(dropped);
-  return make_frame(MessageType::kTraceSpans, std::move(w));
-}
-
-TraceSpansMsg TraceSpansMsg::decode(WireReader& in) {
-  TraceSpansMsg m;
-  const std::uint32_t n = in.u32();
-  // Each span is at least 20 wire bytes; reject counts the payload cannot hold.
-  if (in.remaining() < static_cast<std::size_t>(n) * 20)
-    throw WireError("cluster wire: trace span buffer shorter than its count");
-  m.spans.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    trace::Span s;
-    s.name = in.str();
-    s.begin_s = in.f64();
-    s.end_s = in.f64();
-    m.spans.push_back(std::move(s));
-  }
-  m.dropped = in.u64();
-  return m;
-}
-
-Frame CounterSnapshotMsg::encode() const {
-  WireWriter w;
-  w.u32(static_cast<std::uint32_t>(counters.size()));
-  for (const trace::MetricSnapshot& c : counters) {
-    w.str(c.name);
-    w.f64(c.value);
-    w.u8(c.is_counter ? 1 : 0);
-  }
-  return make_frame(MessageType::kCounterSnapshot, std::move(w));
-}
-
-CounterSnapshotMsg CounterSnapshotMsg::decode(WireReader& in) {
-  CounterSnapshotMsg m;
-  const std::uint32_t n = in.u32();
-  if (in.remaining() < static_cast<std::size_t>(n) * 13)
-    throw WireError("cluster wire: counter snapshot shorter than its count");
-  m.counters.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    trace::MetricSnapshot c;
-    c.name = in.str();
-    c.value = in.f64();
-    c.is_counter = in.u8() != 0;
-    m.counters.push_back(std::move(c));
-  }
-  return m;
-}
-
-Frame MetricUpdateMsg::encode() const {
-  WireWriter w;
-  w.u32(seq);
-  w.f64(t_agent_s);
-  w.u32(static_cast<std::uint32_t>(delta.defs.size()));
-  for (const trace::MetricDefRec& d : delta.defs) {
-    w.u32(d.id);
-    w.str(d.name);
-    w.u8(static_cast<std::uint8_t>(d.kind));
-  }
-  w.u32(static_cast<std::uint32_t>(delta.counters.size()));
-  for (const trace::CounterDeltaRec& c : delta.counters) {
-    w.u32(c.id);
-    w.u64(c.delta);
-  }
-  w.u32(static_cast<std::uint32_t>(delta.gauges.size()));
-  for (const trace::GaugeValueRec& g : delta.gauges) {
-    w.u32(g.id);
-    w.f64(g.value);
-  }
-  w.u32(static_cast<std::uint32_t>(delta.hists.size()));
-  for (const trace::HistogramDeltaRec& h : delta.hists) {
-    w.u32(h.id);
-    w.u64(h.count_delta);
-    w.f64(h.sum_delta);
-    w.f64(h.max);
-    w.u32(static_cast<std::uint32_t>(h.buckets.size()));
-    for (const auto& [bucket, count] : h.buckets) {
-      w.u32(bucket);
-      w.u64(count);
-    }
-  }
-  return make_frame(MessageType::kMetricUpdate, std::move(w));
-}
-
-MetricUpdateMsg MetricUpdateMsg::decode(WireReader& in) {
-  MetricUpdateMsg m;
-  m.seq = in.u32();
-  m.t_agent_s = in.f64();
-  const std::uint32_t def_count = in.u32();
-  if (in.remaining() < static_cast<std::size_t>(def_count) * 9)
-    throw WireError("cluster wire: metric update shorter than its def count");
-  m.delta.defs.reserve(def_count);
-  for (std::uint32_t i = 0; i < def_count; ++i) {
-    trace::MetricDefRec d;
-    d.id = in.u32();
-    d.name = in.str();
-    d.kind = static_cast<trace::MetricKind>(in.u8());
-    m.delta.defs.push_back(std::move(d));
-  }
-  const std::uint32_t counter_count = in.u32();
-  if (in.remaining() < static_cast<std::size_t>(counter_count) * 12)
-    throw WireError("cluster wire: metric update shorter than its counter count");
-  m.delta.counters.reserve(counter_count);
-  for (std::uint32_t i = 0; i < counter_count; ++i) {
-    trace::CounterDeltaRec c;
-    c.id = in.u32();
-    c.delta = in.u64();
-    m.delta.counters.push_back(c);
-  }
-  const std::uint32_t gauge_count = in.u32();
-  if (in.remaining() < static_cast<std::size_t>(gauge_count) * 12)
-    throw WireError("cluster wire: metric update shorter than its gauge count");
-  m.delta.gauges.reserve(gauge_count);
-  for (std::uint32_t i = 0; i < gauge_count; ++i) {
-    trace::GaugeValueRec g;
-    g.id = in.u32();
-    g.value = in.f64();
-    m.delta.gauges.push_back(g);
-  }
-  const std::uint32_t hist_count = in.u32();
-  if (in.remaining() < static_cast<std::size_t>(hist_count) * 32)
-    throw WireError("cluster wire: metric update shorter than its histogram count");
-  m.delta.hists.reserve(hist_count);
-  for (std::uint32_t i = 0; i < hist_count; ++i) {
-    trace::HistogramDeltaRec h;
-    h.id = in.u32();
-    h.count_delta = in.u64();
-    h.sum_delta = in.f64();
-    h.max = in.f64();
-    const std::uint32_t bucket_count = in.u32();
-    if (in.remaining() < static_cast<std::size_t>(bucket_count) * 12)
-      throw WireError("cluster wire: metric update shorter than its bucket count");
-    h.buckets.reserve(bucket_count);
-    for (std::uint32_t b = 0; b < bucket_count; ++b) {
-      const std::uint32_t index = in.u32();
-      const std::uint64_t count = in.u64();
-      h.buckets.emplace_back(index, count);
-    }
-    m.delta.hists.push_back(std::move(h));
-  }
-  return m;
-}
-
-Frame FlightRecordMsg::encode() const {
-  WireWriter w;
-  w.str(reason);
-  w.str(dump);
-  return make_frame(MessageType::kFlightRecord, std::move(w));
-}
-
-FlightRecordMsg FlightRecordMsg::decode(WireReader& in) {
-  FlightRecordMsg m;
-  m.reason = in.str();
-  m.dump = in.str();
-  return m;
-}
-
-Frame RejoinMsg::encode() const {
-  WireWriter w;
-  w.u32(version);
-  w.str(node_name);
-  w.u64(campaign_id);
-  w.u32(phases_ended);
-  return make_frame(MessageType::kRejoin, std::move(w));
-}
-
-RejoinMsg RejoinMsg::decode(WireReader& in) {
-  RejoinMsg m;
-  m.version = in.u32();
-  m.node_name = in.str();
-  m.campaign_id = in.u64();
-  m.phases_ended = in.u32();
-  return m;
-}
-
-Frame RejoinAckMsg::encode() const {
-  WireWriter w;
-  w.u8(accepted);
-  w.u32(resume_phase);
-  w.str(detail);
-  return make_frame(MessageType::kRejoinAck, std::move(w));
-}
-
-RejoinAckMsg RejoinAckMsg::decode(WireReader& in) {
-  RejoinAckMsg m;
-  m.accepted = in.u8();
-  m.resume_phase = in.u32();
-  m.detail = in.str();
-  return m;
-}
-
-Frame StatusRequestMsg::encode() const {
-  WireWriter w;
-  w.u32(version);
-  return make_frame(MessageType::kStatusRequest, std::move(w));
-}
-
-StatusRequestMsg StatusRequestMsg::decode(WireReader& in) {
-  StatusRequestMsg m;
-  m.version = in.u32();
-  return m;
-}
-
-Frame StatusReplyMsg::encode() const {
-  WireWriter w;
-  w.u8(accepting);
-  w.u32(nodes_expected);
-  w.u32(phase_count);
-  w.u64(queued_samples);
-  w.f64(budget_w);
-  w.u8(fleet_healthy);
-  w.u32(static_cast<std::uint32_t>(nodes.size()));
-  for (const StatusNodeRec& n : nodes) {
-    w.str(n.name);
-    w.str(n.sku);
-    w.u8(n.connected);
-    w.u32(n.phases_begun);
-    w.u32(n.phases_ended);
-    w.f64(n.clock_offset_s);
-    w.f64(n.clock_rtt_s);
-    w.f64(n.achieved_w);
-    w.f64(n.setpoint_w);
-    w.f64(n.level);
-    w.u8(n.lost);
-    w.f64(n.last_metrics_age_s);
-    w.u32(n.rejoins);
-  }
-  w.u32(static_cast<std::uint32_t>(spreads.size()));
-  for (const StatusSpreadRec& s : spreads) {
-    w.str(s.phase);
-    w.str(s.min_node);
-    w.str(s.max_node);
-    w.f64(s.min_begin_s);
-    w.f64(s.max_begin_s);
-    w.u32(s.nodes);
-  }
-  w.u32(static_cast<std::uint32_t>(counters.size()));
-  for (const trace::MetricSnapshot& c : counters) {
-    w.str(c.name);
-    w.f64(c.value);
-    w.u8(c.is_counter ? 1 : 0);
-  }
-  w.u32(static_cast<std::uint32_t>(alerts.size()));
-  for (const StatusAlertRec& a : alerts) {
-    w.str(a.kind);
-    w.str(a.node);
-    w.str(a.detail);
-    w.f64(a.t_s);
-  }
-  return make_frame(MessageType::kStatusReply, std::move(w));
-}
-
-StatusReplyMsg StatusReplyMsg::decode(WireReader& in) {
-  StatusReplyMsg m;
-  m.accepting = in.u8();
-  m.nodes_expected = in.u32();
-  m.phase_count = in.u32();
-  m.queued_samples = in.u64();
-  m.budget_w = in.f64();
-  m.fleet_healthy = in.u8();
-  const std::uint32_t node_count = in.u32();
-  if (in.remaining() < static_cast<std::size_t>(node_count) * 70)
-    throw WireError("cluster wire: status reply shorter than its node count");
-  m.nodes.reserve(node_count);
-  for (std::uint32_t i = 0; i < node_count; ++i) {
-    StatusNodeRec n;
-    n.name = in.str();
-    n.sku = in.str();
-    n.connected = in.u8();
-    n.phases_begun = in.u32();
-    n.phases_ended = in.u32();
-    n.clock_offset_s = in.f64();
-    n.clock_rtt_s = in.f64();
-    n.achieved_w = in.f64();
-    n.setpoint_w = in.f64();
-    n.level = in.f64();
-    n.lost = in.u8();
-    n.last_metrics_age_s = in.f64();
-    n.rejoins = in.u32();
-    m.nodes.push_back(std::move(n));
-  }
-  const std::uint32_t spread_count = in.u32();
-  if (in.remaining() < static_cast<std::size_t>(spread_count) * 32)
-    throw WireError("cluster wire: status reply shorter than its spread count");
-  m.spreads.reserve(spread_count);
-  for (std::uint32_t i = 0; i < spread_count; ++i) {
-    StatusSpreadRec s;
-    s.phase = in.str();
-    s.min_node = in.str();
-    s.max_node = in.str();
-    s.min_begin_s = in.f64();
-    s.max_begin_s = in.f64();
-    s.nodes = in.u32();
-    m.spreads.push_back(std::move(s));
-  }
-  const std::uint32_t counter_count = in.u32();
-  if (in.remaining() < static_cast<std::size_t>(counter_count) * 13)
-    throw WireError("cluster wire: status reply shorter than its counter count");
-  m.counters.reserve(counter_count);
-  for (std::uint32_t i = 0; i < counter_count; ++i) {
-    trace::MetricSnapshot c;
-    c.name = in.str();
-    c.value = in.f64();
-    c.is_counter = in.u8() != 0;
-    m.counters.push_back(std::move(c));
-  }
-  const std::uint32_t alert_count = in.u32();
-  if (in.remaining() < static_cast<std::size_t>(alert_count) * 20)
-    throw WireError("cluster wire: status reply shorter than its alert count");
-  m.alerts.reserve(alert_count);
-  for (std::uint32_t i = 0; i < alert_count; ++i) {
-    StatusAlertRec a;
-    a.kind = in.str();
-    a.node = in.str();
-    a.detail = in.str();
-    a.t_s = in.f64();
-    m.alerts.push_back(std::move(a));
-  }
   return m;
 }
 
