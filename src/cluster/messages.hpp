@@ -67,8 +67,10 @@ struct Frame {
 // ---- message structs --------------------------------------------------------
 //
 // Each struct encodes itself into a Frame and decodes from a WireReader
-// positioned after the type byte. Field order on the wire is declaration
-// order here; docs/cluster.md mirrors this table.
+// positioned after the type byte. The wire layout of each struct, and of
+// each record nested in one, is its `fields` list in messages.cpp, which
+// names the fields in their declaration order here; docs/cluster.md lists
+// the message types.
 
 struct HelloMsg {
   std::uint32_t version = kProtocolVersion;

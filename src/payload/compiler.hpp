@@ -36,12 +36,6 @@ struct PayloadStats {
   std::uint32_t loop_bytes = 0;              ///< code bytes of the inner loop
   std::uint64_t bytes_per_iteration[kNumMemoryLevels] = {};  ///< traffic per level
   RegionSizes regions;  ///< finalized streaming-region sizes baked into the code
-
-  double flops_per_instruction() const {
-    return instructions_per_iteration == 0
-               ? 0.0
-               : static_cast<double>(flops_per_iteration) / instructions_per_iteration;
-  }
 };
 
 /// Compilation knobs (the runtime parameters of Fig. 5).

@@ -83,10 +83,6 @@ std::vector<AccessKind> unroll_sequence(const std::vector<AccessKind>& base, std
   return out;
 }
 
-std::vector<AccessKind> build_sequence(const InstructionGroups& groups, std::uint32_t u) {
-  return unroll_sequence(base_sequence(groups), u);
-}
-
 std::uint32_t SequenceStats::total_loads() const {
   std::uint32_t sum = 0;
   for (std::uint32_t v : loads) sum += v;

@@ -26,9 +26,6 @@ std::vector<AccessKind> base_sequence(const InstructionGroups& groups);
 /// number of instruction sets equals u").
 std::vector<AccessKind> unroll_sequence(const std::vector<AccessKind>& base, std::uint32_t u);
 
-/// Convenience: base_sequence + unroll_sequence.
-std::vector<AccessKind> build_sequence(const InstructionGroups& groups, std::uint32_t u);
-
 /// Statistics of a built sequence, consumed by the simulator and by the
 /// IPC-estimate metric without executing any code.
 struct SequenceStats {

@@ -22,9 +22,6 @@ class SimulatedSystem {
     loaded_ = true;
   }
 
-  /// Switch to idle (between runs).
-  void set_idle() { set_point(simulator_.idle()); }
-
   WorkloadPoint point() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return loaded_ ? point_ : simulator_.idle();

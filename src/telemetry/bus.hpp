@@ -60,7 +60,6 @@ class TelemetryBus {
 
   const ChannelInfo& info(ChannelId id) const { return channels_[id]; }
   std::size_t channel_count() const { return channels_.size(); }
-  bool in_phase() const { return in_phase_; }
   const PhaseInfo& phase() const { return phase_; }
 
  private:
