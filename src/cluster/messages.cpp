@@ -51,7 +51,6 @@ class FieldWriter {
  public:
   template <class... T>
   void operator()(const T&... v) { (put(v), ...); }
-  std::size_t size() const { return w_.bytes().size(); }
   std::vector<std::uint8_t> take() { return w_.take(); }
 
  private:
@@ -73,8 +72,8 @@ class FieldWriter {
     w_.u32(static_cast<std::uint32_t>(v.size()));
     for (const T& e : v) put(e);
   }
-  /// A record: its field list. The writer only reads, so one non-const
-  /// `fields` serves both directions.
+  /// A record: its field list. `fields` takes the record non-const so the
+  /// reader can fill it; the writer only reads through it.
   template <class R> requires std::is_class_v<R>
   void put(const R& record) { fields(const_cast<R&>(record), *this); }
 
@@ -88,7 +87,7 @@ std::size_t min_wire_size() {
   static const std::size_t size = [] {
     FieldWriter w;
     w(T{});
-    return w.size();
+    return w.take().size();
   }();
   return size;
 }
