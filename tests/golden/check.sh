@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Golden-output check: runs fs2 on the deterministic simulated workloads CI
 # smokes (three example campaigns, the sine and power-target single runs,
-# a fixed-seed NSGA-II tuning run and an open-loop loopback fleet) and
-# compares stdout, --record-trace, --control-log and --optimization-log
-# byte for byte against the files in this directory.
+# a fixed-seed NSGA-II tuning run, a seeded local fuzz sweep and an
+# open-loop loopback fleet) and compares stdout, --record-trace,
+# --control-log, --optimization-log and --fuzz-report byte for byte
+# against the files in this directory.
 #
 #   tests/golden/check.sh FS2_BINARY REPO_ROOT            # compare (ctest)
 #   tests/golden/check.sh FS2_BINARY REPO_ROOT --update   # rewrite the files
@@ -68,6 +69,15 @@ run target_power --simulate=zen2 --freq 1500 -t 30 --target power=300W \
 "$fs2" --simulate=zen2 --freq 2000 --optimize=NSGA2 --individuals 20 --generations 10 \
     --seed 1 --optimization-log optimize.csv --log-level error > optimize.out
 check optimize.out optimize.csv
+
+# Local fuzz sweep, one simulated candidate at a time: the report holds
+# every candidate's response signature, so any change to how a candidate
+# phase is built or measured shows.
+"$fs2" --fuzz --simulate=haswell --freq 1800 --fuzz-seed 7 --fuzz-population 64 \
+    --fuzz-generations 4 --fuzz-duration 4 --sim-sample-hz 200 \
+    --start-delta 300 --stop-delta 200 --fuzz-report fuzz_local.report.csv \
+    --log-level error > fuzz_local.out
+check fuzz_local.out fuzz_local.report.csv
 
 # Loopback fleet: only the per-node rows of the merged CSV are
 # deterministic. The coordinator's port, clock offsets, begin spreads and
