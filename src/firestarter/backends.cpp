@@ -1,11 +1,8 @@
 #include "firestarter/backends.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
-#include "kernel/thread_manager.hpp"
-#include "metrics/measurement.hpp"
+#include "firestarter/phase_runner.hpp"
 #include "payload/compiler.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -40,7 +37,7 @@ std::vector<double> SimBackend::evaluate(const payload::InstructionGroups& group
   // with 0.4 % noise, plus the IPC counter, over the candidate window in
   // virtual time with a short start trim. The objectives are the window
   // means; Accumulator's Welford update is the arithmetic of
-  // metrics::TimeSeries, so they equal a TimeSeries window bit for bit.
+  // telemetry::StreamingAggregator, so they equal its window bit for bit.
   Xoshiro256 noise(seed_ + ++evaluations_);
   const double sample_hz = 20.0;
   const auto samples = static_cast<std::size_t>(duration_s_ * sample_hz);
@@ -67,54 +64,56 @@ std::vector<double> SimBackend::evaluate(const payload::InstructionGroups& group
   return {power.mean(), ipc.mean()};
 }
 
-HostBackend::HostBackend(payload::InstructionMix mix, arch::CacheHierarchy caches,
-                         std::vector<int> worker_cpus, std::vector<std::string> names,
-                         std::vector<MetricFactory> factories, double candidate_duration_s,
-                         std::uint64_t seed)
-    : mix_(std::move(mix)),
-      caches_(std::move(caches)),
-      cpus_(std::move(worker_cpus)),
-      names_(std::move(names)),
-      factories_(std::move(factories)),
-      duration_s_(candidate_duration_s),
-      seed_(seed) {}
+HostBackend::HostBackend(Config cfg) : cfg_(std::move(cfg)) {
+  // The metrics a host phase would publish, probed before any stress.
+  const auto probe = build_host_metrics(cfg_, [] { return std::uint64_t{0}; }, 1, 1.0);
+  const auto offers = [&](const std::string& name) {
+    return std::any_of(probe->active.begin(), probe->active.end(),
+                       [&](const metrics::Metric* metric) { return metric->name() == name; });
+  };
+  std::string power;
+  if (probe->rapl.available()) power = probe->rapl.name();
+  else if (probe->command && probe->command->available()) power = probe->command->name();
+  for (const std::string& requested : cfg_.optimization_metrics) {
+    std::string name = requested;
+    if (requested == "power") {
+      name = power;
+    } else if (requested == "ipc") {
+      name = probe->perf.available() ? probe->perf.name() : probe->estimate->name();
+    } else if (!offers(requested)) {
+      std::string offered;
+      for (const metrics::Metric* metric : probe->active) offered += metric->name() + ", ";
+      throw ConfigError("--optimization-metric: this host offers no metric '" + requested +
+                        "' (it offers " + offered + "and the aliases power, ipc)");
+    }
+    if (!name.empty()) names_.push_back(name);
+  }
+  // Only `power` can find no source.
+  if (names_.size() < cfg_.optimization_metrics.size()) {
+    if (names_.empty())
+      throw ConfigError("--optimization-metric power: no RAPL and no --metric-command meter");
+    log::warn() << "no power meter on this host (no RAPL, no --metric-command)"
+                << (names_.size() == 1 ? "; only one objective available on this host, "
+                                         "NSGA-II degenerates to single-objective search"
+                                       : "");
+  }
+}
 
 std::vector<double> HostBackend::evaluate(const payload::InstructionGroups& groups) {
-  payload::CompileOptions options;
-  auto payload = payload::compile_payload(mix_, groups, caches_, options);
-
-  kernel::RunOptions run;
-  run.cpus = cpus_;
-  run.seed = seed_;
-  kernel::ThreadManager manager(payload, run);
-
-  std::vector<metrics::MetricPtr> metric_list;
-  std::vector<metrics::TimeSeries> series;
-  const int workers = static_cast<int>(cpus_.size());
-  const auto counter = [&manager] { return manager.total_iterations(); };
-  const double start_trim = std::min(1.0, duration_s_ * 0.1);
-  for (const MetricFactory& factory : factories_) {
-    metric_list.push_back(factory(payload.stats(), workers, counter));
-    series.emplace_back(metric_list.back()->name(), metric_list.back()->unit(), start_trim,
-                        0.0);
-  }
-
-  manager.start();
-  for (auto& metric : metric_list) metric->begin();
-
-  const double sample_period_s = 0.05;
-  const auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  while (elapsed < duration_s_) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(sample_period_s));
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    for (std::size_t m = 0; m < metric_list.size(); ++m)
-      series[m].add(elapsed, metric_list[m]->sample());
-  }
-  manager.stop();
-
+  sched::CampaignPhase phase;
+  phase.duration_s = cfg_.candidate_duration_s;
+  phase.groups = groups.to_string();
+  // The candidate window: a 10 % start trim (at most 1 s), no stop trim.
+  const std::vector<metrics::Summary> rows = run_one_phase(
+      cfg_, std::move(phase), TrimDeltas{std::min(1.0, 0.1 * cfg_.candidate_duration_s), 0.0});
   std::vector<double> objectives;
-  for (const auto& s : series) objectives.push_back(s.summarize().mean);
+  for (const std::string& name : names_) {
+    const auto row = std::find_if(rows.begin(), rows.end(),
+                                  [&](const metrics::Summary& r) { return r.name == name; });
+    if (row == rows.end())
+      throw Error("HostBackend: metric '" + name + "' recorded no sample in the candidate window");
+    objectives.push_back(row->mean);
+  }
   return objectives;
 }
 

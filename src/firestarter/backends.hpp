@@ -1,13 +1,10 @@
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "arch/cache.hpp"
-#include "arch/topology.hpp"
-#include "metrics/metric.hpp"
+#include "firestarter/config.hpp"
 #include "payload/mix.hpp"
 #include "sim/sim_system.hpp"
 #include "tuning/groups_problem.hpp"
@@ -44,36 +41,26 @@ class SimBackend : public tuning::EvaluationBackend {
   std::uint64_t evaluations_ = 0;
 };
 
-/// Evaluation backend on the real host: each candidate is JIT-compiled,
-/// executed by pinned worker threads for the candidate duration, and
-/// scored by the supplied metrics (RAPL power, perf IPC, estimated IPC,
-/// plugins). This is the Fig. 10 loop with the measurement device replaced
-/// by whatever the host offers.
+/// Evaluation backend on the real host: each candidate is a one-phase
+/// campaign (run_one_phase) of the candidate duration on the host phase
+/// path — JIT-compiled, executed by pinned workers under --load/--period,
+/// sampled by the host metric set — scored by the window means of the
+/// metrics --optimization-metric names. This is the Fig. 10 loop with the
+/// measurement device replaced by whatever the host offers.
 class HostBackend : public tuning::EvaluationBackend {
  public:
-  /// `metric_factories` build fresh metric instances per evaluation (the
-  /// estimate metric needs the current payload's instruction count and the
-  /// worker iteration counter, so factories receive all three).
-  using IterationCounter = std::function<std::uint64_t()>;
-  using MetricFactory = std::function<metrics::MetricPtr(
-      const payload::PayloadStats& stats, int workers, IterationCounter counter)>;
-
-  HostBackend(payload::InstructionMix mix, arch::CacheHierarchy caches,
-              std::vector<int> worker_cpus, std::vector<std::string> names,
-              std::vector<MetricFactory> factories, double candidate_duration_s,
-              std::uint64_t seed);
+  /// Resolves cfg.optimization_metrics against the metrics a host phase
+  /// publishes, by the names --list-metrics prints: `power` is RAPL, else
+  /// the --metric-command meter; `ipc` is perf-ipc, else ipc-estimate.
+  /// Throws ConfigError naming the offered metrics on an unknown name.
+  explicit HostBackend(Config cfg);
 
   std::vector<std::string> objective_names() const override { return names_; }
   std::vector<double> evaluate(const payload::InstructionGroups& groups) override;
 
  private:
-  payload::InstructionMix mix_;
-  arch::CacheHierarchy caches_;
-  std::vector<int> cpus_;
+  Config cfg_;
   std::vector<std::string> names_;
-  std::vector<MetricFactory> factories_;
-  double duration_s_;
-  std::uint64_t seed_;
 };
 
 }  // namespace fs2::firestarter

@@ -57,6 +57,7 @@ std::pair<std::string, std::optional<std::string>> split_flag(const std::string&
 Config parse_args(int argc, const char* const* argv) {
   Config cfg;
   Args args(argc, argv);
+  std::string host_tuning_flag;  // --preheat or --optimization-metric, when given
 
   auto take = [&](const std::optional<std::string>& inline_value, Args& a,
                   const std::string& flag) {
@@ -231,7 +232,9 @@ Config parse_args(int argc, const char* const* argv) {
         throw ConfigError("--nsga2-m must be within [0, 1]");
     } else if (flag == "--preheat") {
       cfg.preheat_s = strings::parse_double(take(inline_value, args, flag), flag);
+      host_tuning_flag = flag;
     } else if (flag == "--optimization-metric") {
+      host_tuning_flag = flag;
       for (const auto& name : strings::split(take(inline_value, args, flag), ','))
         cfg.optimization_metrics.push_back(std::string(strings::trim(name)));
     } else if (flag == "--metric-path") {
@@ -263,6 +266,11 @@ Config parse_args(int argc, const char* const* argv) {
   // than two samples, and the 10 % start trim may leave none.
   if (cfg.optimize && cfg.candidate_duration_s < 0.1)
     throw ConfigError("-t under --optimize must be at least 0.1 seconds per candidate");
+  // The simulated candidate window has no warm-up ramp and always measures
+  // power and IPC.
+  if (cfg.optimize && cfg.target != TargetSystem::kHost && !host_tuning_flag.empty())
+    throw ConfigError(host_tuning_flag + " only applies to host --optimize runs (the simulated "
+                      "candidate window measures power and IPC from a warm start)");
   if (cfg.optimize && cfg.optimization_metrics.empty()) {
     // Paper default: power + IPC (Sec. III-C).
     cfg.optimization_metrics = {"power", "ipc"};
@@ -444,8 +452,11 @@ Self-tuning (Sec. III-C / IV-E):
   --individuals N              population size (default 40)
   --generations N              generations (default 20)
   --nsga2-m F                  mutation probability (default 0.35)
-  --preheat SEC                warm-up before tuning (default 240)
-  --optimization-metric LIST   e.g. power,ipc (or any --list-metrics name)
+  --preheat SEC                host: run the default payload for SEC before
+                               tuning (default 240)
+  --optimization-metric LIST   host: objectives by --list-metrics name, or
+                               power (RAPL, else --metric-command) and ipc
+                               (perf-ipc, else ipc-estimate); default power,ipc
   --metric-path LIB.so         external metric plugin (C ABI)
   --metric-command CMD         external metric command printing one number
   --optimization-log FILE      per-evaluation CSV log (Fig. 11 data)

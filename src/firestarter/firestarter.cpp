@@ -23,7 +23,6 @@
 #include "metrics/coretemp.hpp"
 #include "metrics/external.hpp"
 #include "metrics/hw_events.hpp"
-#include "metrics/ipc_estimate.hpp"
 #include "metrics/measurement.hpp"
 #include "metrics/rapl.hpp"
 #include "payload/compiler.hpp"
@@ -283,6 +282,11 @@ int Firestarter::list_metrics() {
     table.add_row({plugin.name(), plugin.unit(), plugin.available() ? "yes" : "no",
                    "external plugin " + *cfg_.metric_path});
   }
+  if (cfg_.metric_command) {
+    metrics::CommandMetric command(*cfg_.metric_command, "external-command", "value");
+    table.add_row({command.name(), command.unit(), command.available() ? "yes" : "no",
+                   "external command " + *cfg_.metric_command});
+  }
   table.add_row({"sim-wall-power", "W", "yes", "with --simulate targets"});
   table.add_row({"sim-perf-ipc", "instructions/cycle", "yes", "with --simulate targets"});
   table.print(out_);
@@ -322,26 +326,19 @@ int Firestarter::run_campaign() {
   PhaseRunner::Options options;
   options.sample_metrics = summarize;
   PhaseRunner runner(cfg_, phases, bus, options);
+  // A single run trims by the CLI deltas as given (footnote 12 trims 120 s
+  // of a 240 s run); campaign phases take the phase_deltas() clamp.
+  std::optional<TrimDeltas> deltas;
+  if (single) deltas = TrimDeltas{cfg_.start_delta_s, cfg_.stop_delta_s};
   for (std::size_t i = 0; i < phases.phases().size(); ++i) {
     const ResolvedPhase& phase = phases.phases()[i];
-    // A single run trims by the CLI deltas as given (footnote 12 trims
-    // 120 s of a 240 s run); a closed-loop simulated one keeps the campaign
-    // clamp it always had.
-    std::optional<TrimDeltas> deltas;
-    if (single && !(target.simulated && phase.setpoint))
-      deltas = TrimDeltas{cfg_.start_delta_s, cfg_.stop_delta_s};
     if (!single)
       out_ << strings::format("phase %zu '%s': %s for %.0f s (%s)\n", i + 1,
                               phase.spec->name.c_str(), phase.fn->name.c_str(),
                               phase.spec->duration_s,
                               phase.setpoint ? phase.setpoint->describe().c_str()
                                              : phase.profile->describe().c_str());
-    runner.begin(i, std::nullopt, deltas);
-    while (!runner.done()) {
-      std::this_thread::sleep_until(runner.due());
-      runner.step();
-    }
-    const PhaseReport report = runner.finish();
+    const PhaseReport report = runner.run(i, deltas);
     if (!target.simulated)
       out_ << strings::format("executed %llu kernel loop iterations on %zu workers\n",
                               static_cast<unsigned long long>(report.iterations),
@@ -762,43 +759,12 @@ int Firestarter::run_optimization() {
     sim_backend->preheat();
     backend = std::move(sim_backend);
   } else {
-    const std::vector<int> cpus = resolve_worker_cpus(cfg_);
-
-    // Objective set: power if RAPL (or a plugin/command) is available, IPC
-    // via perf or the estimate — mirroring --optimization-metric defaults.
-    std::vector<std::string> names;
-    std::vector<HostBackend::MetricFactory> factories;
-    if (metrics::RaplPowerMetric().available()) {
-      names.push_back("rapl-power-W");
-      factories.push_back([](const payload::PayloadStats&, int,
-                             HostBackend::IterationCounter) -> metrics::MetricPtr {
-        auto metric = std::make_unique<metrics::RaplPowerMetric>();
-        return metric;
-      });
-    } else if (cfg_.metric_command) {
-      names.push_back("external-power");
-      const std::string command = *cfg_.metric_command;
-      factories.push_back([command](const payload::PayloadStats&, int,
-                                    HostBackend::IterationCounter) -> metrics::MetricPtr {
-        return std::make_unique<metrics::CommandMetric>(command, "external-power", "W");
-      });
-    }
-    names.push_back("ipc");
-    factories.push_back([](const payload::PayloadStats& stats, int workers,
-                           HostBackend::IterationCounter counter) -> metrics::MetricPtr {
-      auto perf = std::make_unique<metrics::PerfIpcMetric>();
-      if (perf->available()) return perf;
-      return std::make_unique<metrics::IpcEstimateMetric>(
-          std::move(counter), stats.instructions_per_iteration, 2000.0, workers);
-    });
-    if (names.size() < 2)
-      log::warn() << "only one objective available on this host; NSGA-II degenerates "
-                     "to single-objective search";
+    backend = std::make_unique<HostBackend>(cfg_);
     out_ << "preheat (" << cfg_.preheat_s << " s) ...\n";
-    backend = std::make_unique<HostBackend>(fn.mix, target.caches, cpus, names, factories,
-                                            cfg_.candidate_duration_s, cfg_.seed);
-    // Real preheat: run the default workload to warm the package.
-    if (cfg_.preheat_s > 0) backend->evaluate(resolve_groups(cfg_, fn));
+    // Real preheat: the default payload for --preheat SEC warms the package.
+    sched::CampaignPhase preheat;
+    preheat.duration_s = cfg_.preheat_s;
+    if (cfg_.preheat_s > 0) run_one_phase(cfg_, preheat);
   }
 
   tuning::GroupsProblem problem(*backend);

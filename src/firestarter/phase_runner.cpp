@@ -1,11 +1,13 @@
 #include "firestarter/phase_runner.hpp"
 
 #include <set>
+#include <thread>
 
 #include "arch/topology.hpp"
 #include "kernel/register_dump.hpp"
 #include "metrics/coretemp.hpp"
 #include "payload/mix.hpp"
+#include "telemetry/sinks.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
@@ -64,13 +66,13 @@ void HostMetricSet::sample_all(telemetry::TelemetryBus& bus, double elapsed_s) {
 }
 
 std::unique_ptr<HostMetricSet> build_host_metrics(const Config& cfg,
-                                                  const kernel::ThreadManager& manager,
+                                                  std::function<std::uint64_t()> iterations,
+                                                  int workers,
                                                   double instructions_per_iteration,
                                                   bool skip_plugin, bool skip_command) {
   auto set = std::make_unique<HostMetricSet>();
   set->estimate = std::make_unique<metrics::IpcEstimateMetric>(
-      [&manager] { return manager.total_iterations(); }, instructions_per_iteration,
-      kIpcEstimateAssumedMhz, static_cast<int>(manager.num_workers()));
+      std::move(iterations), instructions_per_iteration, kIpcEstimateAssumedMhz, workers);
   if (cfg.metric_path && !skip_plugin)
     set->plugin = std::make_unique<metrics::PluginMetric>(*cfg.metric_path);
   if (cfg.metric_command && !skip_command)
@@ -343,9 +345,11 @@ void PhaseRunner::start_host() {
   // Row order per phase: the metric channels, the ctl-* channels, then the
   // achieved load level — matching the measurement CSV layout.
   if (options_.sample_metrics) {
-    run->metrics = build_host_metrics(cfg_, *run->manager,
-                                      run->payload.stats().instructions_per_iteration,
-                                      run->control.owns_plugin, run->control.owns_command);
+    const kernel::ThreadManager& manager = *run->manager;
+    run->metrics = build_host_metrics(
+        cfg_, [&manager] { return manager.total_iterations(); },
+        static_cast<int>(manager.num_workers()), run->payload.stats().instructions_per_iteration,
+        run->control.owns_plugin, run->control.owns_command);
     run->metrics->register_channels(bus_);
   }
   if (run->control.loop) run->control.loop->attach_bus(&bus_);
@@ -419,6 +423,27 @@ PhaseReport PhaseRunner::finish() {
   bus_.end_phase(elapsed_s);
   state_ = State::kIdle;
   return report;
+}
+
+PhaseReport PhaseRunner::run(std::size_t index, std::optional<TrimDeltas> deltas) {
+  begin(index, std::nullopt, deltas);
+  while (!done()) {
+    std::this_thread::sleep_until(due());
+    step();
+  }
+  return finish();
+}
+
+std::vector<metrics::Summary> run_one_phase(const Config& cfg, sched::CampaignPhase phase,
+                                            std::optional<TrimDeltas> deltas) {
+  PhaseResolver phases(cfg, sched::Campaign({std::move(phase)}));
+  telemetry::TelemetryBus bus;
+  telemetry::SummarySink summary;
+  bus.attach(&summary);
+  PhaseRunner runner(cfg, phases, bus, PhaseRunner::Options{});
+  runner.run(0, deltas);
+  bus.finish();
+  return summary.rows();
 }
 
 }  // namespace fs2::firestarter

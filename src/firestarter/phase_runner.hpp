@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -18,6 +19,7 @@
 #include "metrics/external.hpp"
 #include "metrics/ipc_estimate.hpp"
 #include "metrics/hw_events.hpp"
+#include "metrics/measurement.hpp"
 #include "metrics/rapl.hpp"
 #include "payload/compiler.hpp"
 #include "sched/campaign.hpp"
@@ -75,14 +77,16 @@ struct HostMetricSet {
   void sample_all(telemetry::TelemetryBus& bus, double elapsed_s);
 };
 
-/// `skip_plugin` / `skip_command` suppress the --metric-path or
-/// --metric-command instance when the control loop already owns exactly that
-/// source — instantiating it twice would double-initialize plugin state or
-/// double-spawn meter commands (the controller's readings still land in the
-/// CSV as ctl-measurement). The source the loop did NOT take keeps its
-/// measurement channel.
+/// `iterations` and `workers` feed the IPC estimate (the running phase's
+/// kernel loop count and worker count). `skip_plugin` / `skip_command`
+/// suppress the --metric-path or --metric-command instance when the control
+/// loop already owns exactly that source — instantiating it twice would
+/// double-initialize plugin state or double-spawn meter commands (the
+/// controller's readings still land in the CSV as ctl-measurement). The
+/// source the loop did NOT take keeps its measurement channel.
 std::unique_ptr<HostMetricSet> build_host_metrics(const Config& cfg,
-                                                  const kernel::ThreadManager& manager,
+                                                  std::function<std::uint64_t()> iterations,
+                                                  int workers,
                                                   double instructions_per_iteration,
                                                   bool skip_plugin = false,
                                                   bool skip_command = false);
@@ -218,6 +222,10 @@ class PhaseRunner {
   /// dump, end bracket.
   PhaseReport finish();
 
+  /// Run phase `index` straight through: begin(), every step() when due,
+  /// then finish() — the local runner's loop.
+  PhaseReport run(std::size_t index, std::optional<TrimDeltas> deltas = std::nullopt);
+
   /// The open phase's feedback loop (null when it runs open-loop).
   control::FeedbackLoop* loop();
 
@@ -258,5 +266,13 @@ class PhaseRunner {
   std::unique_ptr<HostRun> host_run_;
   std::ofstream dump_;  ///< --dump-registers output, open on host runs only
 };
+
+/// A campaign of the one `phase`, resolved and run to its end on the
+/// target `cfg` selects; returns the phase's summary rows. Host tuning
+/// candidates, the host preheat and local fuzz candidates run here, so they
+/// get everything a campaign phase does (duty cycling, register dumps,
+/// metric plugins, the GPU stand-in, the simulated meter).
+std::vector<metrics::Summary> run_one_phase(const Config& cfg, sched::CampaignPhase phase,
+                                            std::optional<TrimDeltas> deltas = std::nullopt);
 
 }  // namespace fs2::firestarter

@@ -8,13 +8,8 @@
 #include "firestarter/phase_runner.hpp"
 #include "firestarter/sim_fleet.hpp"
 #include "firestarter/sim_phases.hpp"
-#include "payload/compiler.hpp"
 #include "payload/mix.hpp"
 #include "sched/campaign.hpp"
-#include "sched/load_profile.hpp"
-#include "sim/sim_system.hpp"
-#include "telemetry/bus.hpp"
-#include "telemetry/sinks.hpp"
 #include "trace/registry.hpp"
 #include "trace/tracer.hpp"
 #include "util/error.hpp"
@@ -49,11 +44,8 @@ PatternSpec default_spec(const firestarter::Config& cfg, const payload::Function
 class LocalEvaluator final : public Evaluator {
  public:
   LocalEvaluator(firestarter::Config cfg, double duration_s)
-      : cfg_(std::move(cfg)),
-        duration_s_(duration_s),
-        target_(firestarter::resolve_target(cfg_)),
-        fn_(firestarter::resolve_function(cfg_, target_)) {
-    if (!target_.simulated)
+      : cfg_(std::move(cfg)), duration_s_(duration_s) {
+    if (cfg_.target == firestarter::TargetSystem::kHost)
       throw ConfigError(
           "--fuzz needs --simulate or --loopback: a sweep is hundreds of "
           "stress phases, which only makes sense in virtual time");
@@ -69,39 +61,31 @@ class LocalEvaluator final : public Evaluator {
   }
 
   std::vector<Evaluation> baseline() override {
-    return {evaluate_one(default_spec(cfg_, fn_))};
+    const firestarter::Target target = firestarter::resolve_target(cfg_);
+    return {evaluate_one(default_spec(cfg_, firestarter::resolve_function(cfg_, target)))};
   }
 
  private:
+  /// The phase a fleet node runs for this candidate, run as a campaign of
+  /// its own: a fresh system and bus per candidate, so no thermal or
+  /// telemetry state leaks between evaluations, and the evaluation ordinal
+  /// seeds the meter noise — a signature depends only on the pattern and
+  /// its ordinal.
   Evaluation evaluate_one(const PatternSpec& spec) {
-    // The derivation a campaign phase gets on a fleet node: no unroll
-    // (0) falls back to --line-count.
-    const payload::PayloadStats stats = payload::analyze_payload(
-        fn_.mix, spec.groups, target_.caches,
-        firestarter::compile_options(
-            cfg_, spec.unroll ? std::make_optional(spec.unroll) : std::nullopt));
-
-    // A fresh system and bus per candidate: no thermal or telemetry state
-    // leaks between evaluations, so a candidate's signature depends only on
-    // the pattern and the evaluation seed.
-    sim::SimulatedSystem system(target_.sim_config);
-    telemetry::TelemetryBus bus;
-    telemetry::SummarySink summary;
-    bus.attach(&summary);
-    const firestarter::SimChannels ch = firestarter::register_sim_channels(
-        bus, /*with_temp=*/true, /*trimmed_aux=*/true, /*summarize_load=*/false);
-    const sched::ProfilePtr profile =
-        sched::parse_profile(eval_profile_spec(duration_s_), cfg_.load, cfg_.period_s);
-    const firestarter::TrimDeltas deltas = firestarter::phase_deltas(cfg_, duration_s_);
-    bus.begin_phase(kPhase, duration_s_, deltas.start_s, deltas.stop_s);
-    firestarter::run_sim_phase(system, cfg_, stats, *profile, duration_s_,
-                               cfg_.seed + evaluated_++, /*warm_start_s=*/0.0,
-                               target_.gpu_stress, bus, ch);
-    bus.finish();
+    sched::CampaignPhase phase;
+    phase.name = kPhase;
+    phase.duration_s = duration_s_;
+    phase.profile_spec = eval_profile_spec(duration_s_);
+    phase.groups = spec.groups.to_string();
+    if (spec.unroll) phase.unroll = spec.unroll;
+    phase.measure_temp = true;
+    firestarter::Config cfg = cfg_;
+    cfg.seed = cfg_.seed + evaluated_++;
 
     Evaluation evaluation;
     evaluation.spec = spec;
-    evaluation.signature = signature_from_rows(summary.rows(), kPhase, duration_s_);
+    evaluation.signature = signature_from_rows(
+        firestarter::run_one_phase(cfg, std::move(phase)), kPhase, duration_s_);
     evaluation.node = "local";
     evaluation.sku = firestarter::to_string(cfg_.target);
     return evaluation;
@@ -111,8 +95,6 @@ class LocalEvaluator final : public Evaluator {
 
   firestarter::Config cfg_;
   double duration_s_;
-  firestarter::Target target_;
-  const payload::FunctionDef& fn_;
   std::uint64_t evaluated_ = 0;
 };
 

@@ -1,33 +1,9 @@
 #include "metrics/measurement.hpp"
 
 #include "util/csv.hpp"
-#include "util/error.hpp"
-#include "util/logging.hpp"
 #include "util/strings.hpp"
 
 namespace fs2::metrics {
-
-Summary TimeSeries::summarize() const {
-  if (aggregator_.total_samples() == 0)
-    throw Error("TimeSeries::summarize: metric '" + name_ + "' recorded no samples");
-  const telemetry::StreamingSummary stats = aggregator_.summarize();
-  if (stats.trim_fallback)
-    log::warn() << "metric '" << name_ << "': start/stop deltas ("
-                << aggregator_.start_delta_s() << " s / " << aggregator_.stop_delta_s()
-                << " s) trimmed away every sample; reporting the untrimmed aggregate";
-  Summary summary;
-  summary.name = name_;
-  summary.unit = unit_;
-  summary.mean = stats.mean;
-  summary.stddev = stats.stddev;
-  summary.min = stats.min;
-  summary.max = stats.max;
-  summary.p50 = stats.p50;
-  summary.p95 = stats.p95;
-  summary.p99 = stats.p99;
-  summary.samples = stats.samples;
-  return summary;
-}
 
 void print_csv(std::ostream& out, const std::vector<Summary>& summaries) {
   CsvWriter csv(out);

@@ -4,10 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/metric.hpp"
-#include "telemetry/ring_buffer.hpp"
-#include "telemetry/streaming_aggregator.hpp"
-
 namespace fs2::metrics {
 
 /// Aggregate of one metric over a measurement window.
@@ -29,54 +25,6 @@ struct Summary {
   /// Rendered as the trailing "phase" CSV column so every phase of a
   /// multi-phase run gets its own attributed summary rows.
   std::string phase;
-};
-
-/// A measurement window for one metric, with the paper's start/stop-delta
-/// trimming semantics (Sec. III-D: "values are averaged over the whole
-/// runtime, excluding an arbitrary time during the start and end of the
-/// measurement run, with a default of 5 s and 2 s").
-///
-/// Thin adapter over telemetry::StreamingAggregator: samples are folded
-/// into running moments on arrival and are NOT retained (a bounded ring
-/// keeps the most recent `tail_capacity` for trace/debug), so a window's
-/// memory is O(stop-delta x sample rate + tail), not O(run length). The
-/// trim deltas therefore bind at construction, when the window opens — not
-/// at summarize time as in the batch implementation this replaces.
-class TimeSeries {
- public:
-  static constexpr std::size_t kDefaultTailCapacity = 1024;
-
-  TimeSeries(std::string name, std::string unit, double start_delta_s = 5.0,
-             double stop_delta_s = 2.0, std::size_t tail_capacity = kDefaultTailCapacity)
-      : name_(std::move(name)),
-        unit_(std::move(unit)),
-        aggregator_(start_delta_s, stop_delta_s),
-        tail_(tail_capacity) {}
-
-  void add(double time_s, double value) {
-    aggregator_.add(time_s, value);
-    tail_.push(Sample{time_s, value});
-  }
-
-  const std::string& name() const { return name_; }
-  const std::string& unit() const { return unit_; }
-  /// Samples observed so far (before trimming).
-  std::size_t total_samples() const { return aggregator_.total_samples(); }
-  /// Bounded most-recent-samples window (oldest first).
-  const telemetry::RingBuffer<Sample>& tail() const { return tail_; }
-
-  /// Aggregate over the trimmed window. Throws fs2::Error when the window
-  /// never saw a sample; degrades to the untrimmed aggregate (with a
-  /// logged warning) when the deltas trimmed every sample away — short
-  /// smoke runs must not abort just because they are shorter than the
-  /// paper's 5 s + 2 s defaults.
-  Summary summarize() const;
-
- private:
-  std::string name_;
-  std::string unit_;
-  telemetry::StreamingAggregator aggregator_;
-  telemetry::RingBuffer<Sample> tail_;
 };
 
 /// Print summaries as the comma-separated lines FIRESTARTER's --measurement

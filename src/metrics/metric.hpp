@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,5 @@ class Metric {
   /// Poll the current value. Called at the window's sampling rate.
   virtual double sample() = 0;
 };
-
-using MetricPtr = std::unique_ptr<Metric>;
 
 }  // namespace fs2::metrics

@@ -18,8 +18,7 @@ namespace fs2::telemetry {
 /// with phase-local timestamps. The orchestrator brackets aggregation
 /// windows with begin_phase()/end_phase(); finish() closes the last phase
 /// and flushes every sink. Single-threaded by design: all publishing
-/// happens on the orchestrator's sampling loop, exactly where the old
-/// TimeSeries vectors were filled.
+/// happens on the orchestrator's sampling loop.
 class TelemetryBus {
  public:
   /// Get-or-create the channel keyed by (name, unit). On create, `info`'s

@@ -7,10 +7,9 @@
 namespace fs2::telemetry {
 
 /// Fixed-capacity overwrite-oldest ring. The telemetry layer's answer to
-/// "keep the recent past without keeping the whole run": trace/debug tails,
-/// the feedback loop's trailing-window statistics, and TimeSeries' sample
-/// tail all sit on one of these, so their memory is O(capacity) no matter
-/// how long the run lasts.
+/// "keep the recent past without keeping the whole run": trace/debug tails
+/// and the feedback loop's trailing-window statistics sit on one of these,
+/// so their memory is O(capacity) no matter how long the run lasts.
 ///
 /// Index 0 is always the OLDEST retained element; size() grows until it
 /// reaches capacity() and stays there, with each further push evicting the

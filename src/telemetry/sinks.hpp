@@ -13,9 +13,8 @@ namespace fs2::telemetry {
 
 /// Bus sink producing the measurement-CSV summary rows: one
 /// StreamingAggregator per (channel, phase), cut at phase boundaries, with
-/// the channel's trim policy applied. Replaces the old pattern of keeping a
-/// TimeSeries per metric for the whole run and batch-summarizing at the
-/// end — memory is O(channels), not O(samples).
+/// the channel's trim policy applied. Nothing is kept per sample: memory is
+/// O(channels), not O(samples).
 ///
 /// Row order: phases in chronological order, and within a phase the
 /// channels in the order their first sample of that phase arrived (which is

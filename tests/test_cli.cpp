@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <fstream>
@@ -83,6 +84,16 @@ TEST(Cli, PaperMeasurementWindowKeepsCliDeltas) {
   EXPECT_NE(r.output.find("\nsim-wall-power,W,2360,426.3082,"), std::string::npos) << r.output;
 }
 
+TEST(Cli, ShortClosedLoopRunKeepsCliDeltas) {
+  // Every single run trims by the CLI deltas as given, closed-loop ones
+  // too: a 10 s run keeps the 5 s / 2 s defaults (13 controller ticks of
+  // 0.25 s); the campaign clamp to a quarter of the phase would keep 23.
+  const CliResult r = run_cli(
+      "--simulate=zen2 --freq 1500 -t 10 --target power=300W --measurement --log-level warn");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("\nsim-wall-power,W,13,"), std::string::npos) << r.output;
+}
+
 TEST(Cli, SimulatedHaswellGpuRun) {
   const CliResult r = run_cli("--simulate=haswell-gpu --freq 2000 -t 10");
   EXPECT_EQ(r.exit_code, 0);
@@ -96,6 +107,76 @@ TEST(Cli, SimulatedOptimizationSmoke) {
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("selected optimum:"), std::string::npos);
   EXPECT_NE(r.output.find("18 candidate evaluations"), std::string::npos);
+}
+
+TEST(Cli, SimulatedOptimizationRejectsPreheat) {
+  // The simulated candidate window starts warm: there is no ramp for a
+  // preheat to absorb.
+  const CliResult r = run_cli("--simulate=zen2 --optimize=NSGA2 --preheat 10");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--preheat only applies to host --optimize"), std::string::npos)
+      << r.output;
+}
+
+TEST(Cli, SimulatedOptimizationRejectsOptimizationMetric) {
+  // The simulated candidate window always measures power and IPC.
+  const CliResult r = run_cli("--optimize=NSGA2 --optimization-metric ipc --simulate=zen2");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--optimization-metric only applies to host --optimize"),
+            std::string::npos)
+      << r.output;
+}
+
+/// A host NSGA-II run small enough for a test: one worker, 0.2 s candidate
+/// windows, four candidate evaluations.
+const std::string kHostTuning =
+    "--optimize=NSGA2 --threads 1 -t 0.2 --individuals 2 --generations 1 --log-level warn ";
+
+TEST(Cli, HostOptimizationRejectsUnknownMetric) {
+  const CliResult r = run_cli(kHostTuning + "--preheat 0 --optimization-metric bogus");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("no metric 'bogus'"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("ipc-estimate"), std::string::npos) << r.output;  // what it offers
+  EXPECT_EQ(r.output.find("preheat ("), std::string::npos) << r.output;  // before any stress
+}
+
+TEST(Cli, HostOptimizationLogsTheNamedObjectives) {
+  // The paper's form: the objectives are the metrics --optimization-metric
+  // names, here the --metric-path plugin's reading and the IPC estimate.
+  const std::string log = "/tmp/fs2_cli_host_objectives.csv";
+  std::remove(log.c_str());
+  const CliResult r = run_cli(kHostTuning +
+                              "--preheat 0 --optimization-metric=fixture-power,ipc-estimate "
+                              "--metric-path=" FS2_TEST_PLUGIN_PATH " --optimization-log " +
+                              log);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("only one objective"), std::string::npos) << r.output;
+  std::ifstream in(log);
+  std::string header;
+  std::getline(in, header);
+  EXPECT_EQ(header, "order,generation,fixture-power,ipc-estimate,genome");
+  std::remove(log.c_str());
+}
+
+TEST(Cli, HostPreheatRunsForItsDuration) {
+  // --preheat 1 runs the default payload for 1 s before the first
+  // candidate, so the first two worker set-ups start at least 1 s apart.
+  const std::string path = "/tmp/fs2_cli_preheat_trace.json";
+  std::remove(path.c_str());
+  const CliResult r = run_cli(kHostTuning + "--preheat 1 --trace-out " + path);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string json = buffer.str();
+  const std::string key = "\"kernel.buffer_init\",\"ph\":\"X\",\"ts\":";
+  std::vector<long long> begins_us;
+  for (auto at = json.find(key); at != std::string::npos; at = json.find(key, at + 1))
+    begins_us.push_back(std::stoll(json.substr(at + key.size())));
+  std::sort(begins_us.begin(), begins_us.end());
+  ASSERT_GE(begins_us.size(), 2u) << json;
+  EXPECT_GE(begins_us[1] - begins_us[0], 1000000) << json;
+  std::remove(path.c_str());
 }
 
 TEST(Cli, HostStressShortRun) {

@@ -12,6 +12,7 @@
 #include "firestarter/firestarter.hpp"
 #include "metrics/measurement.hpp"
 #include "payload/compiler.hpp"
+#include "telemetry/streaming_aggregator.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -242,7 +243,7 @@ TEST(SimBackendTest, EvaluationIsApproximatelyDeterministic) {
 }
 
 TEST(SimBackendTest, WindowMatchesStreamingReference) {
-  // The objectives are exactly the means a metrics::TimeSeries window
+  // The objectives are exactly the means a telemetry::StreamingAggregator window
   // reports over the same samples: the simulated LMG95 at 20 Sa/s with
   // 0.4 % noise from Xoshiro256(seed + n) on the n-th evaluation, and the
   // noiseless IPC counter, with a start trim of 10 % (at most 1 s).
@@ -269,8 +270,8 @@ TEST(SimBackendTest, WindowMatchesStreamingReference) {
           payload::analyze_payload(mix, tuning::GroupsProblem::to_groups(genome), caches), cond);
       EXPECT_EQ(system.point().power_w, point.power_w);  // published for other readers
       const double trim = std::min(1.0, duration * 0.1);
-      metrics::TimeSeries power("power", "W", trim, 0.0);
-      metrics::TimeSeries ipc("ipc", "instructions/cycle", trim, 0.0);
+      telemetry::StreamingAggregator power(trim, 0.0);
+      telemetry::StreamingAggregator ipc(trim, 0.0);
       Xoshiro256 noise(seed + n);
       const auto samples = static_cast<std::size_t>(duration * 20.0);
       for (std::size_t i = 0; i < samples; ++i) {

@@ -23,9 +23,9 @@
 #include "kernel/register_dump.hpp"
 #include "kernel/thread_manager.hpp"
 #include "metrics/ipc_estimate.hpp"
-#include "metrics/measurement.hpp"
 #include "payload/compiler.hpp"
 #include "payload/mix.hpp"
+#include "telemetry/streaming_aggregator.hpp"
 #include "tuning/nsga2.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -56,7 +56,7 @@ TEST(Integration, StressRunWithEstimatedIpcMetric) {
   kernel::ThreadManager manager(workload, run);
   metrics::IpcEstimateMetric ipc([&manager] { return manager.total_iterations(); },
                                  workload.stats().instructions_per_iteration, 2000.0, 2);
-  metrics::TimeSeries series(ipc.name(), ipc.unit(), 0.0, 0.0);
+  telemetry::StreamingAggregator series(0.0, 0.0);
 
   manager.start();
   ipc.begin();
@@ -140,20 +140,19 @@ TEST(Integration, OptimizeThenCrossEvaluate) {
 }
 
 TEST(Integration, HostBackendEvaluatesRealCandidates) {
-  // The real-hardware tuning path (Fig. 10 with host metrics): compile and
-  // run two candidates, score them with the estimated-IPC metric.
+  // The real-hardware tuning path (Fig. 10 with host metrics): each
+  // candidate runs as a one-phase host campaign, scored with the
+  // estimated-IPC metric.
   const auto& fn = payload::find_function("FUNC_FMA_256_ZEN2");
   if (!host_supports(fn.mix)) GTEST_SKIP() << "host lacks FMA";
-  std::vector<firestarter::HostBackend::MetricFactory> factories;
-  factories.push_back([](const payload::PayloadStats& stats, int workers,
-                         firestarter::HostBackend::IterationCounter counter)
-                          -> metrics::MetricPtr {
-    return std::make_unique<metrics::IpcEstimateMetric>(
-        std::move(counter), stats.instructions_per_iteration, 2000.0, workers);
-  });
-  firestarter::HostBackend backend(fn.mix, arch::CacheHierarchy::zen2(), {-1, -1},
-                                   {"ipc-estimate"}, factories,
-                                   /*candidate_duration_s=*/0.3, /*seed=*/5);
+  firestarter::Config cfg;
+  cfg.function_name = fn.name;
+  cfg.threads = 2;
+  cfg.seed = 5;
+  cfg.candidate_duration_s = 0.3;
+  cfg.optimization_metrics = {"ipc-estimate"};
+  firestarter::HostBackend backend(cfg);
+  ASSERT_EQ(backend.objective_names(), std::vector<std::string>{"ipc-estimate"});
   const auto a = backend.evaluate(payload::InstructionGroups::parse("REG:1"));
   const auto b = backend.evaluate(payload::InstructionGroups::parse("REG:2,L1_LS:1"));
   ASSERT_EQ(a.size(), 1u);

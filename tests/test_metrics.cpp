@@ -17,6 +17,7 @@
 #include "metrics/measurement.hpp"
 #include "metrics/rapl.hpp"
 #include "sim/sim_system.hpp"
+#include "telemetry/streaming_aggregator.hpp"
 #include "util/error.hpp"
 
 namespace fs2::metrics {
@@ -29,39 +30,34 @@ namespace fs = std::filesystem;
 TEST(TimeSeries, TrimmingMatchesPaperSemantics) {
   // Sec. III-D: average over the runtime excluding start/stop deltas. The
   // window streams one-pass, so the deltas bind when it opens.
-  TimeSeries series("power", "W", /*start_delta_s=*/10.0, /*stop_delta_s=*/2.0);
+  telemetry::StreamingAggregator series(/*start_delta_s=*/10.0, /*stop_delta_s=*/2.0);
   for (int t = 0; t <= 100; ++t) series.add(t, t < 10 ? 1000.0 : 300.0);
-  const Summary summary = series.summarize();
+  const telemetry::StreamingSummary summary = series.summarize();
   EXPECT_DOUBLE_EQ(summary.mean, 300.0);  // warm-up spike trimmed away
   EXPECT_EQ(summary.samples, 89u);        // t in [10, 98]
   EXPECT_DOUBLE_EQ(summary.p50, 300.0);   // constant plateau: all quantiles agree
   EXPECT_DOUBLE_EQ(summary.p99, 300.0);
-  EXPECT_EQ(summary.name, "power");
-  EXPECT_EQ(summary.unit, "W");
 }
 
 TEST(TimeSeries, OverTrimmingFallsBackToUntrimmedAggregate) {
   // A run shorter than start+stop deltas must not abort a smoke run; the
-  // summary degrades to the untrimmed aggregate (with a logged warning).
-  TimeSeries series("x", "u", 5.0, 5.0);
+  // summary degrades to the untrimmed aggregate.
+  telemetry::StreamingAggregator series(5.0, 5.0);
   series.add(0.0, 1.0);
   series.add(1.0, 2.0);
-  const Summary summary = series.summarize();
+  const telemetry::StreamingSummary summary = series.summarize();
   EXPECT_EQ(summary.samples, 2u);
   EXPECT_DOUBLE_EQ(summary.mean, 1.5);
 }
 
-TEST(TimeSeries, EmptySeriesThrows) {
-  TimeSeries series("x", "u", 0.0, 0.0);
-  EXPECT_THROW(series.summarize(), Error);
-}
-
 TEST(TimeSeries, CsvOutputFormat) {
-  TimeSeries series("power", "W", 0.0, 0.0);
-  series.add(0.0, 100.0);
-  series.add(1.0, 200.0);
+  Summary summary;
+  summary.name = "power";
+  summary.unit = "W";
+  summary.mean = 150.0;
+  summary.samples = 2;
   std::ostringstream out;
-  print_csv(out, {series.summarize()});
+  print_csv(out, {summary});
   const std::string text = out.str();
   EXPECT_NE(text.find("metric,unit,samples,mean,stddev,min,max,p50,p95,p99,phase"),
             std::string::npos);

@@ -13,7 +13,6 @@
 #include "control/controlled_profile.hpp"
 #include "control/feedback_loop.hpp"
 #include "control/setpoint.hpp"
-#include "metrics/measurement.hpp"
 #include "sched/trace_recorder.hpp"
 #include "telemetry/bus.hpp"
 #include "telemetry/ring_buffer.hpp"
@@ -213,16 +212,6 @@ TEST(RingBuffer, WrapsExactlyAtCapacityBoundary) {
   EXPECT_TRUE(ring.wrapped());  // ...but eviction must still be reported
   ring.clear();
   EXPECT_FALSE(ring.wrapped());
-}
-
-TEST(TimeSeries, TailIsBoundedWhileSummaryStaysExact) {
-  metrics::TimeSeries series("x", "u", 0.0, 0.0, /*tail_capacity=*/64);
-  for (int i = 0; i < 10000; ++i) series.add(i * 0.05, static_cast<double>(i));
-  EXPECT_EQ(series.tail().size(), 64u);           // bounded retention...
-  EXPECT_EQ(series.total_samples(), 10000u);      // ...full-stream aggregation
-  EXPECT_EQ(series.summarize().samples, 10000u);
-  EXPECT_DOUBLE_EQ(series.summarize().mean, (10000.0 - 1.0) / 2.0);
-  EXPECT_DOUBLE_EQ(series.tail().back().value, 9999.0);
 }
 
 TEST(FeedbackLoop, TelemetryRingIsBounded) {
