@@ -1,7 +1,5 @@
 #include "cluster/clock_sync.hpp"
 
-#include <limits>
-
 #include "util/strings.hpp"
 
 namespace fs2::cluster {
@@ -18,37 +16,31 @@ std::chrono::steady_clock::time_point to_time_point(double clock_s) {
           std::chrono::duration<double>(clock_s)));
 }
 
-ClockSyncResult run_clock_sync(Connection& conn, int rounds) {
-  ClockSyncResult best;
-  best.rtt_s = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < rounds; ++i) {
-    SyncProbeMsg probe;
-    probe.seq = static_cast<std::uint32_t>(i);
-    probe.t_coord_s = local_clock_s();
-    conn.send(probe.encode());
+Frame ClockSync::probe() const {
+  SyncProbeMsg probe;
+  probe.seq = static_cast<std::uint32_t>(rounds);
+  probe.t_coord_s = local_clock_s();
+  return probe.encode();
+}
 
-    const auto frame = conn.recv(/*timeout_s=*/5.0);
-    const double t_recv = local_clock_s();
-    if (!frame) throw WireError("clock sync: agent did not reply within 5 s");
-    if (frame->type != MessageType::kSyncReply)
-      throw WireError(std::string("clock sync: expected sync-reply, got ") +
-                      to_string(frame->type));
-    WireReader reader(frame->payload);
-    const SyncReplyMsg reply = SyncReplyMsg::decode(reader);
-    if (reply.seq != probe.seq)
-      throw WireError(strings::format("clock sync: reply seq %u for probe %u", reply.seq,
-                                      probe.seq));
-
-    const double rtt = t_recv - reply.t_coord_s;
-    if (rtt < best.rtt_s) {
-      best.rtt_s = rtt;
-      // The agent stamped its reply somewhere inside our round trip; the
-      // midpoint assumption cancels symmetric network delay exactly.
-      best.offset_s = reply.t_agent_s - (reply.t_coord_s + t_recv) / 2.0;
-    }
-    ++best.rounds;
+void ClockSync::on_reply(const Frame& frame) {
+  const double t_recv = local_clock_s();
+  if (frame.type != MessageType::kSyncReply)
+    throw WireError(std::string("clock sync: expected sync-reply, got ") +
+                    to_string(frame.type));
+  WireReader reader(frame.payload);
+  const SyncReplyMsg reply = SyncReplyMsg::decode(reader);
+  if (reply.seq != static_cast<std::uint32_t>(rounds))
+    throw WireError(strings::format("clock sync: reply seq %u for probe %d", reply.seq,
+                                    rounds));
+  const double rtt = t_recv - reply.t_coord_s;
+  if (rounds == 0 || rtt < rtt_s) {
+    rtt_s = rtt;
+    // The agent stamped its reply somewhere inside our round trip; the
+    // midpoint assumption cancels symmetric network delay exactly.
+    offset_s = reply.t_agent_s - (reply.t_coord_s + t_recv) / 2.0;
   }
-  return best;
+  ++rounds;
 }
 
 }  // namespace fs2::cluster

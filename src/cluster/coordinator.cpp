@@ -16,6 +16,15 @@
 
 namespace fs2::cluster {
 
+namespace {
+
+/// How long a fresh connection may take to send its whole first message.
+constexpr double kHelloWindowS = 10.0;
+/// How long a joiner in clock sync may take to answer each probe.
+constexpr double kSyncReplyS = 5.0;
+
+}  // namespace
+
 Coordinator::Coordinator(Options options)
     : options_(std::move(options)),
       listener_(options_.port, options_.loopback_only),
@@ -44,127 +53,23 @@ Coordinator::Coordinator(Options options)
   campaign_id_ = splitmix64(id_state);
 }
 
-void Coordinator::accept_and_handshake(std::ostream& log) {
-  nodes_.reserve(options_.nodes);
-  // Sockets accepted but not yet past hello. The old loop did one blocking
-  // 10 s recv per accepted socket, so a single silent client stalled the
-  // whole fleet's admission behind it (head-of-line). Now the listener and
-  // every pending socket are polled together: a slow, silent, or garbage
-  // client burns only its own hello window while agents behind it are
-  // admitted; when its window expires the socket is dropped, not the run.
-  struct PendingConn {
-    Connection conn;
-    double deadline_s = 0.0;
-  };
-  constexpr double kHelloWindowS = 10.0;
-  std::vector<PendingConn> pending;
-  // Progress-based overall deadline, matching the old per-accept semantics:
-  // a coordinator told to expect N nodes fails loudly when the NEXT agent
-  // never dials in, not after N quiet windows stack up.
-  double accept_deadline_s = local_clock_s() + options_.accept_timeout_s;
-  while (nodes_.size() < options_.nodes) {
-    std::vector<pollfd> fds;
-    fds.reserve(pending.size() + 1);
-    fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-    for (const PendingConn& p : pending) fds.push_back(pollfd{p.conn.fd(), POLLIN, 0});
-    double wait_s = accept_deadline_s - local_clock_s();
-    for (const PendingConn& p : pending)
-      wait_s = std::min(wait_s, p.deadline_s - local_clock_s());
-    const int timeout_ms =
-        static_cast<int>(std::clamp(wait_s, 0.0, 600.0) * 1000.0) + 1;
-    const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      throw Error("cluster: poll failed during handshake");
-    }
-    const double now = local_clock_s();
-    if (fds[0].revents & POLLIN)
-      pending.push_back(PendingConn{listener_.accept(1.0), now + kHelloWindowS});
-
-    std::size_t fd_index = 1;  // fds[0] is the listener
-    for (std::size_t p = 0; p < pending.size() && nodes_.size() < options_.nodes;) {
-      // fds[fd_index] pairs with the pending entry in pre-poll order;
-      // erasing consumes the slot, so the index advances once per visited
-      // entry either way. Sockets admitted by the accept above sit past the
-      // end of fds (no pollfd yet) and simply wait a turn.
-      const bool readable =
-          fd_index < fds.size() && (fds[fd_index].revents & (POLLIN | POLLHUP | POLLERR));
-      ++fd_index;
-      if (!readable) {
-        if (now < pending[p].deadline_s) {
-          ++p;
-          continue;
-        }
-        log::warn() << "cluster: dropping connection that never said hello within "
-                    << kHelloWindowS << " s";
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(p));
-        continue;
-      }
-      Connection conn = std::move(pending[p].conn);
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(p));
-      try {
-        const std::size_t i = nodes_.size();
-        // An HTTP scraper may probe while the fleet is still assembling; its
-        // "GET " would parse as an absurd frame length and kill the accept
-        // loop. Route it off before framing, like the mid-run listener path.
-        if (peek_is_http_get(conn.fd(), /*timeout_s=*/1.0)) {
-          serve_http_client(std::move(conn), render_exposition(),
-                            detector_.fleet_healthy());
-          continue;
-        }
-        const auto frame = conn.recv(/*timeout_s=*/2.0);
-        if (!frame || frame->type != MessageType::kHello) {
-          // Status probes may land while the fleet is still assembling;
-          // answer with what is known so far and keep waiting for real
-          // agents — the probe must not consume a --nodes slot.
-          if (frame && frame->type == MessageType::kStatusRequest) {
-            serve_status_client(std::move(conn), /*accepting=*/true);
-            continue;
-          }
-          throw WireError("first frame was not a hello");
-        }
-        WireReader reader(frame->payload);
-        const HelloMsg hello = HelloMsg::decode(reader);
-        if (hello.version != kProtocolVersion)
-          throw WireError(strings::format("node '%s' speaks protocol %u, need %u",
-                                          hello.node_name.c_str(), hello.version,
-                                          kProtocolVersion));
-        Node node;
-        node.conn = std::move(conn);
-        node.info.name = hello.node_name.empty() ? strings::format("node-%zu", i)
-                                                 : hello.node_name;
-        // Names key the merged CSV's node column; make collisions unambiguous.
-        for (const Node& other : nodes_)
-          if (other.info.name == node.info.name)
-            node.info.name += strings::format("#%zu", i);
-        node.info.sku = hello.sku;
-
-        const ClockSyncResult sync = run_clock_sync(node.conn);
-        node.info.clock_offset_s = sync.offset_s;
-        node.info.rtt_s = sync.rtt_s;
-        log << strings::format("node %s (%s): clock offset %+.1f us, rtt %.1f us\n",
-                               node.info.name.c_str(), node.info.sku.c_str(),
-                               sync.offset_s * 1e6, sync.rtt_s * 1e6);
-        log::debug() << "cluster: handshake " << log::kv("node", node.info.name) << ' '
-                     << log::kv("sku", node.info.sku) << ' '
-                     << log::kv("offset_us", sync.offset_s * 1e6) << ' '
-                     << log::kv("rtt_us", sync.rtt_s * 1e6);
-        nodes_.push_back(std::move(node));
-        accept_deadline_s = local_clock_s() + options_.accept_timeout_s;
-      } catch (const WireError& e) {
-        // A malformed or wrong-version client costs itself the socket, never
-        // the fleet: real agents keep being admitted around it.
-        log::warn() << "cluster: dropping bad handshake connection: " << e.what();
-      }
-    }
-    if (nodes_.size() < options_.nodes && local_clock_s() >= accept_deadline_s)
-      throw Error(strings::format(
-          "cluster: accepted %zu of %zu nodes, none arrived for %.0f s",
-          nodes_.size(), options_.nodes, options_.accept_timeout_s));
-  }
-
+void Coordinator::start_campaign(std::ostream& log) {
   std::vector<std::string> names;
-  for (const Node& node : nodes_) names.push_back(node.info.name);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    NodeInfo& info = nodes_[i].info;
+    if (info.name.empty()) info.name = strings::format("node-%zu", i);
+    // Names key the merged CSV's node column; make collisions unambiguous.
+    for (std::size_t j = 0; j < i; ++j)
+      if (nodes_[j].info.name == info.name) info.name += strings::format("#%zu", i);
+    names.push_back(info.name);
+    log << strings::format("node %s (%s): clock offset %+.1f us, rtt %.1f us\n",
+                           info.name.c_str(), info.sku.c_str(), info.clock_offset_s * 1e6,
+                           info.rtt_s * 1e6);
+    log::debug() << "cluster: handshake " << log::kv("node", info.name) << ' '
+                 << log::kv("sku", info.sku) << ' '
+                 << log::kv("offset_us", info.clock_offset_s * 1e6) << ' '
+                 << log::kv("rtt_us", info.rtt_s * 1e6);
+  }
   bus_ = std::make_unique<ClusterBus>(std::move(names));
 
   AnomalyDetector::Options detect;
@@ -176,36 +81,16 @@ void Coordinator::accept_and_handshake(std::ostream& log) {
   for (std::size_t i = 0; i < nodes_.size(); ++i)
     detector_.set_node_name(i, nodes_[i].info.name);
   metrics_.resize(nodes_.size());
-}
-
-void Coordinator::distribute_campaign() {
-  CampaignMsg msg;
-  msg.campaign_id = campaign_id_;
-  msg.has_budget = apportioner_ ? 1 : 0;
-  msg.initial_setpoint_w = apportioner_ ? apportioner_->initial_share_w() : 0.0;
-  msg.ctl_interval_s = options_.ctl_interval_s;
-  msg.budget_interval_s = options_.budget ? options_.budget->interval_s : 0.5;
-  msg.budget_band = options_.budget ? options_.budget->band : 0.02;
-  msg.trace_enabled = options_.trace ? 1 : 0;
-  msg.metrics_interval_s = options_.metrics_interval_s;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    msg.campaign_text = options_.per_node_campaigns.empty()
-                            ? options_.campaign_text
-                            : options_.per_node_campaigns[i];
-    nodes_[i].conn.send(msg.encode());
+  // Register the fleet up front so Perfetto pids follow node (hello) order,
+  // with the coordinator first — independent of which node ships spans first.
+  if (options_.trace) {
+    trace_.add_node("coordinator", 0.0);
+    for (const Node& node : nodes_) trace_.add_node(node.info.name, node.info.clock_offset_s);
   }
-}
 
-void Coordinator::announce_epoch(std::ostream& log) {
-  const double t0_coord = local_clock_s() + options_.start_delay_s;
-  for (Node& node : nodes_) {
-    EpochMsg epoch;
-    epoch.t0_agent_s = t0_coord + node.info.clock_offset_s;
-    epoch.offset_s = node.info.clock_offset_s;
-    epoch.rtt_s = node.info.rtt_s;
-    node.conn.send(epoch.encode());
-  }
-  epoch_local_s_ = t0_coord;
+  epoch_local_s_ = local_clock_s() + options_.start_delay_s;
+  for (std::size_t i = 0; i < nodes_.size(); ++i)
+    send_campaign(nodes_[i].conn, i, nodes_[i].info.clock_offset_s, nodes_[i].info.rtt_s);
   log << strings::format("epoch: T0 in %.2f s, %zu nodes in lockstep\n",
                          options_.start_delay_s, nodes_.size());
   log::info() << "cluster: epoch announced " << log::kv("nodes", nodes_.size()) << ' '
@@ -213,6 +98,34 @@ void Coordinator::announce_epoch(std::ostream& log) {
   trace::FlightRecorder::instance().note_event(
       strings::format("epoch announced: %zu nodes, start delay %.2fs", nodes_.size(),
                       options_.start_delay_s));
+  if (apportioner_) apportioner_->begin_window();
+}
+
+void Coordinator::send_campaign(Connection& conn, std::size_t index, double offset_s,
+                                double rtt_s) {
+  CampaignMsg campaign;
+  campaign.campaign_id = campaign_id_;
+  campaign.has_budget = apportioner_ ? 1 : 0;
+  // A rejoiner is still marked lost here and holds no share; re-admission
+  // re-seeds the whole live set equal, so the equal share is its setpoint,
+  // as it is a first joiner's.
+  campaign.initial_setpoint_w = apportioner_ ? apportioner_->initial_share_w() : 0.0;
+  campaign.ctl_interval_s = options_.ctl_interval_s;
+  campaign.budget_interval_s = options_.budget ? options_.budget->interval_s : 0.5;
+  campaign.budget_band = options_.budget ? options_.budget->band : 0.02;
+  campaign.trace_enabled = options_.trace ? 1 : 0;
+  campaign.metrics_interval_s = options_.metrics_interval_s;
+  campaign.campaign_text = options_.per_node_campaigns.empty()
+                               ? options_.campaign_text
+                               : options_.per_node_campaigns[index];
+  conn.send(campaign.encode());
+  // The shared epoch in the agent's own clock. A rejoiner gets the ORIGINAL
+  // epoch through its fresh sync, so it lands on the fleet's timeline.
+  EpochMsg epoch;
+  epoch.t0_agent_s = epoch_local_s_ + offset_s;
+  epoch.offset_s = offset_s;
+  epoch.rtt_s = rtt_s;
+  conn.send(epoch.encode());
 }
 
 std::size_t Coordinator::alive_nodes() const {
@@ -454,97 +367,74 @@ void Coordinator::sweep_rejoin_grace(std::ostream& log) {
   }
 }
 
-void Coordinator::handle_rejoin(Connection client, const RejoinMsg& msg,
-                                std::ostream& log) {
-  const auto refuse = [&](const std::string& why) {
-    log::warn() << "cluster: rejoin refused " << log::kv("node", msg.node_name) << ' '
-                << log::kv("why", why);
-    RejoinAckMsg ack;
-    ack.accepted = 0;
-    ack.detail = why;
-    client.send(ack.encode());
-  };
-  if (msg.version != kProtocolVersion) {
-    refuse(strings::format("protocol %u, need %u", msg.version, kProtocolVersion));
-    return;
-  }
-  if (msg.campaign_id != campaign_id_) {
-    refuse("campaign id mismatch (agent from another run?)");
-    return;
-  }
+bool Coordinator::ack_rejoin(Joiner& joiner, const RejoinMsg& msg) {
   std::size_t index = nodes_.size();
   for (std::size_t i = 0; i < nodes_.size(); ++i)
     if (nodes_[i].info.name == msg.node_name) index = i;
-  if (index == nodes_.size()) {
-    refuse("unknown node name");
-    return;
-  }
-  Node& node = nodes_[index];
-  if (node.given_up) {
-    refuse(strings::format("rejoin window (%.1fs) expired", options_.rejoin_grace_s));
-    return;
-  }
-  if (node.verdict_received) {
-    refuse("verdict already recorded");
-    return;
-  }
-  if (!node.lost) {
-    // Double-rejoin: a fresh socket for a node we still believe connected
-    // means the old connection is dead on the agent's side (half-open TCP).
-    // Latest wins — drop the stale socket so exactly one stays live.
-    log::warn() << "cluster: node " << node.info.name
-                << " rejoined over a live connection; replacing the stale socket";
-    node.conn.close();
+  std::string refusal;
+  if (msg.version != kProtocolVersion)
+    refusal = strings::format("protocol %u, need %u", msg.version, kProtocolVersion);
+  else if (!bus_)
+    refusal = "the campaign has not started";
+  else if (msg.campaign_id != campaign_id_)
+    refusal = "campaign id mismatch (agent from another run?)";
+  else if (index == nodes_.size())
+    refusal = "unknown node name";
+  else if (nodes_[index].given_up)
+    refusal = strings::format("rejoin window (%.1fs) expired", options_.rejoin_grace_s);
+  else if (nodes_[index].verdict_received)
+    refusal = "verdict already recorded";
+  RejoinAckMsg ack;
+  if (!refusal.empty()) {
+    log::warn() << "cluster: rejoin refused " << log::kv("node", msg.node_name) << ' '
+                << log::kv("why", refusal);
+    ack.detail = refusal;
+    joiner.conn.send(ack.encode());
+    joiner.conn.close();
+    return false;
   }
   // The agent may have completed phases whose end brackets never survived
   // the wire; its own count is proof of completion, so credit the missing
   // barrier votes rather than making it re-run work the fleet would then
   // double-count.
-  const std::uint32_t prev_ended = node.phases_ended;
-  const std::uint32_t resume =
-      std::min(static_cast<std::uint32_t>(options_.phase_count),
-               std::max(prev_ended, msg.phases_ended));
-
-  // Replay the admission sequence on the fresh socket BEFORE flipping any
-  // coordinator state: if the rejoiner dies mid-handshake the node simply
-  // stays lost, with its grace window still ticking.
-  RejoinAckMsg ack;
+  joiner.resume = std::min(static_cast<std::uint32_t>(options_.phase_count),
+                           std::max(nodes_[index].phases_ended, msg.phases_ended));
+  joiner.order = index;
+  joiner.stage = Joiner::Stage::kRejoinSync;
   ack.accepted = 1;
-  ack.resume_phase = resume;
-  client.send(ack.encode());
-  const ClockSyncResult sync = run_clock_sync(client);
-  CampaignMsg campaign;
-  campaign.campaign_id = campaign_id_;
-  campaign.has_budget = apportioner_ ? 1 : 0;
-  // The node is still marked lost here (it holds no share); on admission the
-  // whole live set is re-seeded equal, so the equal share IS its setpoint.
-  campaign.initial_setpoint_w = apportioner_ ? apportioner_->initial_share_w() : 0.0;
-  campaign.ctl_interval_s = options_.ctl_interval_s;
-  campaign.budget_interval_s = options_.budget ? options_.budget->interval_s : 0.5;
-  campaign.budget_band = options_.budget ? options_.budget->band : 0.02;
-  campaign.trace_enabled = options_.trace ? 1 : 0;
-  campaign.metrics_interval_s = options_.metrics_interval_s;
-  campaign.campaign_text = options_.per_node_campaigns.empty()
-                               ? options_.campaign_text
-                               : options_.per_node_campaigns[index];
-  client.send(campaign.encode());
-  // The ORIGINAL epoch re-expressed through the fresh clock sync: the
-  // rejoined node lands on the same shared timeline as everyone else.
-  EpochMsg epoch;
-  epoch.t0_agent_s = epoch_local_s_ + sync.offset_s;
-  epoch.offset_s = sync.offset_s;
-  epoch.rtt_s = sync.rtt_s;
-  client.send(epoch.encode());
+  ack.resume_phase = joiner.resume;
+  joiner.conn.send(ack.encode());
+  return true;
+}
+
+void Coordinator::readmit(Joiner& joiner, std::ostream& log) {
+  const std::size_t index = joiner.order;
+  const std::uint32_t resume = joiner.resume;
+  const ClockSync& sync = joiner.sync;
+  Node& node = nodes_[index];
+  if (node.given_up || node.verdict_received)
+    throw WireError("cluster: node " + node.info.name + "'s rejoin window closed in sync");
+  // Replay the admission sequence on the fresh socket BEFORE flipping any
+  // coordinator state: if the rejoiner dies mid-replay the node stays as it
+  // was, a lost one with its grace window still ticking.
+  send_campaign(joiner.conn, index, sync.offset_s, sync.rtt_s);
   // If the go for its resume phase fired while it was away, replay it —
   // the node would otherwise wait for a broadcast that already happened.
   if (resume > 0 && resume < options_.phase_count && phase_released_[resume - 1]) {
     PhaseGoMsg go;
     go.phase_index = resume;
-    client.send(go.encode());
+    joiner.conn.send(go.encode());
   }
+  // Double rejoin: a fresh socket for a node we still believe connected
+  // means the old connection is dead on the agent's side (half-open TCP).
+  // Latest wins — adopting the new socket closes the stale one, so exactly
+  // one stays live.
+  if (!node.lost)
+    log::warn() << "cluster: node " << node.info.name
+                << " rejoined over a live connection; replacing the stale socket";
 
-  // Wire sequence survived — flip the node back to alive.
-  node.conn = std::move(client);
+  const std::uint32_t prev_ended = node.phases_ended;
+  node.conn = std::move(joiner.conn);
   node.lost = false;
   node.lost_why.clear();
   node.phases_begun = resume;
@@ -552,7 +442,6 @@ void Coordinator::handle_rejoin(Connection client, const RejoinMsg& msg,
   node.info.clock_offset_s = sync.offset_s;
   node.info.rtt_s = sync.rtt_s;
   ++node.info.rejoins;
-  fds_stale_ = true;
   for (std::uint32_t p = prev_ended; p < resume; ++p) {
     if (phase_end_counts_[p] == 0) phase_barrier_open_s_[p] = local_clock_s();
     ++phase_end_counts_[p];
@@ -627,28 +516,79 @@ std::string Coordinator::render_exposition() const {
                         rows, detector_.alerts().size(), detector_.fleet_healthy());
 }
 
-void Coordinator::serve_listener_client(std::ostream& log) {
+void Coordinator::serve_joiner(Joiner& joiner, std::ostream& log) {
   try {
-    Connection client = listener_.accept(/*timeout_s=*/1.0);
-    // Route by the first bytes: an HTTP scraper starts with "GET ", a
-    // framed client with a length prefix. Peeking consumes nothing, so
-    // the framed path below still reads a whole frame.
-    if (peek_is_http_get(client.fd(), /*timeout_s=*/2.0)) {
-      trace::Registry::instance().counter("coordinator.http_requests").add();
-      serve_http_client(std::move(client), render_exposition(),
-                        detector_.fleet_healthy());
-      return;
+    if (joiner.stage == Joiner::Stage::kGreeting) {
+      if (!read_greeting(joiner.conn.fd(), joiner.head)) return;
+      if (joiner.head.compare(0, 4, "GET ") == 0) {
+        trace::Registry::instance().counter("coordinator.http_requests").add();
+        serve_http_client(std::move(joiner.conn), joiner.head, render_exposition(),
+                          detector_.fleet_healthy());
+        return;
+      }
+      const std::vector<std::uint8_t> payload(joiner.head.begin() + 5, joiner.head.end());
+      WireReader reader(payload);
+      switch (static_cast<MessageType>(joiner.head[4])) {
+        case MessageType::kStatusRequest:
+          // Probes may land while the fleet is still assembling; they are
+          // answered with what is known so far and take no --nodes slot.
+          trace::Registry::instance().counter("coordinator.status_probes").add();
+          joiner.conn.send(build_status(/*accepting=*/!bus_).encode());
+          joiner.conn.close();
+          return;
+        case MessageType::kRejoin:
+          if (!ack_rejoin(joiner, RejoinMsg::decode(reader))) return;
+          break;
+        case MessageType::kHello: {
+          const HelloMsg hello = HelloMsg::decode(reader);
+          if (hello.version != kProtocolVersion)
+            throw WireError(strings::format("node '%s' speaks protocol %u, need %u",
+                                            hello.node_name.c_str(), hello.version,
+                                            kProtocolVersion));
+          const auto syncing = std::count_if(joiners_.begin(), joiners_.end(),
+              [](const Joiner& j) { return j.stage == Joiner::Stage::kHelloSync; });
+          if (nodes_.size() + static_cast<std::size_t>(syncing) >= options_.nodes)
+            throw WireError(strings::format("hello from '%s' past --nodes %zu",
+                                            hello.node_name.c_str(), options_.nodes));
+          joiner.info.name = hello.node_name;
+          joiner.info.sku = hello.sku;
+          joiner.order = hellos_++;
+          joiner.stage = Joiner::Stage::kHelloSync;
+          break;
+        }
+        default:
+          throw WireError(std::string("first frame was a ") +
+                          to_string(static_cast<MessageType>(joiner.head[4])));
+      }
+    } else {
+      Frame reply;
+      if (!joiner.conn.recv_into(reply, /*timeout_s=*/0.0)) return;
+      joiner.sync.on_reply(reply);
+      if (joiner.sync.done() && joiner.stage == Joiner::Stage::kRejoinSync) {
+        readmit(joiner, log);
+        return;
+      }
+      if (joiner.sync.done()) {
+        Node node;
+        node.info = std::move(joiner.info);
+        node.info.clock_offset_s = joiner.sync.offset_s;
+        node.info.rtt_s = joiner.sync.rtt_s;
+        node.hello = joiner.order;
+        node.conn = std::move(joiner.conn);
+        // Node order is hello order, whichever sync finishes first.
+        const auto at = std::find_if(nodes_.begin(), nodes_.end(),
+                                     [&](const Node& n) { return n.hello > node.hello; });
+        nodes_.insert(at, std::move(node));
+        return;
+      }
     }
-    const auto request = client.recv(/*timeout_s=*/2.0);
-    if (request && request->type == MessageType::kStatusRequest) {
-      serve_status_client(std::move(client), /*accepting=*/false);
-    } else if (request && request->type == MessageType::kRejoin) {
-      WireReader reader(request->payload);
-      handle_rejoin(std::move(client), RejoinMsg::decode(reader), log);
-    }
-  } catch (const Error&) {
-    // Broken probes, scrapers, and half-dead rejoiners never take the
-    // campaign down.
+    joiner.conn.send(joiner.sync.probe());
+    joiner.deadline_s = local_clock_s() + kSyncReplyS;
+  } catch (const WireError& e) {
+    // A malformed, wrong-version or vanished client costs itself the
+    // socket, never the fleet.
+    log::warn() << "cluster: dropping joining connection: " << e.what();
+    joiner.conn.close();
   }
 }
 
@@ -703,37 +643,18 @@ StatusReplyMsg Coordinator::build_status(bool accepting) const {
   return reply;
 }
 
-void Coordinator::serve_status_client(Connection conn, bool accepting) {
-  try {
-    conn.send(build_status(accepting).encode());
-  } catch (const Error&) {
-    // A probe that vanishes mid-reply is its own problem.
-  }
-  conn.close();
-}
-
 void Coordinator::event_loop(std::ostream& log) {
-  // The pollfd set is sized after the handshake, built once and reused; a
-  // LOST node's slot is parked at fd -1, which poll(2) ignores, and a
-  // REJOIN swaps in a fresh socket (fds_stale_ forces a rebuild). One
-  // scratch frame serves every receive — the loop allocates nothing per
-  // frame. The last slot watches the listener: status clients, HTTP
-  // scrapers, and rejoining agents connect mid-campaign.
+  // The one poll(2) of the coordinator, from the first accept to shutdown.
+  // Each iteration refills the pollfd set (a reused vector, so no
+  // allocation once it has grown): the nodes, the listener, then the
+  // joiners. A node's slot is parked at fd -1, which poll(2) ignores, until
+  // the campaign starts and while the node is LOST. One scratch frame serves
+  // every node receive — the loop allocates nothing per frame.
   std::vector<pollfd> fds;
-  const auto rebuild_fds = [&] {
-    fds.clear();
-    fds.reserve(nodes_.size() + 1);
-    for (const Node& node : nodes_)
-      fds.push_back(pollfd{node.lost ? -1 : node.conn.fd(), POLLIN, 0});
-    fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-    fds_stale_ = false;
-  };
-  rebuild_fds();
   Frame frame;
   trace::Registry& registry = trace::Registry::instance();
   trace::Counter& frames = registry.counter("coordinator.frames");
   trace::Counter& wakeups = registry.counter("coordinator.poll_wakeups");
-  trace::Counter& probes = registry.counter("coordinator.status_probes");
   trace::Counter& metric_updates = registry.counter("coordinator.metric_updates");
   trace::Histogram& rx_bytes = registry.histogram("coordinator.rx_frame_bytes");
 
@@ -747,16 +668,32 @@ void Coordinator::event_loop(std::ostream& log) {
           ? std::clamp(static_cast<int>(options_.metrics_interval_s * 500.0), 50, 600000)
           : 600000;
   double last_traffic_s = local_clock_s();
-  double last_sweep_s = local_clock_s();
+  double last_sweep_s = last_traffic_s;
+  // Progress-based admission deadline: a coordinator told to expect N nodes
+  // fails loudly when the NEXT agent never arrives, not after N quiet
+  // windows stack up.
+  double accept_deadline_s = last_traffic_s + options_.accept_timeout_s;
+  std::size_t admitted = 0;
 
-  while (verdicts_ < nodes_.size()) {
-    if (fds_stale_) rebuild_fds();
+  while (!bus_ || verdicts_ < nodes_.size()) {
+    fds.clear();
+    for (const Node& node : nodes_)
+      fds.push_back(pollfd{node.lost || !bus_ ? -1 : node.conn.fd(), POLLIN, 0});
+    const std::size_t listener_slot = fds.size();
+    fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
+    for (const Joiner& joiner : joiners_)
+      fds.push_back(pollfd{joiner.conn.fd(), POLLIN, 0});
     // A lost node's grace window must expire on time even when the metrics
     // plane is off (tick_ms = 600 s): bound the wait while any window is
-    // open.
+    // open. The admission deadline and the joiners' deadlines bound it too.
     int timeout_ms = tick_ms;
     for (const Node& node : nodes_)
       if (node.lost && !node.given_up) timeout_ms = std::min(timeout_ms, 50);
+    const double before_s = local_clock_s();
+    double wake_s = bus_ ? before_s + 600.0 : accept_deadline_s;
+    for (const Joiner& joiner : joiners_) wake_s = std::min(wake_s, joiner.deadline_s);
+    timeout_ms = std::min(
+        timeout_ms, static_cast<int>(std::clamp(wake_s - before_s, 0.0, 600.0) * 1000.0) + 1);
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;
@@ -774,22 +711,16 @@ void Coordinator::event_loop(std::ostream& log) {
       last_traffic_s = now;
       wakeups.add();
       TRACE_SPAN("coordinator.wakeup");
-      for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      for (std::size_t i = 0; i < listener_slot; ++i) {
         if (nodes_[i].lost || !(fds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-        fds[i].revents = 0;
         // Drain everything this node has ready before re-polling: a
         // streaming agent delivers many frames per wakeup, and poll() per
         // frame would make the syscall, not the merge, the bottleneck. A
-        // node whose socket dies mid-drain is marked lost and the campaign
-        // continues with the survivors — a crash is an observable outcome
-        // now, not a fleet-wide abort.
+        // node whose socket dies, or stalls mid-frame past the transport's
+        // frame bound, is marked lost and the campaign continues with the
+        // survivors — a crash is an observable outcome, not a fleet-wide
+        // abort.
         try {
-          if (!nodes_[i].conn.recv_into(frame, /*timeout_s=*/10.0))
-            throw WireError("stalled mid-frame");
-          rx_bytes.record(static_cast<double>(frame.payload.size()));
-          if (frame.type == MessageType::kMetricUpdate) metric_updates.add();
-          handle_frame(i, frame, log);
-          frames.add();
           while (nodes_[i].conn.recv_into(frame, /*timeout_s=*/0.0)) {
             rx_bytes.record(static_cast<double>(frame.payload.size()));
             if (frame.type == MessageType::kMetricUpdate) metric_updates.add();
@@ -798,18 +729,53 @@ void Coordinator::event_loop(std::ostream& log) {
           }
         } catch (const WireError& e) {
           mark_node_lost(i, e.what(), log);
-          fds[i].fd = -1;
         }
       }
-      if (fds.back().revents & POLLIN) {
-        fds.back().revents = 0;
-        probes.add();
-        serve_listener_client(log);
+      // fds pairs with joiners_ in pre-poll order; connections accepted
+      // below sit past its end and wait a turn.
+      for (std::size_t slot = listener_slot + 1; slot < fds.size(); ++slot)
+        if (fds[slot].revents & (POLLIN | POLLHUP | POLLERR))
+          serve_joiner(joiners_[slot - listener_slot - 1], log);
+      if (fds[listener_slot].revents & POLLIN) {
+        // Take the whole backlog: a large fleet dials in faster than one
+        // accept per wake-up.
+        pollfd backlog{listener_.fd(), POLLIN, 0};
+        try {
+          do {
+            Joiner& joiner = joiners_.emplace_back();
+            joiner.deadline_s = now + kHelloWindowS;
+            joiner.conn = listener_.accept(-1.0);
+          } while (::poll(&backlog, 1, 0) > 0);
+        } catch (const Error& e) {
+          log::warn() << e.what();
+        }
+      }
+    }
+    // A joiner whose connection was admitted, served or dropped is done, and
+    // so is one that missed its deadline: its socket closes as it goes.
+    const double swept_s = local_clock_s();
+    std::erase_if(joiners_, [&](const Joiner& joiner) {
+      if (joiner.conn.valid() && swept_s >= joiner.deadline_s)
+        log::warn() << "cluster: dropping a connection that missed its "
+                    << (joiner.stage == Joiner::Stage::kGreeting ? "hello window"
+                                                                 : "sync-reply bound");
+      return !joiner.conn.valid() || swept_s >= joiner.deadline_s;
+    });
+    if (!bus_) {
+      if (nodes_.size() == options_.nodes) {
+        start_campaign(log);
+      } else if (nodes_.size() > admitted) {
+        admitted = nodes_.size();
+        accept_deadline_s = local_clock_s() + options_.accept_timeout_s;
+      } else if (local_clock_s() >= accept_deadline_s) {
+        throw Error(strings::format(
+            "cluster: accepted %zu of %zu nodes, none arrived for %.0f s", nodes_.size(),
+            options_.nodes, options_.accept_timeout_s));
       }
     }
     // Periodic detector sweep + flight-recorder heartbeat, paced by the
     // tick whether traffic is flowing or not.
-    if (live_metrics && now - last_sweep_s >= options_.metrics_interval_s * 0.5) {
+    if (bus_ && live_metrics && now - last_sweep_s >= options_.metrics_interval_s * 0.5) {
       last_sweep_s = now;
       detector_.sweep(epoch_elapsed_s());
       process_new_alerts(log);
@@ -825,23 +791,15 @@ void Coordinator::event_loop(std::ostream& log) {
   for (Node& node : nodes_)
     if (!node.lost && node.conn.valid()) node.conn.send(shutdown.encode());
   // Every verdict is in: stop listening. Anything still in the accept
-  // backlog (a rejoiner that arrived after its node was given up) gets a
-  // reset instead of an eternal unanswered handshake.
+  // backlog or still joining (a rejoiner that arrived after its node was
+  // given up) gets a reset instead of an eternal unanswered handshake.
   listener_.close();
+  joiners_.clear();
 }
 
 Coordinator::Result Coordinator::run(std::ostream& log) {
   if (options_.trace) trace::Tracer::set_enabled(true);
-  accept_and_handshake(log);
-  // Register the fleet up front so Perfetto pids follow accept order, with
-  // the coordinator first — independent of which node ships spans first.
-  if (options_.trace) {
-    trace_.add_node("coordinator", 0.0);
-    for (const Node& node : nodes_) trace_.add_node(node.info.name, node.info.clock_offset_s);
-  }
-  distribute_campaign();
-  announce_epoch(log);
-  if (apportioner_) apportioner_->begin_window();
+  nodes_.reserve(options_.nodes);
   event_loop(log);
 
   bus_->finish();

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/clock_sync.hpp"
 #include "cluster/cluster_bus.hpp"
 #include "cluster/metrics_plane.hpp"
 #include "cluster/transport.hpp"
@@ -15,11 +16,13 @@
 
 namespace fs2::cluster {
 
-/// The fleet conductor: accepts N agents, clock-syncs each (RTT-compensated
-/// offset estimation), hands out the campaign and a shared epoch, then runs
-/// the event loop — merging streamed telemetry through a ClusterBus,
-/// barriering phase transitions, answering budget reports with reapportioned
-/// per-node setpoints, and collecting end-of-campaign verdicts.
+/// The fleet conductor. One event loop, from the first accept to shutdown,
+/// admits N agents, clock-syncing them concurrently (RTT-compensated offset
+/// estimation), hands out the campaign and a shared epoch, merges streamed
+/// telemetry through a ClusterBus, barriers phase transitions, answers
+/// budget reports with reapportioned per-node setpoints, re-admits
+/// rejoining agents, serves status probes and scrapes, and collects
+/// end-of-campaign verdicts.
 class Coordinator {
  public:
   struct Options {
@@ -27,7 +30,7 @@ class Coordinator {
     bool loopback_only = false;     ///< bind 127.0.0.1 instead of all interfaces
     std::size_t nodes = 0;
     std::string campaign_text;
-    /// Per-node campaign texts, indexed by ACCEPT order (empty = every node
+    /// Per-node campaign texts, indexed by HELLO order (empty = every node
     /// gets `campaign_text`). The fuzz sweep's fan-out hook: each agent
     /// runs a different candidate per phase while phase names, durations,
     /// and count stay identical across nodes — so barriers, phase-major
@@ -39,9 +42,9 @@ class Coordinator {
     /// the fleet open-loop (profiles/targets straight from the campaign).
     std::optional<control::Setpoint> budget;
     double ctl_interval_s = 0.25;   ///< per-node controller tick under budget
-    double start_delay_s = 0.5;     ///< epoch lead time after the last handshake
+    double start_delay_s = 0.5;     ///< epoch lead time after the last admission
     double sync_tolerance_s = 0.25; ///< max allowed phase-begin spread
-    double accept_timeout_s = 60.0;
+    double accept_timeout_s = 60.0; ///< the longest wait for the next node's admission
     std::uint64_t seed = 0;         ///< echoed into logs only
     /// Fleet tracing (--trace-out): agents record spans and ship them with
     /// a counter snapshot before their verdict; the coordinator rebases
@@ -97,9 +100,9 @@ class Coordinator {
 
   std::uint16_t port() const { return listener_.port(); }
 
-  /// Accept + handshake + campaign distribution + event loop, start to
-  /// shutdown. `log` receives human-readable progress lines. Throws on
-  /// node failures and protocol errors.
+  /// Admission, campaign and shutdown, all in one event loop. `log`
+  /// receives human-readable progress lines. Throws when the fleet does not
+  /// assemble or stalls.
   Result run(std::ostream& log);
 
  private:
@@ -123,23 +126,44 @@ class Coordinator {
     double achieved_w = 0.0;
     double setpoint_w = 0.0;
     double level = 0.0;
+    std::size_t hello = 0;  ///< place in hello order, which node order follows
   };
 
-  void accept_and_handshake(std::ostream& log);
-  void distribute_campaign();
-  void announce_epoch(std::ostream& log);
+  /// A connection that is not (yet) a node, polled alongside the nodes. It
+  /// awaits its first message (a hello, a rejoin, a status request or an
+  /// HTTP scrape), or it is a hello or a rejoin in clock sync.
+  struct Joiner {
+    enum class Stage : std::uint8_t { kGreeting, kHelloSync, kRejoinSync };
+    Connection conn;
+    double deadline_s = 0.0;  ///< hello window, then each sync reply's bound
+    Stage stage = Stage::kGreeting;
+    std::string head;         ///< bytes of the first message read so far
+    ClockSync sync;
+    NodeInfo info;            ///< hello: the node's name and SKU
+    std::size_t order = 0;    ///< hello: its place in hello order; rejoin: the node
+    std::uint32_t resume = 0; ///< rejoin: the acked resume phase
+  };
+
   void event_loop(std::ostream& log);
+  /// Advance one readable joiner. A joiner that is served, admitted,
+  /// re-admitted or dropped is left with no connection.
+  void serve_joiner(Joiner& joiner, std::ostream& log);
+  /// Validate a kRejoin and ack it; an accepted rejoin goes on to clock sync.
+  bool ack_rejoin(Joiner& joiner, const RejoinMsg& msg);
+  /// A rejoin's sync completed: replay the campaign, the epoch and any
+  /// missed phase-go on the fresh socket, then flip the node back to alive.
+  void readmit(Joiner& joiner, std::ostream& log);
+  /// Every node is admitted: name the fleet, size the merge and the
+  /// detector, and hand each node its campaign and the shared epoch.
+  void start_campaign(std::ostream& log);
+  /// The campaign and the epoch (in the agent's clock) for node `index`: the
+  /// tail of every admission, a first join and a rejoin alike.
+  void send_campaign(Connection& conn, std::size_t index, double offset_s, double rtt_s);
   void handle_frame(std::size_t node, const Frame& frame, std::ostream& log);
   void record_budget_phase(std::uint32_t phase_index);
-  /// Fleet health snapshot for the status plane. `accepting` = still inside
-  /// the handshake window (campaign not yet started).
+  /// Fleet health snapshot for the status plane. `accepting` = the campaign
+  /// has not started yet.
   StatusReplyMsg build_status(bool accepting) const;
-  /// Answer one status client: read its request, reply, close. Never
-  /// throws — a broken probe must not take the campaign down.
-  void serve_status_client(Connection conn, bool accepting);
-  /// Accept one mid-run listener connection and route it: HTTP scrapers
-  /// get /metrics of /healthz, framed clients get a status reply.
-  void serve_listener_client(std::ostream& log);
 
   std::size_t alive_nodes() const;
   /// Nodes whose barrier votes still count: everyone not given up —
@@ -157,12 +181,6 @@ class Coordinator {
   void give_up_node(std::size_t index, std::ostream& log);
   /// Expire grace windows of lost nodes that never came back.
   void sweep_rejoin_grace(std::ostream& log);
-  /// A fresh socket presented kRejoin: validate it (version, campaign id,
-  /// node name, window still open), replay the admission sequence on the
-  /// new connection (ack, clock re-sync, campaign, epoch, any missed
-  /// PhaseGo), and flip the node back to alive. Refusals answer with
-  /// accepted=0 and never disturb the campaign.
-  void handle_rejoin(Connection client, const RejoinMsg& msg, std::ostream& log);
   /// Drain newly raised detector alerts into the log, the trace timeline,
   /// the flight recorder, and Result.alerts.
   void process_new_alerts(std::ostream& log);
@@ -171,7 +189,9 @@ class Coordinator {
 
   Options options_;
   Listener listener_;
-  std::vector<Node> nodes_;
+  std::vector<Node> nodes_;  ///< admitted nodes, in hello order
+  std::vector<Joiner> joiners_;
+  std::size_t hellos_ = 0;   ///< hellos taken into clock sync so far
   SampleBatchMsg batch_scratch_;  ///< reused decode target for sample batches
   std::unique_ptr<ClusterBus> bus_;
   std::unique_ptr<control::BudgetApportioner> apportioner_;
@@ -192,9 +212,6 @@ class Coordinator {
   /// an agent from yesterday's run (or someone else's coordinator) cannot
   /// splice itself into this campaign.
   std::uint64_t campaign_id_ = 0;
-  /// A rejoin swapped a node's socket: the event loop's pollfd set must be
-  /// rebuilt before the next poll.
-  bool fds_stale_ = false;
 };
 
 }  // namespace fs2::cluster

@@ -1,13 +1,13 @@
 #include "cluster/exposition.hpp"
 
-#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
+
+#include "util/strings.hpp"
 
 namespace fs2::cluster {
 
@@ -162,42 +162,43 @@ std::string render_metrics(const std::vector<trace::MetricSnapshot>& local,
   return out;
 }
 
-bool peek_is_http_get(int fd, double timeout_s) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_s);
-  char head[4];
+bool read_greeting(int fd, std::string& head) {
+  constexpr std::size_t kMaxRequestHead = 4096;
+  constexpr std::uint32_t kMaxGreetingBytes = 64u << 10;
   for (;;) {
-    const ssize_t n = ::recv(fd, head, sizeof(head), MSG_PEEK | MSG_DONTWAIT);
-    if (n >= 4) return std::memcmp(head, "GET ", 4) == 0;
-    if (n == 0) return false;  // EOF before any request
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
+    // Read no further than the message: a frame's header, then its declared
+    // length; a request up to its first line end.
+    std::size_t want = 4;
+    if (head.size() >= 4 && head.compare(0, 4, "GET ") == 0) {
+      if (head.find("\r\n") != std::string::npos || head.size() >= kMaxRequestHead)
+        return true;
+      want = kMaxRequestHead;
+    } else if (head.size() >= 4) {
+      const std::uint32_t length =
+          WireReader(reinterpret_cast<const std::uint8_t*>(head.data()), 4).u32();
+      if (length == 0 || length > kMaxGreetingBytes)
+        throw WireError(
+            strings::format("cluster: first frame length %u out of range", length));
+      want = 4 + std::size_t{length};
+      if (head.size() == want) return true;
+    }
+    char buf[1024];
+    const ssize_t n =
+        ::recv(fd, buf, std::min(sizeof buf, want - head.size()), MSG_DONTWAIT);
+    if (n > 0) {
+      head.append(buf, static_cast<std::size_t>(n));
+    } else if (n == 0) {
+      throw WireError("cluster: peer closed before its first message was whole");
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
       return false;
-    // 1-3 bytes peeked: "GET" is still arriving — or a framed client whose
-    // 4-byte length prefix landed short. Wait for the fourth byte either way.
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return false;
-    struct pollfd pfd{fd, POLLIN, 0};
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    ::poll(&pfd, 1, static_cast<int>(std::max<long long>(1, left.count())));
-    if (n >= 1) {
-      // Already have bytes and they can't be "GET " unless they prefix it.
-      if (std::memcmp(head, "GET ", static_cast<std::size_t>(n)) != 0) return false;
+    } else if (errno != EINTR) {
+      throw WireError(std::string("cluster: recv failed (") + std::strerror(errno) + ")");
     }
   }
 }
 
-void serve_http_client(Connection conn, const std::string& metrics_body,
-                       bool fleet_healthy) {
-  // Read the request head (we only need the request line; drain what's
-  // buffered, stop at end-of-headers or 4 KiB).
-  std::string request;
-  char buf[1024];
-  while (request.size() < 4096 && request.find("\r\n") == std::string::npos) {
-    const ssize_t n = ::recv(conn.fd(), buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    request.append(buf, static_cast<std::size_t>(n));
-  }
+void serve_http_client(Connection conn, const std::string& request,
+                       const std::string& metrics_body, bool fleet_healthy) {
   std::string path = "/";
   const std::size_t sp1 = request.find(' ');
   if (sp1 != std::string::npos) {

@@ -39,17 +39,20 @@ std::string render_metrics(const std::vector<trace::MetricSnapshot>& local,
                            const std::vector<ExpositionNode>& nodes,
                            std::size_t alert_count, bool fleet_healthy);
 
-/// True when the next bytes on `fd` look like an HTTP GET ("GET " peeked
-/// without consuming), waiting up to `timeout_s` for them to arrive. False
-/// on timeout, EOF, or a framed-protocol client — the caller falls through
-/// to the kStatusRequest path.
-bool peek_is_http_get(int fd, double timeout_s);
+/// Read what has arrived of a fresh connection's first message into `head`,
+/// without waiting: an HTTP request ("GET " up to the end of the request
+/// line, at most 4 KiB) or one frame of at most 64 KiB. Bytes are consumed
+/// as they arrive, so a client that stops mid-message leaves nothing
+/// readable behind and costs the caller's poll loop no wake-ups. True once
+/// the message is whole; throws WireError when the peer closes first or
+/// declares a frame length out of range.
+bool read_greeting(int fd, std::string& head);
 
-/// Serve one HTTP request on an accepted connection and close it:
-/// GET /metrics -> 200 with `metrics_body`; GET /healthz -> 200 "ok" when
-/// healthy, 503 otherwise; anything else -> 404. Never throws — a broken
-/// scraper must not take the campaign down.
-void serve_http_client(Connection conn, const std::string& metrics_body,
-                       bool fleet_healthy);
+/// Answer one HTTP request, whose head `read_greeting` read, and close the
+/// connection: GET /metrics -> 200 with `metrics_body`; GET /healthz -> 200
+/// "ok" when healthy, 503 otherwise; anything else -> 404. Never throws — a
+/// broken scraper must not take the campaign down.
+void serve_http_client(Connection conn, const std::string& request,
+                       const std::string& metrics_body, bool fleet_healthy);
 
 }  // namespace fs2::cluster

@@ -143,19 +143,27 @@ void Connection::write_all(const std::uint8_t* data, std::size_t size) {
   }
 }
 
-bool Connection::read_all(std::uint8_t* data, std::size_t size, bool eof_ok) {
+bool Connection::read_all(std::uint8_t* data, std::size_t size, double& frame_deadline_s) {
   std::size_t got = 0;
   while (got < size) {
-    const ssize_t n = ::recv(fd_, data + got, size - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
+    // Before the frame's first byte recv blocks: that wait is the caller's.
+    // After it, the rest of the frame is awaited only until the deadline.
+    const bool begun = frame_deadline_s > 0.0;
+    const ssize_t n = ::recv(fd_, data + got, size - got, begun ? MSG_DONTWAIT : 0);
+    if (n > 0) {
+      if (!begun) frame_deadline_s = mono_s() + kFrameReadBoundS;
+      got += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n == 0 && !begun) return false;
+    if (n == 0) throw WireError("cluster: peer disconnected mid-frame");
+    if (errno == EINTR) continue;
+    if (!begun || (errno != EAGAIN && errno != EWOULDBLOCK))
       throw WireError("cluster: recv failed (" + errno_text() + ")");
-    }
-    if (n == 0) {
-      if (eof_ok && got == 0) return false;
-      throw WireError("cluster: peer disconnected mid-frame");
-    }
-    got += static_cast<std::size_t>(n);
+    pollfd pfd{fd_, POLLIN, 0};
+    const double left_s = frame_deadline_s - mono_s();
+    if (left_s <= 0.0 || ::poll(&pfd, 1, static_cast<int>(left_s * 1000.0) + 1) == 0)
+      throw WireError("cluster: peer stalled mid-frame");
   }
   return true;
 }
@@ -255,8 +263,9 @@ bool Connection::recv_into(Frame& frame, double timeout_s) {
       if (deadline >= 0.0 && mono_s() >= deadline) return false;
     }
   }
+  double frame_deadline_s = 0.0;
   std::uint8_t header[5];
-  if (!read_all(header, sizeof header, /*eof_ok=*/true))
+  if (!read_all(header, sizeof header, frame_deadline_s))
     throw WireError("cluster: peer closed the connection");
   WireReader reader(header, sizeof header);
   const std::uint32_t length = reader.u32();
@@ -265,7 +274,7 @@ bool Connection::recv_into(Frame& frame, double timeout_s) {
   frame.type = static_cast<MessageType>(header[4]);
   frame.payload.resize(length - 1);
   if (!frame.payload.empty())
-    read_all(frame.payload.data(), frame.payload.size(), /*eof_ok=*/false);
+    read_all(frame.payload.data(), frame.payload.size(), frame_deadline_s);
   return true;
 }
 
@@ -292,9 +301,9 @@ Listener::Listener(std::uint16_t port, bool loopback_only) {
     fd_ = -1;
     throw Error(strings::format("cluster: cannot bind port %u (%s)", port, reason.c_str()));
   }
-  // Big-fleet loopback runs dial in hundreds of agents before the
-  // coordinator's sequential accept loop gets to them; the backlog must
-  // hold the whole burst or late connectors see ECONNREFUSED.
+  // A loopback fleet dials in all of its agents in one burst. The
+  // coordinator's event loop empties the backlog on every wake-up, so 1024
+  // queued connections are enough to admit a 4096-node loopback fleet.
   if (::listen(fd_, 1024) != 0) {
     const std::string reason = errno_text();
     ::close(fd_);

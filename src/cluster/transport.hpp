@@ -47,9 +47,11 @@ class Connection {
     send(type, payload.bytes().data(), payload.bytes().size());
   }
 
-  /// Receive the next frame, blocking. `timeout_s` < 0 blocks forever; on
-  /// timeout returns std::nullopt. Throws WireError on disconnect or a
-  /// frame exceeding kMaxFrameBytes.
+  /// Receive the next frame, blocking. `timeout_s` bounds the wait for the
+  /// frame's first byte (< 0 waits forever; on timeout returns
+  /// std::nullopt). Once that byte is in, the rest of the frame must follow
+  /// within kFrameReadBoundS. Throws WireError on disconnect, on a peer
+  /// that stalls mid-frame, or on a frame exceeding kMaxFrameBytes.
   std::optional<Frame> recv(double timeout_s = -1.0);
 
   /// Receive into a caller-owned scratch frame, reusing its payload
@@ -82,6 +84,10 @@ class Connection {
   /// hostile length prefix, not real traffic.
   static constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
 
+  /// Seconds a peer may take to finish a frame it has begun: the one wait
+  /// on a single peer that can hold the coordinator's event loop.
+  static constexpr double kFrameReadBoundS = 10.0;
+
  private:
   struct PendingFrame {
     double due_s = 0.0;  ///< monotonic seconds when the frame may be written
@@ -89,8 +95,9 @@ class Connection {
   };
 
   void write_all(const std::uint8_t* data, std::size_t size);
-  /// False = clean EOF before any byte (peer closed between frames).
-  bool read_all(std::uint8_t* data, std::size_t size, bool eof_ok);
+  /// `frame_deadline_s` is 0 until the frame's first byte sets it. False =
+  /// clean EOF before that byte (peer closed between frames).
+  bool read_all(std::uint8_t* data, std::size_t size, double& frame_deadline_s);
   /// Build header + payload in send_buf_.
   void assemble(MessageType type, const std::uint8_t* payload, std::size_t size);
   /// Write send_buf_ now, or queue it behind delayed frames.

@@ -1,9 +1,11 @@
 // Tests of the chaos/fault-injection subsystem: the --chaos grammar and its
 // determinism guarantees, the seeded reconnect backoff, wire-protocol
 // hardening against malformed frames of every message type, budget
-// re-apportionment across loss and rejoin, the rejoin protocol driven by
-// hand-rolled raw connections against a live coordinator (barrier re-check,
-// double-rejoin), and the end-to-end loopback fleet surviving a chaos kill.
+// re-apportionment across loss and rejoin, admission and the rejoin
+// protocol driven by hand-rolled raw connections against a live coordinator
+// (concurrent clock sync, stray clients, a node stalled mid-frame, barrier
+// re-check, double-rejoin), and the end-to-end loopback fleet surviving a
+// chaos kill.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -438,10 +441,9 @@ struct FakeAgent {
   bool have_campaign = false;
   bool have_epoch = false;
 
-  /// Connect and say hello — admission (clock sync, campaign, epoch) is
-  /// served separately, because the coordinator syncs nodes one at a time
-  /// in admission order: with several fake agents on ONE test thread, each
-  /// must take its turn answering probes while the others hold back.
+  /// Connect and say hello. Admission (clock sync, campaign, epoch) is
+  /// served separately: the coordinator probes every joiner at once, but
+  /// several fake agents share ONE test thread, which answers them in turn.
   static FakeAgent dial(std::uint16_t port, const std::string& name) {
     FakeAgent agent;
     agent.conn = Connection::connect("127.0.0.1:" + std::to_string(port));
@@ -600,6 +602,105 @@ struct CoordinatorHarness {
     if (thread.joinable()) thread.join();
   }
 };
+
+/// Ask the coordinator for its status; nullopt unless the reply lands
+/// within `timeout_s`.
+std::optional<StatusReplyMsg> probe_status(std::uint16_t port, double timeout_s) {
+  Connection probe = Connection::connect("127.0.0.1:" + std::to_string(port));
+  probe.send(StatusRequestMsg{}.encode());
+  const auto frame = probe.recv(timeout_s);
+  if (!frame || frame->type != MessageType::kStatusReply) return std::nullopt;
+  WireReader in(frame->payload);
+  return StatusReplyMsg::decode(in);
+}
+
+TEST(Admission, JoinersSyncConcurrentlyAndKeepHelloOrder) {
+  CoordinatorHarness harness(2, 1);
+  FakeAgent alpha = FakeAgent::dial(harness.coordinator.port(), "alpha");
+  FakeAgent beta = FakeAgent::dial(harness.coordinator.port(), "beta");
+  // Beta runs its whole clock sync while alpha sits on its first probe.
+  int answered = 0;
+  while (answered < ClockSync::kRounds && beta.poll_admission(/*timeout_s=*/2.0))
+    ++answered;
+  EXPECT_EQ(answered, ClockSync::kRounds) << "beta waited for alpha's clock sync";
+  FakeAgent::serve_all({&alpha, &beta});
+
+  for (FakeAgent* agent : {&alpha, &beta}) agent->send_bracket(true, 0, "p0");
+  for (FakeAgent* agent : {&alpha, &beta}) agent->send_bracket(false, 0, "p0");
+  for (FakeAgent* agent : {&alpha, &beta}) agent->send_verdict();
+  alpha.await_shutdown();
+  beta.await_shutdown();
+  harness.thread.join();
+  ASSERT_FALSE(harness.failed) << harness.error;
+  // Node order is hello order, whichever sync finished first.
+  ASSERT_EQ(harness.result.nodes.size(), 2u);
+  EXPECT_EQ(harness.result.nodes[0].name, "alpha");
+  EXPECT_EQ(harness.result.nodes[1].name, "beta");
+}
+
+TEST(Admission, StrayClientsNeverStallTheEventLoop) {
+  CoordinatorHarness harness(1, 1);
+  FakeAgent alpha = FakeAgent::dial(harness.coordinator.port(), "alpha");
+  alpha.serve_until_epoch();
+  alpha.send_bracket(true, 0, "p0");
+
+  // Mid-run: a silent client, three bytes of a frame header, and two HTTP
+  // requests that never reach their line end.
+  const std::string endpoint = "127.0.0.1:" + std::to_string(harness.coordinator.port());
+  std::vector<Connection> strays;
+  for (const std::string& bytes : {std::string(), std::string("\x05\x00\x00", 3),
+                                   std::string("GET"), std::string("GET ")}) {
+    strays.push_back(Connection::connect(endpoint));
+    if (!bytes.empty()) {
+      EXPECT_GT(::send(strays.back().fd(), bytes.data(), bytes.size(), 0), 0);
+    }
+  }
+  const std::optional<StatusReplyMsg> status =
+      probe_status(harness.coordinator.port(), /*timeout_s=*/1.0);
+  EXPECT_TRUE(status.has_value()) << "a stray client stalled the event loop";
+  if (status) {
+    EXPECT_EQ(status->nodes.size(), 1u);
+  }
+  // Closing the strays also frees a coordinator that waits on one of them.
+  strays.clear();
+
+  alpha.send_bracket(false, 0, "p0");
+  alpha.send_verdict();
+  alpha.await_shutdown();
+  harness.thread.join();
+  ASSERT_FALSE(harness.failed) << harness.error;
+  EXPECT_TRUE(harness.result.nodes_converged);
+}
+
+TEST(Rejoin, NodeStalledMidFrameIsLostWithinTheFrameBound) {
+  CoordinatorHarness harness(1, 1);
+  FakeAgent alpha = FakeAgent::dial(harness.coordinator.port(), "alpha");
+  alpha.serve_until_epoch();
+  alpha.send_bracket(true, 0, "p0");
+
+  // Three bytes of a frame header, then silence. The coordinator gives up
+  // on the frame after the transport's bound and serves the probe.
+  const std::uint8_t partial[] = {0x05, 0x00, 0x00};
+  EXPECT_GT(::send(alpha.conn.fd(), partial, sizeof partial, 0), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::optional<StatusReplyMsg> status =
+      probe_status(harness.coordinator.port(), Connection::kFrameReadBoundS + 1.0);
+  EXPECT_TRUE(status.has_value()) << "a node stalled mid-frame held the event loop";
+  if (status && status->nodes.size() == 1) {
+    EXPECT_EQ(status->nodes[0].lost, 1);
+  }
+
+  // The stalled node takes the loss path: it rejoins and finishes.
+  EXPECT_EQ(alpha.rejoin(harness.coordinator.port(), "alpha", 0), 0u);
+  alpha.send_bracket(true, 0, "p0");
+  alpha.send_bracket(false, 0, "p0");
+  alpha.send_verdict();
+  alpha.await_shutdown();
+  harness.thread.join();
+  ASSERT_FALSE(harness.failed) << harness.error;
+  EXPECT_TRUE(harness.result.nodes_converged);
+  EXPECT_EQ(harness.result.nodes[0].rejoins, 1u);
+}
 
 TEST(Rejoin, DuringBarrierRechecksBarrierAndFleetCompletes) {
   CoordinatorHarness harness(2, 2);
