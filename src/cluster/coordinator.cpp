@@ -562,7 +562,7 @@ void Coordinator::serve_joiner(Joiner& joiner, std::ostream& log) {
       }
     } else {
       Frame reply;
-      if (!joiner.conn.recv_into(reply, /*timeout_s=*/0.0)) return;
+      joiner.conn.recv_into(reply);  // poll(2) found it readable: no wait
       joiner.sync.on_reply(reply);
       if (joiner.sync.done() && joiner.stage == Joiner::Stage::kRejoinSync) {
         readmit(joiner, log);

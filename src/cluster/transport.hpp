@@ -84,8 +84,8 @@ class Connection {
   /// hostile length prefix, not real traffic.
   static constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
 
-  /// Seconds a peer may take to finish a frame it has begun: the one wait
-  /// on a single peer that can hold the coordinator's event loop.
+  /// Seconds a peer may take to finish a frame it has begun: the one read
+  /// from a single peer that can hold the coordinator's event loop.
   static constexpr double kFrameReadBoundS = 10.0;
 
  private:
