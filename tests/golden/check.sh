@@ -4,13 +4,13 @@
 # a fixed-seed NSGA-II tuning run, a seeded local fuzz sweep and an
 # open-loop loopback fleet) and compares stdout, --record-trace,
 # --control-log, --optimization-log and --fuzz-report byte for byte
-# against the files in this directory.
+# against the files in this directory, together with the --help text.
 #
 #   tests/golden/check.sh FS2_BINARY REPO_ROOT            # compare (ctest)
 #   tests/golden/check.sh FS2_BINARY REPO_ROOT --update   # rewrite the files
 #
-# A file the run does not write (e.g. --control-log on a campaign without a
-# target= phase) must stay unwritten; its golden file is simply absent.
+# A file the run does not write (e.g. NAME.ctl.csv of a run without
+# --control-log) must stay unwritten; its golden file is simply absent.
 set -euo pipefail
 fs2="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
 root="$(cd "$2" && pwd)"
@@ -42,27 +42,32 @@ check() {
   done
 }
 
-# run NAME ARGS... — fs2 with stdout in NAME.out and --record-trace /
-# --control-log pointed at NAME.trace.csv / NAME.ctl.csv.
+# run NAME ARGS... — fs2 with stdout in NAME.out and --record-trace
+# pointed at NAME.trace.csv. The closed-loop runs pass --control-log
+# NAME.ctl.csv themselves; the others must write no NAME.ctl.csv.
 run() {
   local name="$1"
   shift
-  "$fs2" "$@" --record-trace "$name.trace.csv" --control-log "$name.ctl.csv" \
-      --log-level error > "$name.out"
+  "$fs2" "$@" --record-trace "$name.trace.csv" --log-level error > "$name.out"
   check "$name.out" "$name.trace.csv" "$name.ctl.csv"
 }
+
+# The help text, so that a change to a flag's help line shows.
+"$fs2" --help > help.out
+check help.out
 
 run power_oscillation --simulate=zen2 --freq 1500 \
     --campaign "$examples/power_oscillation.campaign"
 run setpoint_steps --simulate=zen2 --freq 1500 \
-    --campaign "$examples/setpoint_steps.campaign" --require-convergence
+    --campaign "$examples/setpoint_steps.campaign" --require-convergence \
+    --control-log setpoint_steps.ctl.csv
 run fuzz_discovery --simulate=zen2 --freq 2000 \
     --campaign "$examples/fuzz_discovery.campaign"
 run sine --simulate=zen2 --freq 1500 -t 30 \
     --load-profile=sine:low=10,high=90,period=5 \
     --measurement --start-delta=2000 --stop-delta=1000
 run target_power --simulate=zen2 --freq 1500 -t 30 --target power=300W \
-    --measurement --require-convergence
+    --measurement --require-convergence --control-log target_power.ctl.csv
 
 # Self-tuning (Sec. IV-E) on the simulator: the log holds every
 # candidate's objectives, so any change to the measurement window shows.
