@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -152,8 +154,67 @@ struct Config {
   std::string log_level = "info";
 };
 
-/// Parse argv. Throws fs2::ConfigError on unknown flags or malformed
-/// values; never exits the process (the caller owns that decision).
+/// What a run does, in Firestarter::run's dispatch order. kClosedLoop is a
+/// single run under --target power= or temp=, kOpenLoop any other single
+/// run. The first six kinds have no target; the others run on the
+/// simulator or on the host (kFuzz on the simulator only).
+enum class RunKind {
+  kAvail, kListMetrics, kStatus, kCoordinator, kLoopback, kFuzzLoopback,
+  kFuzz, kAgent, kOptimize, kDumpAsm, kSelftest, kCampaign, kClosedLoop, kOpenLoop,
+};
+
+/// A run's kind and, for the kinds that have one, its target.
+struct RunMode {
+  RunKind kind;
+  bool simulated = false;
+  bool operator==(const RunMode&) const = default;
+};
+
+/// A set of run modes, one bit per (kind, target) pair.
+using ModeMask = std::uint32_t;
+
+constexpr ModeMask bit(RunMode mode) {
+  return ModeMask{1} << (2 * static_cast<int>(mode.kind) + (mode.simulated ? 1 : 0));
+}
+
+/// The mode a parsed Config runs in.
+RunMode run_mode(const Config& cfg);
+
+/// Every run mode, in dispatch order.
+const std::vector<RunMode>& run_modes();
+
+/// "--campaign", "simulated --optimize", "host open-loop single", ...
+std::string to_string(RunMode mode);
+
+/// A flag's value as given on the command line.
+struct FlagValue {
+  std::string flag;                 ///< the name as given, e.g. "-t"
+  std::optional<std::string> text;  ///< absent when none was given
+  double number() const;            ///< ConfigError unless a number
+  std::uint64_t count() const;      ///< ConfigError unless a non-negative integer
+};
+
+/// One row of the flag table. parse_args sets a flag through its row and
+/// rejects it outside the row's modes; usage() prints --help from the rows.
+struct Flag {
+  const char* names;  ///< as --help prints them, e.g. "-t, --timeout"
+  /// Value placeholder: "SEC" takes a value, so does "=NSGA2" (printed
+  /// attached), "[=N]" an optional attached one, and "" none.
+  const char* value;
+  ModeMask modes;  ///< the run modes in which the flag acts
+  /// Stores the value; empty in a second --help entry for a flag's other form.
+  std::function<void(Config&, const FlagValue&)> set;
+  const char* help;  ///< --help text, one line per '\n'-separated line
+  const char* section = nullptr;  ///< starts a --help section when set
+};
+
+/// The flag table, in --help order.
+const std::vector<Flag>& flag_table();
+
+/// Parse argv. Throws fs2::ConfigError on unknown flags, malformed values,
+/// or a flag given in a run mode it does not act in (--help and --version
+/// accept any flag); never exits the process (the caller owns that
+/// decision).
 Config parse_args(int argc, const char* const* argv);
 
 /// Map a --simulate / --loopback target name ("zen2", "haswell",
@@ -161,7 +222,7 @@ Config parse_args(int argc, const char* const* argv);
 /// names.
 TargetSystem parse_sim_target(const std::string& name);
 
-/// --help text.
+/// --help text, printed from the flag table.
 std::string usage();
 
 const char* to_string(TargetSystem target);

@@ -77,12 +77,6 @@ sched::Campaign single_run_campaign(const Config& cfg) {
                                                          : std::numeric_limits<double>::infinity();
   if (cfg.load_profile) phase.profile_spec = *cfg.load_profile;
   phase.target_spec = cfg.target_spec;
-  if (cfg.target_spec && cfg.load_profile)
-    log::warn() << "--load-profile is ignored under --target (the controller owns "
-                   "the duty cycle)";
-  if (!cfg.target_spec && cfg.require_convergence)
-    log::warn() << "--require-convergence is ignored without --target "
-                   "(nothing is regulated)";
   return sched::Campaign({std::move(phase)});
 }
 
@@ -150,22 +144,6 @@ void export_local_trace(const std::string& path, std::ostream& out) {
       << " spans; load in Perfetto or chrome://tracing)\n";
 }
 
-/// Open --control-log with its header when the run actually has a
-/// controller to log; otherwise warn and return a closed stream. One place
-/// owns the schema so the run modes cannot drift apart.
-std::ofstream open_control_log(const std::optional<std::string>& path, bool has_target,
-                               const char* ignored_reason) {
-  std::ofstream out;
-  if (!path) return out;
-  if (!has_target) {
-    log::warn() << "--control-log is ignored" << ignored_reason;
-    return out;
-  }
-  out = open_output_file(*path, "--control-log");
-  out << "time_s,setpoint,measurement,error,level,phase\n";
-  return out;
-}
-
 /// The sink set every run mode wires onto its bus: summary aggregation
 /// (--measurement / campaign CSV), achieved-load trace recording
 /// (--record-trace), and the per-tick controller log (--control-log).
@@ -182,7 +160,7 @@ struct RunSinks {
   std::unique_ptr<control::ControlLogSink> log_sink;
 
   RunSinks(telemetry::TelemetryBus& bus, const Config& cfg, bool want_summary,
-           bool has_target, const char* control_log_ignored_reason) {
+           bool has_target) {
     if (want_summary) bus.attach(&summary);
     if (cfg.record_trace) {
       trace_out = open_output_file(*cfg.record_trace, "--record-trace");
@@ -190,8 +168,12 @@ struct RunSinks {
       trace_sink = std::make_unique<sched::TraceSink>(kLoadChannel, &trace, &trace_out);
       bus.attach(trace_sink.get());
     }
-    control_log = open_control_log(cfg.control_log, has_target, control_log_ignored_reason);
-    if (control_log.is_open()) {
+    // A campaign without a target= phase has no controller to log.
+    if (cfg.control_log && !has_target) {
+      log::warn() << "--control-log is ignored: no campaign phase has a target= setpoint";
+    } else if (cfg.control_log) {
+      control_log = open_output_file(*cfg.control_log, "--control-log");
+      control_log << "time_s,setpoint,measurement,error,level,phase\n";
       log_sink = std::make_unique<control::ControlLogSink>(control_log);
       bus.attach(log_sink.get());
     }
@@ -222,27 +204,26 @@ int Firestarter::run() {
     out_ << kVersion << "\n";
     return 0;
   }
-  if (cfg_.list_functions) return list_functions();
-  if (cfg_.list_metrics) return list_metrics();
-  if (cfg_.status_endpoint) return run_status();
-  // Before the fuzz/local checks: --loopback implies --coordinator, and a
-  // fuzz run owns the fleet (it runs one cluster campaign per batch). The
-  // coordinator exports the merged, clock-rebased fleet timeline itself;
-  // every other mode gets the single-process --trace-out below.
-  if (cfg_.coordinator && !cfg_.fuzz) return run_coordinator();
+  const RunKind kind = run_mode(cfg_).kind;
+  if (kind == RunKind::kAvail) return list_functions();
+  if (kind == RunKind::kListMetrics) return list_metrics();
+  if (kind == RunKind::kStatus) return run_status();
+  // The coordinator exports the merged, clock-rebased fleet timeline
+  // itself; every other mode gets the single-process --trace-out below.
+  if (kind == RunKind::kCoordinator || kind == RunKind::kLoopback) return run_coordinator();
   if (cfg_.trace_out) trace::Tracer::set_enabled(true);
   const int rc = [&] {
-    if (cfg_.fuzz) return run_fuzzer();
-    if (cfg_.agent_endpoint) return run_agent();
+    if (kind == RunKind::kFuzz || kind == RunKind::kFuzzLoopback) return run_fuzzer();
+    if (kind == RunKind::kAgent) return run_agent();
     if (cfg_.target_spec &&
         control::Setpoint::parse(*cfg_.target_spec).variable ==
             control::ControlVariable::kClusterPower)
       throw ConfigError(
           "--target cluster-power only applies to --coordinator runs (single "
           "nodes hold power=/temp= setpoints)");
-    if (cfg_.optimize) return run_optimization();
-    if (cfg_.dump_asm) return run_dump_asm();
-    if (cfg_.selftest) return run_selftest_mode();
+    if (kind == RunKind::kOptimize) return run_optimization();
+    if (kind == RunKind::kDumpAsm) return run_dump_asm();
+    if (kind == RunKind::kSelftest) return run_selftest_mode();
     return run_campaign();
   }();
   if (cfg_.trace_out) export_local_trace(*cfg_.trace_out, out_);
@@ -297,12 +278,6 @@ int Firestarter::run_campaign() {
   // A single run keeps its own header, footer and warnings, and prints the
   // summary CSV only under --measurement.
   const bool single = !cfg_.campaign_file;
-  if (!single && cfg_.load_profile)
-    log::warn() << "--load-profile is ignored under --campaign (phases define their "
-                   "own profiles)";
-  if (!single && cfg_.target_spec)
-    log::warn() << "--target is ignored under --campaign (phases define their own "
-                   "target= setpoints)";
   PhaseResolver phases(cfg_, single ? single_run_campaign(cfg_)
                                     : sched::Campaign::load(*cfg_.campaign_file));
   const Target& target = phases.target();
@@ -320,9 +295,7 @@ int Firestarter::run_campaign() {
 
   const bool summarize = !single || cfg_.measurement;
   telemetry::TelemetryBus bus;
-  RunSinks sinks(bus, cfg_, summarize, phases.any_target(),
-                 single ? " without --target (no controller ticks to log)"
-                        : ": no campaign phase has a target= setpoint");
+  RunSinks sinks(bus, cfg_, summarize, phases.any_target());
   PhaseRunner::Options options;
   options.sample_metrics = summarize;
   PhaseRunner runner(cfg_, phases, bus, options);
@@ -399,10 +372,6 @@ int Firestarter::run_coordinator() {
                                                             *cfg_.cluster_nodes)
                                                       : 0);
   if (nodes == 0) throw ConfigError("--coordinator requires --nodes N or --loopback SPECS");
-  if (!loopback.empty() && cfg_.cluster_nodes &&
-      static_cast<std::size_t>(*cfg_.cluster_nodes) != loopback.size())
-    log::warn() << "--nodes is ignored under --loopback (fleet size comes from the "
-                   "spec list)";
 
   // The chaos plan parses before anything binds, and its canonical spec is
   // recorded in the flight dump — a failing chaos run replays bit-for-bit
@@ -522,12 +491,6 @@ int Firestarter::run_coordinator() {
 }
 
 int Firestarter::run_agent() {
-  if (cfg_.campaign_file)
-    log::warn() << "--campaign is ignored under --agent (the coordinator "
-                   "distributes the campaign)";
-  if (cfg_.target_spec)
-    log::warn() << "--target is ignored under --agent (setpoints come from the "
-                   "campaign or the coordinator's budget)";
   Config cfg = cfg_;
   if (!cfg.node_name)
     cfg.node_name =
@@ -675,17 +638,9 @@ int Firestarter::run_fuzzer() {
   // same target spec reproduce the identical corpus.
   Config cfg = cfg_;
   cfg.seed = cfg_.fuzz_seed;
-  std::unique_ptr<fuzz::Evaluator> evaluator;
-  if (cfg.loopback_nodes) {
-    evaluator = fuzz::make_fleet_evaluator(cfg, cfg.fuzz_duration_s, out_);
-  } else if (cfg.target != TargetSystem::kHost) {
-    evaluator = fuzz::make_local_evaluator(cfg, cfg.fuzz_duration_s);
-  } else {
-    throw ConfigError(
-        "--fuzz needs --simulate TARGET (one candidate at a time) or "
-        "--loopback SPECS (fleet fan-out) — host sweeps would take hours of "
-        "real stress");
-  }
+  const std::unique_ptr<fuzz::Evaluator> evaluator =
+      cfg.loopback_nodes ? fuzz::make_fleet_evaluator(cfg, cfg.fuzz_duration_s, out_)
+                         : fuzz::make_local_evaluator(cfg, cfg.fuzz_duration_s);
 
   fuzz::FuzzOptions options;
   options.seed = cfg_.fuzz_seed;

@@ -7,10 +7,16 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "firestarter/config.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -635,6 +641,245 @@ TEST(Cli, HostCampaignWritesRegisterDump) {
   std::string line;
   std::getline(dump, line);
   EXPECT_NE(line.find("worker 0:"), std::string::npos) << line;
+}
+
+// ---- every flag acts or is rejected ----------------------------------------------
+
+namespace firestarter = fs2::firestarter;
+using fs2::ConfigError;
+using firestarter::Flag;
+using firestarter::RunKind;
+using firestarter::RunMode;
+
+/// A value for each flag that differs from its default. A flag whose effect
+/// needs another flag to show (e.g. --seed moves the noisy samples of the
+/// --measurement CSV) names it in `shown_with`, which joins both runs of a
+/// comparison wherever it acts itself.
+struct Sample {
+  std::vector<std::string> args;
+  std::vector<std::string> shown_with = {};
+};
+
+const char* const kFlagCampaign = "/tmp/fs2_cli_every_flag.campaign";
+
+const std::map<std::string, Sample>& flag_samples() {
+  static const std::map<std::string, Sample> samples = {
+      {"--help", {{"--help"}}},
+      {"--version", {{"--version"}}},
+      {"--avail", {{"--avail"}}},
+      {"--list-metrics", {{"--list-metrics"}}},
+      {"--log-level", {{"--log-level", "warn"}}},
+      {"--function", {{"--function", "1"}}},
+      {"--run-instruction-groups", {{"--run-instruction-groups", "REG:4,L1_L:2"}}},
+      {"--set-line-count", {{"--set-line-count", "100"}}},
+      {"--allow-infinity-bug", {{"--allow-infinity-bug"}}},
+      {"--timeout", {{"--timeout", "20"}, {"--measurement"}}},
+      {"--load", {{"--load", "50"}, {"--measurement"}}},
+      {"--period", {{"--period", "50000"}, {"--load-profile", "sine"}}},
+      {"--threads", {{"--threads", "8"}}},
+      {"--one-thread-per-core", {{"--one-thread-per-core"}}},
+      {"--seed", {{"--seed", "7"}, {"--measurement"}}},
+      {"--dump-asm", {{"--dump-asm"}}},
+      {"--selftest", {{"--selftest"}}},
+      {"--dump-registers", {{"--dump-registers"}}},
+      {"--dump-path", {{"--dump-path", "regs.dump"}}},
+      {"--load-profile", {{"--load-profile", "sine:low=10,high=90,period=5"}}},
+      {"--phase-offset", {{"--phase-offset", "1000"}}},
+      {"--campaign", {{"--campaign", kFlagCampaign}}},
+      {"--record-trace", {{"--record-trace", "trace.csv"}}},
+      {"--target", {{"--target", "power=300W"}}},
+      {"--control-log", {{"--control-log", "ctl.csv"}}},
+      {"--require-convergence", {{"--require-convergence"}}},
+      {"--coordinator", {{"--coordinator"}}},
+      {"--listen", {{"--listen", "0"}}},
+      {"--nodes", {{"--nodes", "2"}}},
+      {"--agent", {{"--agent", "127.0.0.1:1"}}},
+      {"--node-name", {{"--node-name", "n"}}},
+      {"--loopback", {{"--loopback", "zen2"}}},
+      {"--cluster-start-delay", {{"--cluster-start-delay", "1"}}},
+      {"--sync-tolerance", {{"--sync-tolerance", "0.5"}}},
+      {"--trace-out", {{"--trace-out", "trace.json"}}},
+      {"--status", {{"--status", "127.0.0.1:1"}}},
+      {"--metrics-interval", {{"--metrics-interval", "2"}}},
+      {"--flight-out", {{"--flight-out", "flight.txt"}}},
+      {"--chaos", {{"--chaos", "seed=1"}}},
+      {"--rejoin-grace", {{"--rejoin-grace", "1"}}},
+      {"--fuzz", {{"--fuzz"}}},
+      {"--fuzz-seed", {{"--fuzz-seed", "9"}}},
+      {"--fuzz-population", {{"--fuzz-population", "2"}}},
+      {"--fuzz-generations", {{"--fuzz-generations", "3"}}},
+      {"--fuzz-corpus", {{"--fuzz-corpus", "1"}}},
+      {"--fuzz-duration", {{"--fuzz-duration", "3"}}},
+      {"--fuzz-objective", {{"--fuzz-objective", "thermal"}}},
+      {"--fuzz-report", {{"--fuzz-report", "report.csv"}}},
+      {"--measurement", {{"--measurement"}}},
+      {"--start-delta", {{"--start-delta", "300"}, {"--measurement"}}},
+      {"--stop-delta", {{"--stop-delta", "500"}, {"--measurement"}}},
+      {"--optimize", {{"--optimize=NSGA2"}}},
+      {"--individuals", {{"--individuals", "6"}}},
+      {"--generations", {{"--generations", "3"}}},
+      {"--nsga2-m", {{"--nsga2-m", "0.5"}}},
+      {"--preheat", {{"--preheat", "10"}}},
+      {"--optimization-metric", {{"--optimization-metric", "ipc"}}},
+      {"--metric-path", {{"--metric-path", "plugin.so"}}},
+      {"--metric-command", {{"--metric-command", "true"}}},
+      {"--optimization-log", {{"--optimization-log", "opt.csv"}}},
+      {"--simulate", {{"--simulate=haswell"}}},
+      {"--freq", {{"--freq", "1500"}}},
+      {"--sim-sample-hz", {{"--sim-sample-hz", "50"}, {"--measurement"}}},
+      {"--gpus", {{"--gpus", "1"}}},
+      {"--gpu-matrixsize", {{"--gpu-matrixsize", "64"}}},
+  };
+  return samples;
+}
+
+/// The flags that select `mode`. The closed-loop target is out of reach so
+/// that --require-convergence has a miss to report.
+std::vector<std::string> mode_args(RunMode mode) {
+  std::vector<std::string> args;
+  switch (mode.kind) {
+    case RunKind::kAvail: args = {"--avail"}; break;
+    case RunKind::kListMetrics: args = {"--list-metrics"}; break;
+    case RunKind::kStatus: args = {"--status", "127.0.0.1:1"}; break;
+    case RunKind::kCoordinator: args = {"--coordinator"}; break;
+    case RunKind::kLoopback: args = {"--loopback", "zen2"}; break;
+    case RunKind::kFuzzLoopback: args = {"--fuzz", "--loopback", "zen2"}; break;
+    case RunKind::kFuzz: args = {"--fuzz"}; break;
+    case RunKind::kAgent: args = {"--agent", "127.0.0.1:1"}; break;
+    case RunKind::kOptimize: args = {"--optimize=NSGA2"}; break;
+    case RunKind::kDumpAsm: args = {"--dump-asm"}; break;
+    case RunKind::kSelftest: args = {"--selftest"}; break;
+    case RunKind::kCampaign: args = {"--campaign", kFlagCampaign}; break;
+    case RunKind::kClosedLoop: args = {"--target", "power=5000W"}; break;
+    case RunKind::kOpenLoop: break;
+  }
+  if (mode.simulated) args.push_back("--simulate=zen2");
+  return args;
+}
+
+/// The long name of a table row ("-t, --timeout" -> "--timeout").
+std::string long_name(const Flag& flag) {
+  const std::string names = flag.names;
+  const auto comma = names.rfind(", ");
+  return comma == std::string::npos ? names : names.substr(comma + 2);
+}
+
+/// Whether `flag` acts in `mode` by the table.
+bool acts_in(const std::string& flag, RunMode mode) {
+  for (const Flag& row : firestarter::flag_table())
+    if (row.set != nullptr && long_name(row) == flag)
+      return (row.modes & firestarter::bit(mode)) != 0;
+  return false;
+}
+
+/// What a user sees of one fs2 run: its exit code, its stdout, and every
+/// file it leaves in its (fresh) working directory.
+struct RunOutput {
+  int exit_code = -1;
+  std::string out;
+  std::map<std::string, std::string> files;
+  bool operator==(const RunOutput&) const = default;
+};
+
+RunOutput run_in_fresh_dir(const std::vector<std::string>& args) {
+  char dir[] = "/tmp/fs2_cli_flag_XXXXXX";
+  RunOutput result;
+  if (::mkdtemp(dir) == nullptr) return result;
+  std::string command = std::string("cd ") + dir + " && " + FS2_BINARY_PATH;
+  for (const std::string& arg : args) command += " '" + arg + "'";
+  command += " 2>/dev/null";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe != nullptr) {
+    std::array<char, 4096> buffer;
+    while (std::fgets(buffer.data(), buffer.size(), pipe) != nullptr) result.out += buffer.data();
+    const int status = ::pclose(pipe);
+    result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path());
+    std::stringstream content;
+    content << in.rdbuf();
+    result.files[entry.path().filename()] = content.str();
+  }
+  std::filesystem::remove_all(dir);
+  return result;
+}
+
+TEST(Cli, EveryFlagActsOrIsRejected) {
+  {
+    // An open-loop phase at the -l duty cycle, a sine phase at the -p
+    // period, and a target out of reach.
+    std::ofstream campaign(kFlagCampaign);
+    campaign << "phase name=open duration=20\n"
+                "phase name=swing duration=20 profile=sine\n"
+                "phase name=held duration=20 target=power=5000W\n";
+  }
+  const std::vector<Flag>& table = firestarter::flag_table();
+
+  // (a) Outside its modes a flag is rejected, and the message names it. A
+  // flag that selects a mode (--optimize, --simulate, ...) cannot be added
+  // to another mode's command without moving the run into its own.
+  for (const Flag& flag : table) {
+    if (flag.set == nullptr) continue;  // a second --help entry
+    const std::string name = long_name(flag);
+    ASSERT_TRUE(flag_samples().count(name)) << "no sample value for " << name;
+    for (const RunMode& mode : firestarter::run_modes()) {
+      if (flag.modes & firestarter::bit(mode)) continue;
+      std::vector<std::string> args = mode_args(mode);
+      const std::vector<std::string>& sample = flag_samples().at(name).args;
+      args.insert(args.end(), sample.begin(), sample.end());
+      std::vector<const char*> argv = {"fs2"};
+      for (const std::string& arg : args) argv.push_back(arg.c_str());
+      const std::string where = name + " in a " + firestarter::to_string(mode) + " run";
+      try {
+        const RunMode moved =
+            firestarter::run_mode(firestarter::parse_args(static_cast<int>(argv.size()), argv.data()));
+        EXPECT_FALSE(moved == mode) << where << " was accepted";
+        EXPECT_TRUE(flag.modes & firestarter::bit(moved)) << where;
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << where << ": " << e.what();
+      }
+    }
+  }
+
+  // (b) In its modes a flag changes stdout, a written file or the exit code,
+  // compared with the same command without it; the flags that select a mode
+  // are that mode. Checked in the six modes that run deterministically on
+  // the simulator in one process. Exempt: the modes with peers (--status,
+  // --coordinator, --loopback, --fuzz --loopback, --agent), the modes that
+  // probe or stress the host (every host mode, --list-metrics, and the
+  // simulated --selftest, which runs on the host CPUs), and --avail, whose
+  // only other flags are --help, --version and --log-level. --log-level acts
+  // on stderr only, which stays empty in modes that log nothing.
+  const RunMode deterministic[] = {
+      {RunKind::kOpenLoop, true},  {RunKind::kClosedLoop, true}, {RunKind::kCampaign, true},
+      {RunKind::kOptimize, true},  {RunKind::kFuzz, true},       {RunKind::kDumpAsm, true}};
+  std::map<std::vector<std::string>, RunOutput> without_cache;
+  for (const RunMode& mode : deterministic) {
+    const std::vector<std::string> base = mode_args(mode);
+    for (const Flag& flag : table) {
+      const std::string name = long_name(flag);
+      const bool selects_mode = std::any_of(base.begin(), base.end(), [&](const std::string& a) {
+        return a.substr(0, a.find('=')) == name;
+      });
+      if (flag.set == nullptr || !(flag.modes & firestarter::bit(mode)) || selects_mode ||
+          name == "--log-level")
+        continue;
+      const Sample& sample = flag_samples().at(name);
+      std::vector<std::string> without = base;
+      if (!sample.shown_with.empty() && acts_in(sample.shown_with.front(), mode))
+        without.insert(without.end(), sample.shown_with.begin(), sample.shown_with.end());
+      std::vector<std::string> with = without;
+      with.insert(with.end(), sample.args.begin(), sample.args.end());
+      if (!without_cache.count(without)) without_cache[without] = run_in_fresh_dir(without);
+      const RunOutput& before = without_cache[without];
+      const RunOutput after = run_in_fresh_dir(with);
+      EXPECT_NE(after.exit_code, 2) << name << " in a " << firestarter::to_string(mode) << " run";
+      EXPECT_FALSE(after == before) << name << " changes nothing in a "
+                                    << firestarter::to_string(mode) << " run";
+    }
+  }
+  std::remove(kFlagCampaign);
 }
 
 }  // namespace
