@@ -68,15 +68,6 @@ SimFleet::SimFleet(const Config& base, const std::vector<LoopbackSpec>& specs,
     : AgentFleet(strings::format("127.0.0.1:%u", port), plan) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     Config cfg = base;
-    cfg.coordinator = false;
-    cfg.loopback_nodes.reset();
-    cfg.campaign_file.reset();
-    cfg.target_spec.reset();
-    cfg.record_trace.reset();
-    cfg.control_log.reset();
-    cfg.chaos_spec.reset();
-    cfg.measurement = false;
-    cfg.require_convergence = false;
     cfg.target = specs[i].target;
     cfg.sim_freq_mhz = specs[i].freq_mhz;
     cfg.node_name = strings::format("n%zu-%s", i, specs[i].name.c_str());

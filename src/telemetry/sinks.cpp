@@ -73,16 +73,4 @@ void SummarySink::on_finish() {
   arrival_order_.clear();
 }
 
-// ---- RingBufferSink ---------------------------------------------------------
-
-void RingBufferSink::on_channel(ChannelId id, const ChannelInfo& info) {
-  (void)info;
-  while (tails_.size() <= id)
-    tails_.push_back(std::make_unique<RingBuffer<Sample>>(capacity_));
-}
-
-void RingBufferSink::on_sample(ChannelId id, const Sample& sample) {
-  tails_[id]->push(Sample{phase_.time_offset_s + sample.time_s, sample.value});
-}
-
 }  // namespace fs2::telemetry

@@ -1,12 +1,10 @@
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "metrics/measurement.hpp"
 #include "telemetry/bus.hpp"
-#include "telemetry/ring_buffer.hpp"
 #include "telemetry/streaming_aggregator.hpp"
 
 namespace fs2::telemetry {
@@ -50,27 +48,6 @@ class SummarySink : public SampleSink {
   std::vector<ChannelId> arrival_order_;  ///< first-sample order within the phase
   PhaseInfo phase_;
   std::vector<metrics::Summary> rows_;
-};
-
-/// Bounded tail of recent samples per channel (global run timestamps) —
-/// the trace/debug window: cheap enough to leave attached on week-long
-/// runs, deep enough to answer "what did the last minutes look like" in a
-/// debugger or post-mortem dump.
-class RingBufferSink : public SampleSink {
- public:
-  explicit RingBufferSink(std::size_t capacity_per_channel)
-      : capacity_(capacity_per_channel) {}
-
-  void on_channel(ChannelId id, const ChannelInfo& info) override;
-  void on_phase_begin(const PhaseInfo& phase) override { phase_ = phase; }
-  void on_sample(ChannelId id, const Sample& sample) override;
-
-  const RingBuffer<Sample>& tail(ChannelId id) const { return *tails_.at(id); }
-
- private:
-  std::size_t capacity_;
-  PhaseInfo phase_;
-  std::vector<std::unique_ptr<RingBuffer<Sample>>> tails_;  ///< index = ChannelId
 };
 
 }  // namespace fs2::telemetry

@@ -387,19 +387,6 @@ TEST(TraceSink, StreamingReleasesWrittenRows) {
   EXPECT_NE(out.str().find("999.000000,80\n"), std::string::npos);
 }
 
-TEST(RingBufferSink, KeepsBoundedTailPerChannel) {
-  TelemetryBus bus;
-  RingBufferSink sink(8);
-  bus.attach(&sink);
-  const ChannelId ch = bus.channel("x", "u");
-  bus.begin_phase("", 100.0, 0.0, 0.0);
-  for (int i = 0; i < 100; ++i) bus.publish(ch, i, static_cast<double>(i));
-  bus.finish();
-  EXPECT_EQ(sink.tail(ch).size(), 8u);
-  EXPECT_DOUBLE_EQ(sink.tail(ch).back().value, 99.0);
-  EXPECT_DOUBLE_EQ(sink.tail(ch).front().value, 92.0);
-}
-
 TEST(TelemetryBus, LateAttachReplaysChannelsAndPhase) {
   TelemetryBus bus;
   const ChannelId ch = bus.channel("x", "u");
