@@ -112,7 +112,7 @@ Connection Connection::connect(const std::string& endpoint, double retry_for_s) 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::duration<double>(retry_for_s);
   std::string last_error;
-  do {
+  for (;;) {
     for (addrinfo* ai = result; ai != nullptr; ai = ai->ai_next) {
       const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
       if (fd < 0) continue;
@@ -123,8 +123,9 @@ Connection Connection::connect(const std::string& endpoint, double retry_for_s) 
       last_error = errno_text();
       ::close(fd);
     }
+    if (std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  } while (std::chrono::steady_clock::now() < deadline);
+  }
   ::freeaddrinfo(result);
   throw Error("cluster: cannot connect to " + endpoint + " (" + last_error + ")");
 }

@@ -30,8 +30,8 @@ class Connection {
   Connection& operator=(const Connection&) = delete;
 
   /// Connect to "host:port" (numeric IPv4 or a resolvable name), retrying
-  /// for up to `retry_for_s` seconds — an agent routinely starts before its
-  /// coordinator finishes binding. Throws fs2::Error on final failure.
+  /// for up to `retry_for_s` seconds (0 dials once) — an agent routinely
+  /// starts before its coordinator binds. Throws fs2::Error on final failure.
   static Connection connect(const std::string& endpoint, double retry_for_s = 5.0);
 
   void send(const Frame& frame);

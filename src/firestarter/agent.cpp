@@ -40,10 +40,10 @@ Agent::Agent(Config cfg, const std::string& endpoint, AgentSeat& seat,
       seat_(seat),
       // A first incarnation may start well before the coordinator's
       // listener is up, so it retries long. A replacement dials a
-      // coordinator that was provably listening moments ago — if the port
-      // now refuses, the run is over (grace expired, listener closed) and a
-      // long retry would only delay the driver's own shutdown.
-      conn_(cluster::Connection::connect(endpoint, /*retry_for_s=*/rejoin ? 5.0 : 30.0)),
+      // coordinator that was provably listening moments ago, so it dials
+      // once: a refused dial means the run is over (grace expired, listener
+      // closed), and a retry would stall the fleet's one event loop.
+      conn_(cluster::Connection::connect(endpoint, /*retry_for_s=*/rejoin ? 0.0 : 30.0)),
       rejoin_(rejoin) {
   if (seat_.faults) conn_.set_faults(&*seat_.faults);
   if (seat_.plan != nullptr && !rejoin_) {
