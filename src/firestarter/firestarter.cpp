@@ -275,8 +275,8 @@ int Firestarter::list_metrics() {
 }
 
 int Firestarter::run_campaign() {
-  // A single run keeps its own header, footer and warnings, and prints the
-  // summary CSV only under --measurement.
+  // A single run keeps its own header and footer, and prints the summary
+  // CSV only under --measurement.
   const bool single = !cfg_.campaign_file;
   PhaseResolver phases(cfg_, single ? single_run_campaign(cfg_)
                                     : sched::Campaign::load(*cfg_.campaign_file));

@@ -1,6 +1,7 @@
 // End-to-end tests of the installed `fs2` binary via subprocess — the
 // outermost integration layer (argument handling, exit codes, output
-// formatting), exercised exactly the way a user runs it.
+// formatting), exercised exactly the way a user runs it. The flag-table
+// test also reads the table and calls parse_args in-process.
 
 #include <gtest/gtest.h>
 
