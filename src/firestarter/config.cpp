@@ -62,7 +62,7 @@ constexpr ModeMask kHostPhases = host(kAgent, kOptimize, kCampaign, kClosedLoop,
 /// Runs that build the payload from -i, --run-instruction-groups and
 /// --set-line-count (--optimize adds its own terms).
 constexpr ModeMask kPayloadRuns =
-    kLoopbackAgents | sim(kFuzz) | kPhaseRuns | both(kDumpAsm, kSelftest);
+    kLoopbackAgents | sim(kFuzz) | kPhaseRuns | both(kDumpAsm) | host(kSelftest);
 
 /// `mask` for an error message, e.g. "--campaign or host --optimize": a
 /// kind on both targets is named once, without one.
@@ -149,7 +149,7 @@ const std::vector<RunMode>& run_modes() {
   static const std::vector<RunMode> modes = {
       {kAvail}, {kListMetrics}, {kStatus}, {kCoordinator}, {kLoopback}, {kFuzzLoopback},
       {kFuzz, true}, {kAgent, true}, {kAgent}, {kOptimize, true}, {kOptimize},
-      {kDumpAsm, true}, {kDumpAsm}, {kSelftest, true}, {kSelftest}, {kCampaign, true},
+      {kDumpAsm, true}, {kDumpAsm}, {kSelftest}, {kCampaign, true},
       {kCampaign}, {kClosedLoop, true}, {kClosedLoop}, {kOpenLoop, true}, {kOpenLoop}};
   return modes;
 }
@@ -204,15 +204,18 @@ const std::vector<Flag>& flag_table() {
        host(kLoopback, kOptimize, kClosedLoop) | both(kAgent, kCampaign, kOpenLoop),
        number(&Config::period_s, kAboveZero, kInf, "--period must be > 0 microseconds", 1e6),
        "load/idle modulation period in microseconds\n(default 100000)"},
-      {"-n, --threads", "N", kLoopbackAgents | sim(kFuzz) | kPhaseRuns | both(kOptimize, kSelftest),
+      {"-n, --threads", "N",
+       kLoopbackAgents | sim(kFuzz) | kPhaseRuns | both(kOptimize) | host(kSelftest),
        count(&Config::threads), "worker threads (default: all hardware threads)"},
-      {"--one-thread-per-core", "", kHostPhases | both(kSelftest), on(&Config::one_thread_per_core),
+      {"--one-thread-per-core", "", kHostPhases | host(kSelftest), on(&Config::one_thread_per_core),
        "skip SMT siblings"},
-      {"--seed", "N", host(kLoopback) | kPhaseRuns | both(kOptimize, kSelftest),
+      {"--seed", "N", host(kLoopback, kSelftest) | kPhaseRuns | both(kOptimize),
        count(&Config::seed), "operand-initialization seed"},
       {"--dump-asm", "", both(kDumpAsm), on(&Config::dump_asm),
        "print the disassembly of the generated kernel\ninstead of running it"},
-      {"--selftest", "[=N]", both(kSelftest),
+      // The self-test runs the payload on the host's CPUs: there is no
+      // simulated one.
+      {"--selftest", "[=N]", host(kSelftest),
        [](Config& c, V v) {
          c.selftest = true;
          if (v.text) c.selftest_iterations = v.count();
@@ -420,7 +423,7 @@ const std::vector<Flag>& flag_table() {
        "per-evaluation CSV log (Fig. 11 data)"},
 
       {"--simulate", "[=zen2|haswell|haswell-gpu]",
-       sim(kFuzz, kAgent, kOptimize, kDumpAsm, kSelftest, kCampaign, kClosedLoop, kOpenLoop),
+       sim(kFuzz, kAgent, kOptimize, kDumpAsm, kCampaign, kClosedLoop, kOpenLoop),
        [](Config& c, V v) {
          c.target = parse_sim_target(strings::to_lower(v.text.value_or("zen2")));
        },
@@ -466,12 +469,15 @@ Config parse_args(int argc, const char* const* argv) {
   if (cfg.optimize && cfg.candidate_duration_s < 0.1)
     throw ConfigError("-t under --optimize must be at least 0.1 seconds per candidate");
   // --help and --version accept any flag; otherwise each must act in the
-  // run's mode.
+  // run's mode. The error names every flag that does not, so that a pair
+  // of flags that no mode combines (--simulate --selftest) names both.
   const RunMode mode = run_mode(cfg);
+  std::string outside;
   for (const auto& [name, flag] : given)
     if (!cfg.show_help && !cfg.show_version && (flag->modes & bit(mode)) == 0)
-      throw ConfigError(name + " only applies to " + describe(flag->modes) +
-                        " runs, not to this " + to_string(mode) + " run");
+      outside += (outside.empty() ? "" : "; ") + name + " only applies to " +
+                 describe(flag->modes) + " runs";
+  if (!outside.empty()) throw ConfigError(outside + ", not to this " + to_string(mode) + " run");
   if (cfg.optimize && cfg.optimization_metrics.empty()) {
     // Paper default: power + IPC (Sec. III-C).
     cfg.optimization_metrics = {"power", "ipc"};

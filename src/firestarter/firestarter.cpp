@@ -193,9 +193,6 @@ Firestarter::Firestarter(Config config, std::ostream& out) : cfg_(std::move(conf
 
 int Firestarter::run() {
   log::set_level(log::parse_level(cfg_.log_level));
-  // Arm the crash flight recorder before anything can fail: from here on
-  // SIGTERM/SIGINT (and any explicit dump) rewrite the black box to disk.
-  if (cfg_.flight_out) trace::FlightRecorder::instance().configure(*cfg_.flight_out);
   if (cfg_.show_help) {
     out_ << usage();
     return 0;
@@ -204,6 +201,10 @@ int Firestarter::run() {
     out_ << kVersion << "\n";
     return 0;
   }
+  // Arm the crash flight recorder before anything can fail: from here on
+  // SIGTERM/SIGINT (and any explicit dump) rewrite the black box to disk.
+  // --help and --version run nothing, so they leave its file alone.
+  if (cfg_.flight_out) trace::FlightRecorder::instance().configure(*cfg_.flight_out);
   const RunKind kind = run_mode(cfg_).kind;
   if (kind == RunKind::kAvail) return list_functions();
   if (kind == RunKind::kListMetrics) return list_metrics();

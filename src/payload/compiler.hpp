@@ -85,14 +85,20 @@ class CompiledPayload {
 };
 
 /// JIT-compile the workload defined by (mix, groups, options) for the given
-/// cache hierarchy (which determines the default u and buffer sizing).
-/// Throws fs2::ConfigError for invalid group lists and fs2::Error on
-/// code-generation failure.
+/// cache hierarchy (which determines the default u and buffer sizing). The
+/// stats come from the same sizing pass as analyze_payload's; the loop is
+/// then emitted with exactly stats().unroll instruction sets and checked
+/// against them. Throws fs2::ConfigError for invalid group lists and
+/// fs2::Error on code-generation failure, including an emitted loop whose
+/// bytes or instruction counts differ from the sized stats.
 CompiledPayload compile_payload(const InstructionMix& mix, const InstructionGroups& groups,
                                 const arch::CacheHierarchy& caches, const CompileOptions& options = {});
 
-/// Compute the static stats of a workload without generating executable
-/// memory (used by the simulator substrate, which never runs the code).
+/// Compute the static stats of a workload without emitting its loop (used
+/// by the simulator substrate, which never runs the code): the sizing pass
+/// counts the loop's instruction sets per kind and register rotation and
+/// prices each kind once, through the encoder that emits the code. Equal to
+/// compile_payload(...).stats() field for field.
 PayloadStats analyze_payload(const InstructionMix& mix, const InstructionGroups& groups,
                              const arch::CacheHierarchy& caches, const CompileOptions& options = {});
 

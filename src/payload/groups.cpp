@@ -1,17 +1,25 @@
 #include "payload/groups.hpp"
 
+#include <cstdint>
+
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace fs2::payload {
 
 InstructionGroups::InstructionGroups(std::vector<Group> groups) : groups_(std::move(groups)) {
+  std::uint64_t sum = 0;
   for (const Group& g : groups_) {
     if (g.count == 0)
       throw ConfigError("instruction group " + g.kind.to_string() + " has zero count");
     if (!is_valid(g.kind.level, g.kind.pattern))
       throw ConfigError("instruction group " + g.kind.to_string() + " is not a defined pattern");
+    sum += g.count;
   }
+  // total() is the base sequence's length, which the builders index with.
+  if (sum > UINT32_MAX)
+    throw ConfigError("instruction groups sum to " + std::to_string(sum) +
+                      " sets, more than " + std::to_string(UINT32_MAX));
   for (std::size_t i = 0; i < groups_.size(); ++i)
     for (std::size_t j = i + 1; j < groups_.size(); ++j)
       if (groups_[i].kind == groups_[j].kind)

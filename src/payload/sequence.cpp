@@ -1,77 +1,115 @@
 #include "payload/sequence.hpp"
 
+#include <array>
+#include <memory>
+
 #include "util/error.hpp"
 
 namespace fs2::payload {
 
 std::vector<AccessKind> base_sequence(const InstructionGroups& groups) {
+  const std::vector<std::uint8_t> order = base_order(groups);
+  std::vector<AccessKind> sequence(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) sequence[i] = groups.groups()[order[i]].kind;
+  return sequence;
+}
+
+std::vector<std::uint8_t> base_order(const InstructionGroups& groups) {
   if (groups.empty()) throw ConfigError("base_sequence: empty instruction groups");
+  const std::vector<Group>& list = groups.groups();
   const std::uint64_t total = groups.total();
 
-  // Ideal-position scheduling: occurrence j of kind i wants the slot at
+  // Ideal-position scheduling: occurrence j of group i wants the slot at
   // (j + 1/2) * total / a_i. Ordering all occurrences by ideal position
   // (ties: higher-rate kinds first, then group order) assigns each its rank
   // as the real slot. Consecutive ideal positions of one kind are exactly
   // total/a_i apart, so the real gap is the ideal gap plus at most one
   // boundary slip per other group — a tight, provable spacing guarantee.
+  //
+  // Each group walks its positions Bresenham-style in fixed point: `key` is
+  // floor(position * 2^31) and `rem / denominator` the exact rest, so one
+  // division per group and none per occurrence. The integer slot is
+  // key >> 31.
+  constexpr int kFraction = 31;
+  struct Walk {
+    std::uint64_t key, rem, step, step_rem, denominator;
+    void next() {
+      key += step;
+      rem += step_rem;
+      const bool carry = rem >= denominator;
+      rem -= carry ? denominator : 0;
+      key += carry;
+    }
+  };
+  const std::uint64_t scaled = total << kFraction;
+  // Groups hold distinct kinds, so there are at most this many.
+  constexpr std::size_t kMaxGroups =
+      kNumMemoryLevels * (static_cast<std::size_t>(AccessPattern::kPrefetch) + 1);
+  // Ties: higher-rate kinds first, keeping their own spacing tight (the
+  // rarer kind can absorb the slip), then group order. The groups are
+  // placed in that order, and every later step is stable.
+  std::array<std::uint8_t, kMaxGroups> tie_order{};
+  // Each group's occurrences, in its own order, staged for the sort; both
+  // buffers are written whole before they are read.
   struct Occurrence {
-    AccessKind kind;
-    std::uint64_t numerator;  // (2j+1) * total
-    std::uint64_t rate;       // a_i (position = numerator / (2*rate))
-    std::uint64_t slot;       // floor(position), in [0, total)
+    std::uint64_t key;
+    std::uint64_t rem_group;  // rem << 8 | group index
   };
-  // Exact order: compare the cross-multiplied fractions in 128 bits.
-  const auto before = [](const Occurrence& a, const Occurrence& b) {
-    if (a.slot != b.slot) return a.slot < b.slot;
-    const auto lhs = static_cast<unsigned __int128>(a.numerator) * b.rate;
-    const auto rhs = static_cast<unsigned __int128>(b.numerator) * a.rate;
-    if (lhs != rhs) return lhs < rhs;
-    // Ties: higher-rate kinds first, keeping their own spacing tight; the
-    // rarer kind can absorb the slip.
-    return a.rate > b.rate;
-  };
-
-  // Counting sort by integer slot, stable in group order. A kind's ideal
-  // positions are at least one apart, so a slot holds at most one
-  // occurrence per group. The slots step by total/a_i with a remainder
-  // carried Bresenham-style: one division per group, none per occurrence.
-  std::vector<Occurrence> occurrences;
-  occurrences.reserve(total);
+  const auto staged = std::make_unique_for_overwrite<Occurrence[]>(total);
+  std::array<std::uint32_t, kMaxGroups> first_staged{};
   std::vector<std::uint32_t> slot_start(total + 1, 0);
-  for (const Group& g : groups.groups()) {
-    const std::uint64_t denominator = 2ull * g.count;
-    std::uint64_t slot = total / denominator;
-    std::uint64_t remainder = total % denominator;
-    const std::uint64_t step = 2 * total / denominator;
-    const std::uint64_t step_remainder = 2 * total % denominator;
-    for (std::uint32_t j = 0; j < g.count; ++j) {
-      occurrences.push_back(Occurrence{g.kind, (2ull * j + 1) * total, g.count, slot});
-      ++slot_start[slot + 1];
-      slot += step;
-      remainder += step_remainder;
-      if (remainder >= denominator) {
-        remainder -= denominator;
-        ++slot;
-      }
+  for (std::size_t g = 0, at = 0; g < list.size(); ++g) {
+    const std::uint64_t denominator = 2ull * list[g].count;
+    const std::uint64_t key = scaled / denominator;
+    const std::uint64_t rem = scaled % denominator;
+    const bool carry = 2 * rem >= denominator;
+    Walk walk{key, rem, 2 * key + carry, 2 * rem - (carry ? denominator : 0), denominator};
+    std::size_t t = g;
+    for (; t > 0 && list[tie_order[t - 1]].count < list[g].count; --t)
+      tie_order[t] = tie_order[t - 1];
+    tie_order[t] = static_cast<std::uint8_t>(g);
+    first_staged[g] = static_cast<std::uint32_t>(at);
+    const std::uint32_t count = list[g].count;
+    for (std::uint32_t j = 0; j < count; ++j, walk.next()) {
+      staged[at++] = Occurrence{walk.key, walk.rem << 8 | g};
+      ++slot_start[(walk.key >> kFraction) + 1];
     }
   }
-  for (std::uint64_t s = 0; s < total; ++s) slot_start[s + 1] += slot_start[s];
-  std::vector<Occurrence> ordered(occurrences.size());
-  for (const Occurrence& occ : occurrences) ordered[slot_start[occ.slot]++] = occ;
 
-  // Order within each slot: stable insertion, which stops at the first
-  // occurrence of an earlier slot.
-  for (std::size_t i = 1; i < ordered.size(); ++i) {
+  // Counting sort by integer slot. A kind's ideal positions are at least
+  // one apart, so a slot holds at most one occurrence per group.
+  for (std::uint64_t s = 0; s < total; ++s) slot_start[s + 1] += slot_start[s];
+  const auto ordered = std::make_unique_for_overwrite<Occurrence[]>(total);
+  for (std::size_t t = 0; t < list.size(); ++t) {
+    const std::uint8_t g = tie_order[t];
+    const Occurrence* occurrences = &staged[first_staged[g]];
+    for (std::uint32_t j = 0; j < list[g].count; ++j)
+      ordered[slot_start[occurrences[j].key >> kFraction]++] = occurrences[j];
+  }
+
+  // Order within each slot by exact position: stable insertion, which
+  // stops at the first occurrence of an earlier slot. Equal keys compare
+  // the exact rests rem / (2 a), cross-multiplied in 128 bits.
+  const auto before = [&](const Occurrence& a, const Occurrence& b) {
+    if (a.key != b.key) return a.key < b.key;
+    const auto lhs =
+        static_cast<unsigned __int128>(a.rem_group >> 8) * list[b.rem_group & 0xff].count;
+    const auto rhs =
+        static_cast<unsigned __int128>(b.rem_group >> 8) * list[a.rem_group & 0xff].count;
+    return lhs < rhs;
+  };
+  for (std::size_t i = 1; i < total; ++i) {
     const Occurrence occ = ordered[i];
+    if (!before(occ, ordered[i - 1])) continue;
     std::size_t k = i;
     for (; k > 0 && before(occ, ordered[k - 1]); --k) ordered[k] = ordered[k - 1];
     ordered[k] = occ;
   }
 
-  std::vector<AccessKind> sequence;
-  sequence.reserve(total);
-  for (const Occurrence& occ : ordered) sequence.push_back(occ.kind);
-  return sequence;
+  std::vector<std::uint8_t> order(total);
+  for (std::size_t i = 0; i < total; ++i)
+    order[i] = static_cast<std::uint8_t>(ordered[i].rem_group);
+  return order;
 }
 
 std::vector<AccessKind> unroll_sequence(const std::vector<AccessKind>& base, std::uint32_t u) {
@@ -106,31 +144,11 @@ std::uint32_t SequenceStats::lines(MemoryLevel level) const {
   return loads[i] + stores[i] + prefetches[i];
 }
 
-SequenceStats analyze_unrolled(const std::vector<AccessKind>& base, std::uint32_t u) {
-  if (base.empty()) throw ConfigError("analyze_unrolled: empty base sequence");
-  if (u == 0) throw ConfigError("analyze_unrolled: unroll factor must be >= 1");
-  // Occurrences per (level, pattern): set i of the base occurs once per
-  // full pass, plus once more if it lies in the trailing partial pass.
-  constexpr int kPatterns = static_cast<int>(AccessPattern::kPrefetch) + 1;
-  std::uint32_t times[kNumMemoryLevels][kPatterns] = {};
-  const std::uint32_t passes = u / static_cast<std::uint32_t>(base.size());
-  const std::uint32_t partial = u % static_cast<std::uint32_t>(base.size());
-  for (std::uint32_t i = 0; i < base.size(); ++i)
-    times[static_cast<int>(base[i].level)][static_cast<int>(base[i].pattern)] +=
-        passes + (i < partial ? 1 : 0);
-
-  SequenceStats stats;
-  stats.sets = u;
-  for (int level = 0; level < kNumMemoryLevels; ++level) {
-    for (int pattern = 0; pattern < kPatterns; ++pattern) {
-      const AccessKind kind{static_cast<MemoryLevel>(level), static_cast<AccessPattern>(pattern)};
-      const std::uint32_t n = times[level][pattern];
-      stats.loads[level] += n * static_cast<std::uint32_t>(kind.loads());
-      stats.stores[level] += n * static_cast<std::uint32_t>(kind.stores());
-      stats.prefetches[level] += n * static_cast<std::uint32_t>(kind.prefetches());
-    }
-  }
-  return stats;
+void SequenceStats::add(const AccessKind& kind, std::uint32_t times) {
+  const auto i = static_cast<std::size_t>(kind.level);
+  loads[i] += times * static_cast<std::uint32_t>(kind.loads());
+  stores[i] += times * static_cast<std::uint32_t>(kind.stores());
+  prefetches[i] += times * static_cast<std::uint32_t>(kind.prefetches());
 }
 
 }  // namespace fs2::payload

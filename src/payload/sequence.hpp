@@ -21,6 +21,10 @@ namespace fs2::payload {
 /// slot per other group. Linear in `groups.total()`.
 std::vector<AccessKind> base_sequence(const InstructionGroups& groups);
 
+/// The same sequence as indices into `groups.groups()`: entry k is the
+/// group whose kind the k-th instruction set of the base accesses.
+std::vector<std::uint8_t> base_order(const InstructionGroups& groups);
+
 /// Unroll `base` cyclically so that the result holds exactly `u` entries
 /// (paper: "the consecutive accesses are then unrolled so that the total
 /// number of instruction sets equals u").
@@ -40,10 +44,9 @@ struct SequenceStats {
 
   /// Cache lines advanced per iteration at `level` (streaming rate).
   std::uint32_t lines(MemoryLevel level) const;
-};
 
-/// Statistics of unroll_sequence(base, u), computed from the base's counts
-/// without building the unrolled sequence.
-SequenceStats analyze_unrolled(const std::vector<AccessKind>& base, std::uint32_t u);
+  /// Count `times` more instruction sets of `kind` (sets itself is unchanged).
+  void add(const AccessKind& kind, std::uint32_t times);
+};
 
 }  // namespace fs2::payload

@@ -199,6 +199,17 @@ TEST(Cli, SelftestPassesAndExitsZero) {
   EXPECT_NE(r.output.find("PASS"), std::string::npos);
 }
 
+TEST(Cli, SelftestRejectsSimulate) {
+  // The self-test JIT-runs the payload on the host's CPUs; a simulated CPU
+  // has none to check, so the pair is a config error naming both flags.
+  const CliResult r = run_cli("--simulate=zen2 --selftest=2000 --threads 1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--simulate only applies to"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("--selftest only applies to host --selftest runs"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("PASS"), std::string::npos) << r.output;
+}
+
 TEST(Cli, PeriodMustBePositive) {
   const CliResult r = run_cli("--simulate=zen2 -p 0");
   EXPECT_EQ(r.exit_code, 2);
@@ -806,6 +817,17 @@ RunOutput run_in_fresh_dir(const std::vector<std::string>& args) {
   return result;
 }
 
+TEST(Cli, HelpAndVersionLeaveFlightOutAlone) {
+  // Neither runs anything, so neither arms the flight recorder, which
+  // would create (or truncate) its file.
+  for (const char* flag : {"--help", "--version"}) {
+    const RunOutput r = run_in_fresh_dir({flag, "--flight-out", "flight.txt"});
+    EXPECT_EQ(r.exit_code, 0) << flag;
+    EXPECT_FALSE(r.out.empty()) << flag;
+    EXPECT_EQ(r.files.count("flight.txt"), 0u) << flag << " created its --flight-out file";
+  }
+}
+
 TEST(Cli, EveryFlagActsOrIsRejected) {
   {
     // An open-loop phase at the -l duty cycle, a sine phase at the -p
@@ -846,12 +868,13 @@ TEST(Cli, EveryFlagActsOrIsRejected) {
   // (b) In its modes a flag changes stdout, a written file or the exit code,
   // compared with the same command without it; the flags that select a mode
   // are that mode. Checked in the six modes that run deterministically on
-  // the simulator in one process. Exempt: the modes with peers (--status,
-  // --coordinator, --loopback, --fuzz --loopback, --agent), the modes that
-  // probe or stress the host (every host mode, --list-metrics, and the
-  // simulated --selftest, which runs on the host CPUs), and --avail, whose
-  // only other flags are --help, --version and --log-level. --log-level acts
-  // on stderr only, which stays empty in modes that log nothing.
+  // the simulator in one process, which are all the simulated modes but
+  // --agent (--selftest has no simulated mode: it runs on the host CPUs).
+  // Exempt: the modes with peers (--status, --coordinator, --loopback,
+  // --fuzz --loopback, --agent), the modes that probe or stress the host
+  // (every host mode and --list-metrics), and --avail, whose only other
+  // flags are --help, --version and --log-level. --log-level acts on stderr
+  // only, which stays empty in modes that log nothing.
   const RunMode deterministic[] = {
       {RunKind::kOpenLoop, true},  {RunKind::kClosedLoop, true}, {RunKind::kCampaign, true},
       {RunKind::kOptimize, true},  {RunKind::kFuzz, true},       {RunKind::kDumpAsm, true}};

@@ -5,8 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <map>
+#include <set>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +24,7 @@
 #include "payload/sequence.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace fs2::payload {
 namespace {
@@ -98,6 +106,7 @@ TEST(Groups, RoundTrip) {
 
 TEST(Groups, RejectsMalformedInput) {
   EXPECT_THROW(InstructionGroups::parse(""), ConfigError);
+  EXPECT_THROW(InstructionGroups::parse("REG:4294967295,L1_L:2"), ConfigError);  // total wraps
   EXPECT_THROW(InstructionGroups::parse("REG"), ConfigError);          // missing count
   EXPECT_THROW(InstructionGroups::parse("REG:0"), ConfigError);        // zero count
   EXPECT_THROW(InstructionGroups::parse("REG:4,REG:2"), ConfigError);  // duplicate
@@ -239,8 +248,13 @@ TEST(Sequence, UnrollValidation) {
 }
 
 TEST(Sequence, AnalyzeCountsPerLevel) {
-  const auto base = base_sequence(InstructionGroups::parse("REG:1,L1_2LS:1,RAM_P:1"));
-  const SequenceStats stats = analyze_unrolled(base, 6);
+  CompileOptions options;
+  options.unroll = 6;
+  const SequenceStats stats =
+      analyze_payload(find_function("FUNC_FMA_256_ZEN2").mix,
+                      InstructionGroups::parse("REG:1,L1_2LS:1,RAM_P:1"),
+                      arch::CacheHierarchy::zen2(), options)
+          .sequence;
   EXPECT_EQ(stats.sets, 6u);
   // 6 sets = 2 full passes over the 3-entry base sequence.
   EXPECT_EQ(stats.loads[static_cast<int>(MemoryLevel::kL1)], 4u);   // 2 per 2LS x 2
@@ -251,8 +265,11 @@ TEST(Sequence, AnalyzeCountsPerLevel) {
 }
 
 TEST(Sequence, AnalyzeUnrolledCountsEveryUnrolledSet) {
-  // Reference: walk the unrolled sequence set by set. Seeded bases with u
-  // below, at and above the base length, partial passes included.
+  // analyze_payload's per-level counts against a walk over the unrolled
+  // sequence, set by set. Seeded bases with u below, at and above the base
+  // length, partial passes included.
+  const InstructionMix& mix = find_function("FUNC_FMA_256_ZEN2").mix;
+  const auto caches = arch::CacheHierarchy::zen2();
   Xoshiro256 rng(0xa11);
   const std::vector<AccessKind>& kinds = all_access_kinds();
   for (int draw = 0; draw < 500; ++draw) {
@@ -261,7 +278,8 @@ TEST(Sequence, AnalyzeUnrolledCountsEveryUnrolledSet) {
       if (rng.below(3) == 0)
         list.push_back(Group{kind, static_cast<std::uint32_t>(1 + rng.below(40))});
     if (list.empty()) list.push_back(Group{kinds[rng.below(kinds.size())], 1});
-    const std::vector<AccessKind> base = base_sequence(InstructionGroups(std::move(list)));
+    const InstructionGroups groups(std::move(list));
+    const std::vector<AccessKind> base = base_sequence(groups);
     const std::uint32_t n = static_cast<std::uint32_t>(base.size());
     for (const std::uint32_t u : {1u, std::max(1u, n - 1), n, n + 1, 2 * n,
                                   static_cast<std::uint32_t>(1 + rng.below(3000))}) {
@@ -273,7 +291,9 @@ TEST(Sequence, AnalyzeUnrolledCountsEveryUnrolledSet) {
         expected.stores[level] += static_cast<std::uint32_t>(kind.stores());
         expected.prefetches[level] += static_cast<std::uint32_t>(kind.prefetches());
       }
-      const SequenceStats actual = analyze_unrolled(base, u);
+      CompileOptions options;
+      options.unroll = u;
+      const SequenceStats actual = analyze_payload(mix, groups, caches, options).sequence;
       ASSERT_EQ(actual.sets, expected.sets);
       for (int level = 0; level < kNumMemoryLevels; ++level) {
         ASSERT_EQ(actual.loads[level], expected.loads[level]) << "u=" << u << " level " << level;
@@ -286,9 +306,9 @@ TEST(Sequence, AnalyzeUnrolledCountsEveryUnrolledSet) {
 }
 
 TEST(Sequence, AnalyzeUnrolledValidation) {
-  const auto base = base_sequence(InstructionGroups::parse("REG:1"));
-  EXPECT_THROW(analyze_unrolled(base, 0), ConfigError);
-  EXPECT_THROW(analyze_unrolled({}, 5), ConfigError);
+  EXPECT_THROW(analyze_payload(find_function("FUNC_FMA_256_ZEN2").mix, InstructionGroups(),
+                               arch::CacheHierarchy::zen2()),
+               ConfigError);
 }
 
 // ---- mix registry --------------------------------------------------------------------
@@ -418,6 +438,177 @@ TEST(Analyze, BytesPerIterationMatchLines) {
   // 6 sets of each kind: L1 2LS = 3 lines/set, L2 L = 1 line/set.
   EXPECT_EQ(stats.bytes_per_iteration[static_cast<int>(MemoryLevel::kL1)], 6u * 3 * 64);
   EXPECT_EQ(stats.bytes_per_iteration[static_cast<int>(MemoryLevel::kL2)], 6u * 64);
+}
+
+// ---- sizing without emitting ---------------------------------------------------------
+
+/// Every PayloadStats field that differs between `a` and `b`, as
+/// "name a!=b" items, empty when the two are equal.
+std::string stats_differences(const PayloadStats& a, const PayloadStats& b) {
+  std::string out;
+  const auto field = [&](const std::string& name, std::uint64_t x, std::uint64_t y) {
+    if (x != y)
+      out += strings::format(" %s %llu!=%llu", name.c_str(), static_cast<unsigned long long>(x),
+                             static_cast<unsigned long long>(y));
+  };
+  field("sequence.sets", a.sequence.sets, b.sequence.sets);
+  field("unroll", a.unroll, b.unroll);
+  field("instructions_per_iteration", a.instructions_per_iteration, b.instructions_per_iteration);
+  field("simd_per_iteration", a.simd_per_iteration, b.simd_per_iteration);
+  field("fma_per_iteration", a.fma_per_iteration, b.fma_per_iteration);
+  field("fp_compute_per_iteration", a.fp_compute_per_iteration, b.fp_compute_per_iteration);
+  field("vector_doubles", static_cast<std::uint64_t>(a.vector_doubles),
+        static_cast<std::uint64_t>(b.vector_doubles));
+  field("alu_per_iteration", a.alu_per_iteration, b.alu_per_iteration);
+  field("overhead_per_iteration", a.overhead_per_iteration, b.overhead_per_iteration);
+  field("flops_per_iteration", a.flops_per_iteration, b.flops_per_iteration);
+  field("loop_bytes", a.loop_bytes, b.loop_bytes);
+  for (int level = 0; level < kNumMemoryLevels; ++level) {
+    const std::string at = strings::format("[%d]", level);
+    field("sequence.loads" + at, a.sequence.loads[level], b.sequence.loads[level]);
+    field("sequence.stores" + at, a.sequence.stores[level], b.sequence.stores[level]);
+    field("sequence.prefetches" + at, a.sequence.prefetches[level], b.sequence.prefetches[level]);
+    field("bytes_per_iteration" + at, a.bytes_per_iteration[level], b.bytes_per_iteration[level]);
+    field("regions.bytes" + at, a.regions.bytes[level], b.regions.bytes[level]);
+  }
+  return out;
+}
+
+/// One seeded sizing case: a function, a cache hierarchy, a genome and
+/// the compile options.
+struct SizingCase {
+  const FunctionDef* fn = nullptr;
+  arch::CacheHierarchy caches;
+  InstructionGroups groups;
+  CompileOptions options;
+  std::string describe() const {
+    return strings::format("%s M=%s u=%u dump=%d ram=%zu l1d=%zu", fn->name.c_str(),
+                           groups.to_string().c_str(), options.unroll, options.dump_registers,
+                           options.ram_region_bytes, caches.data_cache_size(1));
+  }
+};
+
+/// `count` seeded cases. Genomes draw every kind within the tuner's
+/// per-level limits (even draws fill every gene, odd ones about a quarter
+/// of the kinds); the cases cycle through every function, both cache
+/// hierarchies and five unroll choices: the default, below the base
+/// length, at it, above it, and anywhere up to 3000.
+std::vector<SizingCase> sizing_cases(std::uint64_t seed, int count) {
+  const auto limit = [](MemoryLevel level) -> std::uint64_t {
+    switch (level) {
+      case MemoryLevel::kReg: return 100;
+      case MemoryLevel::kL1: return 100;
+      case MemoryLevel::kL2: return 40;
+      case MemoryLevel::kL3: return 20;
+      case MemoryLevel::kRam: return 12;
+    }
+    return 1;
+  };
+  const std::vector<FunctionDef>& functions = available_functions();
+  Xoshiro256 rng(seed);
+  std::vector<SizingCase> cases;
+  for (int draw = 0; draw < count; ++draw) {
+    std::vector<Group> list;
+    for (const AccessKind& kind : all_access_kinds()) {
+      if (draw % 2 == 1 && rng.below(4) != 0) continue;
+      const auto n = static_cast<std::uint32_t>(rng.below(limit(kind.level) + 1));
+      if (n > 0) list.push_back(Group{kind, n});
+    }
+    if (list.empty()) list.push_back(Group{all_access_kinds()[1 + rng.below(15)], 1});
+    SizingCase c;
+    c.fn = &functions[static_cast<std::size_t>(draw) % functions.size()];
+    c.caches = draw / functions.size() % 2 == 0 ? arch::CacheHierarchy::zen2()
+                                                : arch::CacheHierarchy::haswell_ep();
+    c.groups = InstructionGroups(std::move(list));
+    const std::uint32_t base = c.groups.total();
+    switch (draw / (2 * functions.size()) % 5) {
+      case 0: c.options.unroll = 0; break;
+      case 1: c.options.unroll = static_cast<std::uint32_t>(1 + rng.below(base)); break;
+      case 2: c.options.unroll = base; break;
+      case 3: c.options.unroll = static_cast<std::uint32_t>(base + 1 + rng.below(2 * base)); break;
+      case 4: c.options.unroll = static_cast<std::uint32_t>(1 + rng.below(3000)); break;
+    }
+    c.options.dump_registers = rng.below(2) == 1;
+    c.options.ram_region_bytes = rng.below(2) == 1 ? std::size_t{16} << 20 : std::size_t{1} << 20;
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+/// What analyze_payload sized against what compile_payload emitted for
+/// `c`, as a failure line, empty when every field agrees.
+std::string sizing_failure(const SizingCase& c, const PayloadStats& analyzed) {
+  try {
+    const CompiledPayload compiled = compile_payload(c.fn->mix, c.groups, c.caches, c.options);
+    const std::string differences = stats_differences(analyzed, compiled.stats());
+    if (differences.empty()) return "";
+    return strings::format("%s:%s\n", c.describe().c_str(), differences.c_str());
+  } catch (const std::exception& e) {
+    return strings::format("%s: %s\n", c.describe().c_str(), e.what());
+  }
+}
+
+/// Run `check` in a fresh process, where no payload has been sized yet,
+/// and expect it to report no failure. The child prints what it found.
+void expect_in_fresh_process(const std::function<std::string()>& check) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const std::string failures = check();
+        std::fputs(failures.substr(0, 4000).c_str(), stderr);
+        std::exit(failures.empty() ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
+}
+
+TEST(Sizing, AnalyzeMatchesCompileFromColdStart) {
+  // 10,000 seeded genomes, each sized by analyze_payload and emitted by
+  // compile_payload; every PayloadStats field must agree. In a fresh
+  // process the first analysis for each ISA runs on a new thread with an
+  // explicit u, so sizing from a cold start is checked as well as warm.
+  expect_in_fresh_process([] {
+    std::vector<SizingCase> cases = sizing_cases(0x51e5, 10000);
+    std::set<IsaClass> cold;
+    std::string failures;
+    for (SizingCase& c : cases) {
+      PayloadStats analyzed;
+      if (cold.insert(c.fn->mix.isa).second) {
+        if (c.options.unroll == 0) c.options.unroll = 16;
+        std::thread([&] { analyzed = analyze_payload(c.fn->mix, c.groups, c.caches, c.options); })
+            .join();
+      } else {
+        analyzed = analyze_payload(c.fn->mix, c.groups, c.caches, c.options);
+      }
+      failures += sizing_failure(c, analyzed);
+    }
+    return failures;
+  });
+}
+
+TEST(Sizing, ConcurrentColdAnalysesAgree) {
+  // Four threads size the same seeded genomes at once, starting in a fresh
+  // process, so they race to build the price tables; every result must
+  // equal what compile_payload emits.
+  expect_in_fresh_process([] {
+    const std::vector<SizingCase> cases = sizing_cases(0xc01d, 360);
+    constexpr int kThreads = 4;
+    std::vector<std::vector<PayloadStats>> results(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (const SizingCase& c : cases)
+          results[t].push_back(analyze_payload(c.fn->mix, c.groups, c.caches, c.options));
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    std::string failures;
+    for (std::size_t i = 0; i < cases.size(); ++i)
+      for (int t = 0; t < kThreads; ++t) failures += sizing_failure(cases[i], results[t][i]);
+    return failures;
+  });
 }
 
 }  // namespace
