@@ -24,7 +24,7 @@ SimBackend::SimBackend(sim::SimulatedSystem& system, payload::InstructionMix mix
 
 void SimBackend::preheat() {
   const auto stats = payload::analyze_payload(
-      mix_, payload::InstructionGroups::parse("L1_LS:2,REG:1"), caches_);
+      mix_, payload::InstructionGroups::parse(kPreheatGroups), caches_);
   system_.set_point(system_.simulator().run(stats, conditions_));
 }
 

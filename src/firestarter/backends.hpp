@@ -27,8 +27,12 @@ class SimBackend : public tuning::EvaluationBackend {
   std::vector<std::string> objective_names() const override { return {"power-W", "ipc"}; }
   std::vector<double> evaluate(const payload::InstructionGroups& groups) override;
 
-  /// Virtual preheat: publishes a default workload point so the thermal
-  /// state is "warm" (Fig. 7's first 240 s).
+  /// The groups whose operating point preheat() sets.
+  static constexpr const char* kPreheatGroups = "L1_LS:2,REG:1";
+
+  /// Stands in for the host's preheat (Fig. 7's first 240 s): publishes
+  /// the analytic operating point of kPreheatGroups, so the thermal state
+  /// starts warm. No virtual time passes.
   void preheat();
 
  private:

@@ -711,7 +711,8 @@ int Firestarter::run_optimization() {
     auto sim_backend =
         std::make_unique<SimBackend>(*system, fn.mix, target.caches, cond,
                                      cfg_.candidate_duration_s, cfg_.seed);
-    out_ << "preheat (" << cfg_.preheat_s << " s virtual) ...\n";
+    out_ << "preheat: analytic operating point of " << SimBackend::kPreheatGroups
+         << " (no virtual time)\n";
     sim_backend->preheat();
     backend = std::move(sim_backend);
   } else {
