@@ -13,6 +13,7 @@
 #include "fuzz/pattern.hpp"
 #include "fuzz/signature.hpp"
 #include "metrics/measurement.hpp"
+#include "util/strings.hpp"
 
 using namespace fs2;
 
@@ -50,7 +51,7 @@ std::vector<metrics::Summary> sample_rows() {
     for (const char* name : names) {
       metrics::Summary row;
       row.name = name;
-      row.phase = "r" + std::to_string(phase);
+      row.phase = strings::format("r%d", phase);
       row.mean = 300.0 + phase;
       row.min = 120.0;
       row.max = 470.0 + phase;

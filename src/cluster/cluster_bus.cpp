@@ -373,17 +373,18 @@ std::vector<ClusterBus::Row> ClusterBus::merged_rows() const {
     // begin offsets since the epoch, everything else is the spread itself.
     if (p < sync_.size()) {
       const PhaseSync& sync = sync_[p];
-      metrics::Summary row;
-      row.name = "phase-begin-spread";
-      row.unit = "s";
-      row.samples = sync.nodes;
-      row.mean = sync.spread_s();
-      row.stddev = 0.0;
-      row.min = sync.min_begin_s;
-      row.max = sync.max_begin_s;
-      row.p50 = row.p95 = row.p99 = sync.spread_s();
-      row.phase = phase;
-      rows.push_back(Row{std::move(row), "cluster"});
+      const double spread_s = sync.spread_s();
+      rows.push_back(Row{metrics::Summary{.name = "phase-begin-spread",
+                                          .unit = "s",
+                                          .mean = spread_s,
+                                          .min = sync.min_begin_s,
+                                          .max = sync.max_begin_s,
+                                          .p50 = spread_s,
+                                          .p95 = spread_s,
+                                          .p99 = spread_s,
+                                          .samples = sync.nodes,
+                                          .phase = phase},
+                         "cluster"});
     }
   }
   return rows;

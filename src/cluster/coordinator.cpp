@@ -563,6 +563,9 @@ void Coordinator::serve_joiner(Joiner& joiner, std::ostream& log) {
     } else {
       Frame reply;
       joiner.conn.recv_into(reply);  // poll(2) found it readable: no wait
+      // One reply per probe. Anything more would wait in the read buffer,
+      // where poll(2) cannot see it.
+      if (joiner.conn.buffered()) throw WireError("sent ahead of its clock-sync probe");
       joiner.sync.on_reply(reply);
       if (joiner.sync.done() && joiner.stage == Joiner::Stage::kRejoinSync) {
         readmit(joiner, log);

@@ -63,9 +63,14 @@ Connection::~Connection() { close(); }
 Connection::Connection(Connection&& other) noexcept
     : fd_(other.fd_),
       send_buf_(std::move(other.send_buf_)),
+      rx_(std::move(other.rx_)),
+      rx_begin_(other.rx_begin_),
+      rx_end_(other.rx_end_),
+      rx_drained_(other.rx_drained_),
       faults_(other.faults_),
       pending_(std::move(other.pending_)) {
   other.fd_ = -1;
+  other.rx_begin_ = other.rx_end_ = 0;
   other.faults_ = nullptr;
   other.pending_.clear();
 }
@@ -75,9 +80,14 @@ Connection& Connection::operator=(Connection&& other) noexcept {
     close();
     fd_ = other.fd_;
     send_buf_ = std::move(other.send_buf_);
+    rx_ = std::move(other.rx_);
+    rx_begin_ = other.rx_begin_;
+    rx_end_ = other.rx_end_;
+    rx_drained_ = other.rx_drained_;
     faults_ = other.faults_;
     pending_ = std::move(other.pending_);
     other.fd_ = -1;
+    other.rx_begin_ = other.rx_end_ = 0;
     other.faults_ = nullptr;
     other.pending_.clear();
   }
@@ -89,7 +99,14 @@ void Connection::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  release_buffer();
+  rx_drained_ = false;
   pending_.clear();
+}
+
+void Connection::release_buffer() {
+  rx_.reset();
+  rx_begin_ = rx_end_ = 0;
 }
 
 Connection Connection::connect(const std::string& endpoint, double retry_for_s) {
@@ -144,29 +161,77 @@ void Connection::write_all(const std::uint8_t* data, std::size_t size) {
   }
 }
 
-bool Connection::read_all(std::uint8_t* data, std::size_t size, double& frame_deadline_s) {
-  std::size_t got = 0;
-  while (got < size) {
-    // Before the frame's first byte recv blocks: that wait is the caller's.
-    // After it, the rest of the frame is awaited only until the deadline.
-    const bool begun = frame_deadline_s > 0.0;
-    const ssize_t n = ::recv(fd_, data + got, size - got, begun ? MSG_DONTWAIT : 0);
-    if (n > 0) {
-      if (!begun) frame_deadline_s = mono_s() + kFrameReadBoundS;
-      got += static_cast<std::size_t>(n);
-      continue;
+bool Connection::await_readable(double timeout_s) {
+  // Bound each poll by the next delayed frame's due time so chaos-held
+  // sends still drain while this side blocks waiting for the peer — the
+  // peer may be waiting on exactly the frame we are holding.
+  const double deadline = timeout_s >= 0.0 ? mono_s() + timeout_s : -1.0;
+  for (;;) {
+    double wait_s = deadline < 0.0 ? -1.0 : std::max(0.0, deadline - mono_s());
+    if (!pending_.empty()) {
+      const double until_due = flush_pending();
+      if (until_due > 0.0 && (wait_s < 0.0 || until_due < wait_s)) wait_s = until_due;
     }
-    if (n == 0 && !begun) return false;
-    if (n == 0) throw WireError("cluster: peer disconnected mid-frame");
-    if (errno == EINTR) continue;
-    if (!begun || (errno != EAGAIN && errno != EWOULDBLOCK))
-      throw WireError("cluster: recv failed (" + errno_text() + ")");
     pollfd pfd{fd_, POLLIN, 0};
-    const double left_s = frame_deadline_s - mono_s();
-    if (left_s <= 0.0 || ::poll(&pfd, 1, static_cast<int>(left_s * 1000.0) + 1) == 0)
-      throw WireError("cluster: peer stalled mid-frame");
+    const int ready =
+        ::poll(&pfd, 1, wait_s < 0.0 ? -1 : static_cast<int>(wait_s * 1000.0));
+    if (ready < 0) throw WireError("cluster: poll failed (" + errno_text() + ")");
+    if (ready > 0) return true;
+    if (!pending_.empty()) flush_pending();
+    if (deadline >= 0.0 && mono_s() >= deadline) return false;
   }
+}
+
+std::size_t Connection::recv_some(std::uint8_t* data, std::size_t size, bool wait,
+                                  bool mid_frame) {
+  for (;;) {
+    const ssize_t n = ::recv(fd_, data, size, wait ? 0 : MSG_DONTWAIT);
+    if (n > 0) return static_cast<std::size_t>(n);
+    if (n == 0)
+      throw WireError(mid_frame ? "cluster: peer disconnected mid-frame"
+                                : "cluster: peer closed the connection");
+    if (errno == EINTR) continue;
+    if (!wait && (errno == EAGAIN || errno == EWOULDBLOCK)) return 0;
+    throw WireError("cluster: recv failed (" + errno_text() + ")");
+  }
+}
+
+void Connection::await_rest(double frame_deadline_s) {
+  pollfd pfd{fd_, POLLIN, 0};
+  const double left_s = frame_deadline_s - mono_s();
+  if (left_s <= 0.0 || ::poll(&pfd, 1, static_cast<int>(left_s * 1000.0) + 1) == 0)
+    throw WireError("cluster: peer stalled mid-frame");
+}
+
+bool Connection::fill(bool wait, bool mid_frame) {
+  if (!rx_) rx_ = std::make_unique_for_overwrite<std::uint8_t[]>(kReadBufferBytes);
+  if (rx_begin_ > 0) {
+    std::memmove(rx_.get(), rx_.get() + rx_begin_, rx_end_ - rx_begin_);
+    rx_end_ -= rx_begin_;
+    rx_begin_ = 0;
+  }
+  // Callers leave room: the buffer is empty, or holds less than one frame
+  // that fits in it.
+  const std::size_t room = kReadBufferBytes - rx_end_;
+  const std::size_t n = recv_some(rx_.get() + rx_end_, room, wait, mid_frame);
+  if (n == 0) return false;
+  rx_end_ += n;
+  rx_drained_ = n < room;
   return true;
+}
+
+void Connection::fill_begun(double& frame_deadline_s) {
+  if (frame_deadline_s == 0.0) frame_deadline_s = mono_s() + kFrameReadBoundS;
+  while (!fill(/*wait=*/false, /*mid_frame=*/true)) await_rest(frame_deadline_s);
+}
+
+void Connection::read_all(std::uint8_t* data, std::size_t size, double frame_deadline_s) {
+  while (size > 0) {
+    const std::size_t n = recv_some(data, size, /*wait=*/false, /*mid_frame=*/true);
+    if (n == 0) await_rest(frame_deadline_s);
+    data += n;
+    size -= n;
+  }
 }
 
 void Connection::send(MessageType type, const std::uint8_t* payload, std::size_t size) {
@@ -244,38 +309,48 @@ void Connection::send(const Frame& frame) {
 
 bool Connection::recv_into(Frame& frame, double timeout_s) {
   if (fd_ < 0) throw WireError("cluster: recv on a closed connection");
-  if (timeout_s >= 0.0 || !pending_.empty()) {
-    // Bound each poll by the next delayed frame's due time so chaos-held
-    // sends still drain while this side blocks waiting for the peer — the
-    // peer may be waiting on exactly the frame we are holding.
-    const double deadline = timeout_s >= 0.0 ? mono_s() + timeout_s : -1.0;
-    for (;;) {
-      double wait_s = deadline < 0.0 ? -1.0 : std::max(0.0, deadline - mono_s());
-      if (!pending_.empty()) {
-        const double until_due = flush_pending();
-        if (until_due > 0.0 && (wait_s < 0.0 || until_due < wait_s)) wait_s = until_due;
+  if (!pending_.empty()) flush_pending();
+  if (rx_begin_ == rx_end_) {
+    // Between frames: wait for the next one's first bytes as asked. A
+    // zero-timeout receive never waits, and after a short read it leaves
+    // the socket to the caller's poll(2).
+    if (timeout_s == 0.0) {
+      if (rx_drained_) {
+        rx_drained_ = false;
+        return false;
       }
-      pollfd pfd{fd_, POLLIN, 0};
-      const int ready =
-          ::poll(&pfd, 1, wait_s < 0.0 ? -1 : static_cast<int>(wait_s * 1000.0));
-      if (ready < 0) throw WireError("cluster: poll failed (" + errno_text() + ")");
-      if (ready > 0) break;
-      if (!pending_.empty()) flush_pending();
-      if (deadline >= 0.0 && mono_s() >= deadline) return false;
+      if (!fill(/*wait=*/false, /*mid_frame=*/false)) return false;
+    } else {
+      if ((timeout_s > 0.0 || !pending_.empty()) && !await_readable(timeout_s)) return false;
+      fill(/*wait=*/true, /*mid_frame=*/false);
     }
   }
+  // A frame has begun: the rest must follow within the frame bound.
   double frame_deadline_s = 0.0;
-  std::uint8_t header[5];
-  if (!read_all(header, sizeof header, frame_deadline_s))
-    throw WireError("cluster: peer closed the connection");
-  WireReader reader(header, sizeof header);
-  const std::uint32_t length = reader.u32();
+  while (rx_end_ - rx_begin_ < 5) fill_begun(frame_deadline_s);
+  const std::uint8_t* header = rx_.get() + rx_begin_;
+  const std::uint32_t length = WireReader(header, 4).u32();
   if (length == 0 || length > kMaxFrameBytes)
     throw WireError(strings::format("cluster: bad frame length %u", length));
   frame.type = static_cast<MessageType>(header[4]);
+  const std::size_t size = 4 + std::size_t{length};
+  if (size <= kReadBufferBytes) {
+    while (rx_end_ - rx_begin_ < size) fill_begun(frame_deadline_s);
+    const std::uint8_t* payload = rx_.get() + rx_begin_ + 5;
+    frame.payload.assign(payload, payload + (length - 1));
+    rx_begin_ += size;
+    if (rx_begin_ == rx_end_) release_buffer();
+    return true;
+  }
+  // Longer than the buffer: what it holds starts the payload, and the rest
+  // is read straight into the frame.
+  const std::size_t held = rx_end_ - rx_begin_ - 5;
   frame.payload.resize(length - 1);
-  if (!frame.payload.empty())
-    read_all(frame.payload.data(), frame.payload.size(), frame_deadline_s);
+  std::memcpy(frame.payload.data(), header + 5, held);
+  release_buffer();
+  if (frame_deadline_s == 0.0) frame_deadline_s = mono_s() + kFrameReadBoundS;
+  read_all(frame.payload.data() + held, frame.payload.size() - held, frame_deadline_s);
+  rx_drained_ = false;
   return true;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,9 +16,13 @@ class LinkFaults;
 /// One framed, blocking TCP connection between coordinator and agent.
 /// Frames are `u32 length | u8 type | payload` with the length covering
 /// type + payload. Send and receive are whole-frame operations; partial
-/// socket reads/writes are looped internally. Not thread-safe — each side
-/// of the protocol drives its connection from a single thread (the
-/// coordinator's event loop, the agent's campaign thread).
+/// socket reads/writes are looped internally. Frames come in through a
+/// small read buffer (kReadBufferBytes, never zero-filled, held only while
+/// some of its bytes are unread): one recv(2) takes whatever the socket
+/// holds, and every whole frame in it is handed out without another
+/// syscall. Not thread-safe — each side of the protocol drives its
+/// connection from a single thread (the coordinator's event loop, the
+/// agent's campaign thread).
 class Connection {
  public:
   Connection() = default;
@@ -56,9 +61,25 @@ class Connection {
 
   /// Receive into a caller-owned scratch frame, reusing its payload
   /// capacity across calls — the coordinator's event loop drains thousands
-  /// of frames per second and must not allocate per frame. Returns false on
-  /// timeout (`frame` untouched).
+  /// of frames per second and must not allocate a payload per frame. The
+  /// read buffer is allocated when a recv(2) needs it and freed once it is
+  /// read out: one allocation per drain, not per frame. Returns false on
+  /// timeout (`frame` untouched). A frame already whole in the read buffer
+  /// costs no syscall; one that has begun is finished before returning,
+  /// within kFrameReadBoundS. A frame longer than the buffer is finished
+  /// straight into `frame`.
+  ///
+  /// With `timeout_s` 0 the call never waits for a first byte, and after a
+  /// recv(2) that came back short (the socket held nothing more) it does
+  /// not look at the socket again: it returns false, and the caller's
+  /// poll(2) says when more has arrived. So a zero-timeout reader drains
+  /// until false before it polls — otherwise a frame can sit whole in the
+  /// buffer while its owner sleeps.
   bool recv_into(Frame& frame, double timeout_s = -1.0);
+
+  /// Unread bytes held in the read buffer: the start of frames a blocking
+  /// receive fetched along with the one it returned.
+  bool buffered() const { return rx_begin_ < rx_end_; }
 
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
@@ -88,6 +109,12 @@ class Connection {
   /// from a single peer that can hold the coordinator's event loop.
   static constexpr double kFrameReadBoundS = 10.0;
 
+  /// Size of the read buffer. A budget report or assign, a phase bracket, a
+  /// phase-go or a sync probe fits several times over. A connection holds
+  /// one only while some of its bytes are unread, so a large loopback fleet
+  /// (two connections per node) keeps no buffer per idle connection.
+  static constexpr std::size_t kReadBufferBytes = 512;
+
  private:
   struct PendingFrame {
     double due_s = 0.0;  ///< monotonic seconds when the frame may be written
@@ -95,9 +122,26 @@ class Connection {
   };
 
   void write_all(const std::uint8_t* data, std::size_t size);
-  /// `frame_deadline_s` is 0 until the frame's first byte sets it. False =
-  /// clean EOF before that byte (peer closed between frames).
-  bool read_all(std::uint8_t* data, std::size_t size, double& frame_deadline_s);
+  /// Wait until the socket is readable, writing chaos-held frames as they
+  /// come due. False when `timeout_s` (>= 0) runs out first.
+  bool await_readable(double timeout_s);
+  /// One recv(2), blocking when `wait`. Returns the bytes read, 0 on
+  /// EAGAIN. EOF throws: `mid_frame` picks which text.
+  std::size_t recv_some(std::uint8_t* data, std::size_t size, bool wait, bool mid_frame);
+  /// poll(2) until the socket is readable; throws once `frame_deadline_s`
+  /// passes (a peer stalled mid-frame).
+  void await_rest(double frame_deadline_s);
+  /// One recv_some() into the free end of the read buffer, allocating it
+  /// first if need be. False on EAGAIN.
+  bool fill(bool wait, bool mid_frame);
+  /// Free the read buffer once nothing in it is unread.
+  void release_buffer();
+  /// fill() more of a begun frame, waiting until `frame_deadline_s` (set
+  /// on the first call, when it is 0).
+  void fill_begun(double& frame_deadline_s);
+  /// Read a begun frame's remainder straight into `data`, within the
+  /// frame's deadline.
+  void read_all(std::uint8_t* data, std::size_t size, double frame_deadline_s);
   /// Build header + payload in send_buf_.
   void assemble(MessageType type, const std::uint8_t* payload, std::size_t size);
   /// Write send_buf_ now, or queue it behind delayed frames.
@@ -105,6 +149,10 @@ class Connection {
 
   int fd_ = -1;
   std::vector<std::uint8_t> send_buf_;  ///< header+payload assembly scratch
+  std::unique_ptr<std::uint8_t[]> rx_;  ///< read buffer, null while empty
+  std::size_t rx_begin_ = 0;            ///< unread bytes are [rx_begin_, rx_end_)
+  std::size_t rx_end_ = 0;
+  bool rx_drained_ = false;             ///< the last recv(2) came back short
   LinkFaults* faults_ = nullptr;        ///< chaos injector; null in production
   std::deque<PendingFrame> pending_;    ///< delay-faulted frames, FIFO
 };

@@ -257,12 +257,18 @@ void Agent::send_budget_report() {
   report.achieved_w = loop.trailing_mean(campaign_.budget_interval_s);
   report.setpoint_w = loop.setpoint().value;
   report.level = loop.profile().level();
-  trace::Registry& registry = seat_.registry;
-  registry.counter("agent.budget_exchanges").add();
-  registry.gauge("agent.achieved_w").set(report.achieved_w);
-  registry.gauge("agent.setpoint_w").set(report.setpoint_w);
-  registry.gauge("agent.level").set(report.level);
-  registry.histogram("agent.ctl_error_w").record(std::abs(report.achieved_w - report.setpoint_w));
+  if (!budget_metrics_) {
+    trace::Registry& registry = seat_.registry;
+    budget_metrics_.emplace(BudgetMetrics{
+        registry.counter("agent.budget_exchanges"), registry.gauge("agent.achieved_w"),
+        registry.gauge("agent.setpoint_w"), registry.gauge("agent.level"),
+        registry.histogram("agent.ctl_error_w")});
+  }
+  budget_metrics_->exchanges.add();
+  budget_metrics_->achieved_w.set(report.achieved_w);
+  budget_metrics_->setpoint_w.set(report.setpoint_w);
+  budget_metrics_->level.set(report.level);
+  budget_metrics_->ctl_error_w.record(std::abs(report.achieved_w - report.setpoint_w));
   conn_.send(report.encode());
   expect(State::kAwaitAssign, "budget assign", kBudgetAssignTimeoutS);
 }

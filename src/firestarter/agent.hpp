@@ -210,6 +210,16 @@ class Agent {
   double current_setpoint_w_ = 0.0;
   double next_budget_s_ = 0.0;
   std::uint32_t budget_seq_ = 0;
+  /// The budget exchange's metrics in seat_.registry, looked up on this
+  /// incarnation's first exchange: a registry lookup takes its mutex.
+  struct BudgetMetrics {
+    trace::Counter& exchanges;
+    trace::Gauge& achieved_w;
+    trace::Gauge& setpoint_w;
+    trace::Gauge& level;
+    trace::Histogram& ctl_error_w;
+  };
+  std::optional<BudgetMetrics> budget_metrics_;
   double next_metrics_s_ = 0.0;
   std::uint32_t metrics_seq_ = 0;
 

@@ -493,10 +493,14 @@ std::string usage() {
   for (const Flag& flag : flag_table()) {
     if (flag.section) out += std::string("\n") + flag.section + ":\n";
     std::string line = std::string("  ") + flag.names;
-    if (flag.value[0] != '\0')
-      line += (flag.value[0] == '=' || flag.value[0] == '[' ? "" : " ") + std::string(flag.value);
-    line += line.size() < kHelpColumn ? std::string(kHelpColumn - line.size(), ' ')
-                                      : "\n" + std::string(kHelpColumn, ' ');
+    if (flag.value[0] != '\0' && flag.value[0] != '=' && flag.value[0] != '[') line += ' ';
+    line += flag.value;
+    if (line.size() < kHelpColumn) {
+      line.append(kHelpColumn - line.size(), ' ');
+    } else {
+      line += '\n';
+      line.append(kHelpColumn, ' ');
+    }
     for (const char* c = flag.help; *c != '\0'; ++c)
       line += *c == '\n' ? "\n" + std::string(kHelpColumn, ' ') : std::string(1, *c);
     out += line + "\n";

@@ -22,7 +22,7 @@ std::string SelftestResult::describe() const {
     out += strings::format(" %zu/%zu workers diverged from worker 0 (",
                            diverging_workers.size(), workers);
     for (std::size_t i = 0; i < diverging_workers.size(); ++i)
-      out += (i ? "," : "") + std::to_string(diverging_workers[i]);
+      out += strings::format(i ? ",%zu" : "%zu", diverging_workers[i]);
     out += ")";
   }
   if (invalid_values) out += " non-finite or denormal register values detected";

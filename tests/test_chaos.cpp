@@ -3,9 +3,9 @@
 // hardening against malformed frames of every message type, budget
 // re-apportionment across loss and rejoin, admission and the rejoin
 // protocol driven by hand-rolled raw connections against a live coordinator
-// (concurrent clock sync, stray clients, a node stalled mid-frame, barrier
-// re-check, double-rejoin), and the end-to-end loopback fleet surviving a
-// chaos kill.
+// (concurrent clock sync, stray clients, a joiner that replies ahead, a
+// node stalled mid-frame, barrier re-check, double-rejoin), and the
+// end-to-end loopback fleet surviving a chaos kill.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include "cluster/clock_sync.hpp"
 #include "cluster/fault_injection.hpp"
@@ -33,6 +35,7 @@
 #include "firestarter/config.hpp"
 #include "firestarter/firestarter.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -672,6 +675,45 @@ TEST(Admission, StrayClientsNeverStallTheEventLoop) {
   EXPECT_TRUE(harness.result.nodes_converged);
 }
 
+TEST(Admission, JoinerThatRepliesAheadOfItsProbeIsDropped) {
+  CoordinatorHarness harness(1, 1);
+  {
+    // Two answers to the first probe in one write: the second would sit in
+    // the coordinator's read buffer, out of poll(2)'s sight.
+    FakeAgent eager = FakeAgent::dial(harness.coordinator.port(), "eager");
+    const auto probe_frame = eager.conn.recv(/*timeout_s=*/5.0);
+    ASSERT_TRUE(probe_frame.has_value());
+    ASSERT_EQ(probe_frame->type, MessageType::kSyncProbe);
+    WireReader in(probe_frame->payload);
+    const SyncProbeMsg probe = SyncProbeMsg::decode(in);
+    SyncReplyMsg reply;
+    reply.seq = probe.seq;
+    reply.t_coord_s = probe.t_coord_s;
+    reply.t_agent_s = local_clock_s();
+    const Frame frame = reply.encode();
+    WireWriter twice;
+    for (int i = 0; i < 2; ++i) {
+      twice.u32(static_cast<std::uint32_t>(frame.payload.size() + 1));
+      twice.u8(static_cast<std::uint8_t>(frame.type));
+      twice.raw(frame.payload.data(), frame.payload.size());
+    }
+    ASSERT_GT(::send(eager.conn.fd(), twice.bytes().data(), twice.bytes().size(), 0), 0);
+    EXPECT_THROW(eager.conn.recv(/*timeout_s=*/5.0), WireError)
+        << "the coordinator kept a joiner that replied ahead";
+  }
+  // The slot stays free for a well-behaved node.
+  FakeAgent alpha = FakeAgent::dial(harness.coordinator.port(), "alpha");
+  alpha.serve_until_epoch();
+  alpha.send_bracket(true, 0, "p0");
+  alpha.send_bracket(false, 0, "p0");
+  alpha.send_verdict();
+  alpha.await_shutdown();
+  harness.thread.join();
+  ASSERT_FALSE(harness.failed) << harness.error;
+  ASSERT_EQ(harness.result.nodes.size(), 1u);
+  EXPECT_EQ(harness.result.nodes[0].name, "alpha");
+}
+
 TEST(Rejoin, NodeStalledMidFrameIsLostWithinTheFrameBound) {
   CoordinatorHarness harness(1, 1);
   FakeAgent alpha = FakeAgent::dial(harness.coordinator.port(), "alpha");
@@ -841,21 +883,35 @@ TEST(Rejoin, GarbageMidRunClientNeverWedgesTheCoordinator) {
 
 // ---- end to end: loopback fleet under chaos ---------------------------------
 
-std::string write_campaign(const char* path, const char* text) {
-  std::ofstream out(path);
-  out << text;
-  return path;
-}
+/// A campaign file of the running test's own, named by the pid and the
+/// test's name so that concurrent copies of the suite never share one;
+/// removed when the test ends.
+class TempCampaign {
+ public:
+  explicit TempCampaign(const char* text) {
+    const ::testing::TestInfo& test = *::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = std::filesystem::temp_directory_path() /
+            strings::format("fs2_chaos_%d_%s.%s.campaign", static_cast<int>(::getpid()),
+                            test.test_suite_name(), test.name());
+    std::ofstream(path_) << text;
+  }
+  TempCampaign(const TempCampaign&) = delete;
+  TempCampaign& operator=(const TempCampaign&) = delete;
+  ~TempCampaign() { std::filesystem::remove(path_); }
+  std::string path() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
 
 TEST(ChaosFleet, KilledNodeRejoinsAndFleetConverges) {
-  const std::string campaign = write_campaign("/tmp/fs2_chaos_kill.campaign",
-                                              "phase name=ramp duration=10\n"
-                                              "phase name=hold duration=14\n"
-                                              "phase name=cool duration=10\n");
+  const TempCampaign campaign("phase name=ramp duration=10\n"
+                              "phase name=hold duration=14\n"
+                              "phase name=cool duration=10\n");
   firestarter::Config cfg;
   cfg.loopback_nodes = "zen2@1500x4";
   cfg.coordinator = true;
-  cfg.campaign_file = campaign;
+  cfg.campaign_file = campaign.path();
   cfg.target_spec = "cluster-power=1000W";
   cfg.require_convergence = true;
   cfg.chaos_spec = "seed=7,drop=1%,delay=1ms,kill=node1@phase1";
@@ -877,13 +933,12 @@ TEST(ChaosFleet, KilledNodeRejoinsAndFleetConverges) {
 }
 
 TEST(ChaosFleet, UnrecoveredLossFailsRequireConvergence) {
-  const std::string campaign = write_campaign("/tmp/fs2_chaos_giveup.campaign",
-                                              "phase name=ramp duration=8\n"
-                                              "phase name=hold duration=8\n");
+  const TempCampaign campaign("phase name=ramp duration=8\n"
+                              "phase name=hold duration=8\n");
   firestarter::Config cfg;
   cfg.loopback_nodes = "zen2@1500x4";
   cfg.coordinator = true;
-  cfg.campaign_file = campaign;
+  cfg.campaign_file = campaign.path();
   cfg.target_spec = "cluster-power=1000W";
   cfg.require_convergence = true;
   cfg.chaos_spec = "seed=7,kill=node1@phase1";

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -33,6 +34,7 @@
 #include "firestarter/sim_fleet.hpp"
 #include "sim/machine_config.hpp"
 #include "trace/tracer.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -201,6 +203,204 @@ TEST(Transport, AcceptTimesOutWithClearError) {
     FAIL() << "expected a timeout error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("no agent connected"), std::string::npos);
+  }
+}
+
+// ---- buffered read ----------------------------------------------------------
+
+/// A connected client/server pair over loopback.
+struct LoopbackPair {
+  Listener listener{0, /*loopback_only=*/true};
+  Connection client = Connection::connect("127.0.0.1:" + std::to_string(listener.port()));
+  Connection server = listener.accept(5.0);
+};
+
+/// What Connection::send puts on the wire for `frame`.
+std::vector<std::uint8_t> wire_bytes(const Frame& frame) {
+  WireWriter w;
+  w.u32(static_cast<std::uint32_t>(frame.payload.size() + 1));
+  w.u8(static_cast<std::uint8_t>(frame.type));
+  w.raw(frame.payload.data(), frame.payload.size());
+  return w.take();
+}
+
+/// `count` budget reports, seq first_seq.., back to back as one byte run.
+std::vector<std::uint8_t> report_bytes(std::uint32_t first_seq, std::uint32_t count) {
+  std::vector<std::uint8_t> bytes;
+  for (std::uint32_t seq = first_seq; seq < first_seq + count; ++seq) {
+    BudgetReportMsg report;
+    report.seq = seq;
+    report.achieved_w = 100.0 + seq;
+    const std::vector<std::uint8_t> one = wire_bytes(report.encode());
+    bytes.insert(bytes.end(), one.begin(), one.end());
+  }
+  return bytes;
+}
+
+void send_raw(const Connection& conn, const std::uint8_t* data, std::size_t size) {
+  ASSERT_EQ(::send(conn.fd(), data, size, MSG_NOSIGNAL), static_cast<ssize_t>(size));
+}
+
+/// Wait, as a zero-timeout reader's owner does, until `conn`'s socket is
+/// readable.
+void await_readable(const Connection& conn) {
+  pollfd pfd{conn.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+}
+
+void expect_report(const Frame& frame, std::uint32_t seq) {
+  ASSERT_EQ(frame.type, MessageType::kBudgetReport);
+  WireReader in(frame.payload);
+  const BudgetReportMsg report = BudgetReportMsg::decode(in);
+  EXPECT_EQ(report.seq, seq);
+  EXPECT_DOUBLE_EQ(report.achieved_w, 100.0 + seq);
+}
+
+TEST(Transport, FramesFromOneSendDrainInOrderThenReportEmpty) {
+  // More frames than the read buffer holds, in one send(2).
+  LoopbackPair link;
+  constexpr std::uint32_t kFrames = 40;
+  const std::vector<std::uint8_t> bytes = report_bytes(0, kFrames);
+  ASSERT_GT(bytes.size(), Connection::kReadBufferBytes);
+  send_raw(link.client, bytes.data(), bytes.size());
+  await_readable(link.server);
+  Frame frame;
+  for (std::uint32_t seq = 0; seq < kFrames; ++seq) {
+    ASSERT_TRUE(link.server.recv_into(frame, /*timeout_s=*/0.0)) << "frame " << seq;
+    expect_report(frame, seq);
+  }
+  EXPECT_FALSE(link.server.recv_into(frame, /*timeout_s=*/0.0));
+  EXPECT_FALSE(link.server.buffered());
+  // Once poll(2) says more has arrived, the next zero-timeout receive reads it.
+  const std::vector<std::uint8_t> next = report_bytes(kFrames, 1);
+  send_raw(link.client, next.data(), next.size());
+  await_readable(link.server);
+  ASSERT_TRUE(link.server.recv_into(frame, /*timeout_s=*/0.0));
+  expect_report(frame, kFrames);
+  EXPECT_FALSE(link.server.recv_into(frame, /*timeout_s=*/0.0));
+}
+
+TEST(Transport, FrameSplitAcrossWritesIsReassembled) {
+  // The header arrives 50 ms before the payload: a zero-timeout receive
+  // that has begun the frame finishes it.
+  LoopbackPair link;
+  SampleBatchMsg batch;
+  batch.channel_id = 9;
+  for (int i = 0; i < 10; ++i) batch.samples.push_back(telemetry::Sample{i * 0.5, 1.0 + i});
+  const Frame sent = batch.encode();
+  const std::vector<std::uint8_t> bytes = wire_bytes(sent);
+  std::thread writer([&] {
+    send_raw(link.client, bytes.data(), 5);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    send_raw(link.client, bytes.data() + 5, bytes.size() - 5);
+  });
+  await_readable(link.server);
+  Frame frame;
+  bool got = false;
+  std::string error;
+  try {
+    got = link.server.recv_into(frame, /*timeout_s=*/0.0);
+  } catch (const WireError& e) {
+    error = e.what();
+  }
+  writer.join();
+  ASSERT_TRUE(got) << error;
+  EXPECT_EQ(frame.type, sent.type);
+  EXPECT_EQ(frame.payload, sent.payload);
+  EXPECT_FALSE(link.server.recv_into(frame, /*timeout_s=*/0.0));
+}
+
+TEST(Transport, FrameLargerThanTheReadBufferRoundTrips) {
+  LoopbackPair link;
+  SampleBatchMsg batch;
+  batch.channel_id = 4;
+  for (int i = 0; i < 4096; ++i)
+    batch.samples.push_back(telemetry::Sample{i * 0.001, 200.0 + i});
+  const Frame sent = batch.encode();
+  ASSERT_GT(sent.payload.size(), 16 * Connection::kReadBufferBytes);
+  // The batch outgrows the socket buffers, so a second thread writes it;
+  // a small frame follows it.
+  std::thread writer([&] {
+    try {
+      link.client.send(sent);
+    } catch (const WireError&) {
+      return;  // the reader failed and closed its end
+    }
+    const std::vector<std::uint8_t> after = report_bytes(7, 1);
+    send_raw(link.client, after.data(), after.size());
+  });
+  Frame batch_frame;
+  Frame report_frame;
+  std::string error;
+  try {
+    link.server.recv_into(batch_frame, /*timeout_s=*/5.0);
+    link.server.recv_into(report_frame, /*timeout_s=*/5.0);
+  } catch (const WireError& e) {
+    error = e.what();
+    link.server.close();  // unblocks the writer
+  }
+  writer.join();
+  ASSERT_EQ(error, "");
+  EXPECT_EQ(batch_frame.type, MessageType::kSampleBatch);
+  EXPECT_EQ(batch_frame.payload, sent.payload);
+  expect_report(report_frame, 7);
+}
+
+TEST(Transport, MovedConnectionYieldsItsBufferedFrames) {
+  LoopbackPair link;
+  const std::vector<std::uint8_t> bytes = report_bytes(0, 3);
+  send_raw(link.client, bytes.data(), bytes.size());
+  await_readable(link.server);
+  // A blocking receive fetches all three frames with one recv(2) and
+  // returns the first.
+  Frame frame;
+  ASSERT_TRUE(link.server.recv_into(frame, /*timeout_s=*/5.0));
+  expect_report(frame, 0);
+  ASSERT_TRUE(link.server.buffered());
+  Connection constructed(std::move(link.server));
+  EXPECT_FALSE(link.server.buffered());
+  ASSERT_TRUE(constructed.recv_into(frame, /*timeout_s=*/0.0));
+  expect_report(frame, 1);
+  Connection assigned;
+  assigned = std::move(constructed);
+  ASSERT_TRUE(assigned.recv_into(frame, /*timeout_s=*/0.0));
+  expect_report(frame, 2);
+  EXPECT_FALSE(assigned.recv_into(frame, /*timeout_s=*/0.0));
+}
+
+TEST(Transport, EofBetweenFramesAndMidFrameRaiseDifferentErrors) {
+  const auto expect_wire_error = [](Connection& conn, const std::string& text) {
+    Frame frame;
+    try {
+      conn.recv_into(frame, /*timeout_s=*/5.0);
+      ADD_FAILURE() << "no error; expected '" << text << "'";
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+    }
+  };
+  {
+    LoopbackPair link;
+    const std::vector<std::uint8_t> bytes = report_bytes(0, 1);
+    send_raw(link.client, bytes.data(), bytes.size());
+    link.client.close();
+    Frame frame;
+    ASSERT_TRUE(link.server.recv_into(frame, /*timeout_s=*/5.0));
+    expect_wire_error(link.server, "peer closed the connection");
+  }
+  // Cut inside the header, inside a payload that fits the read buffer, and
+  // inside one that does not.
+  SampleBatchMsg batch;
+  for (int i = 0; i < 4096; ++i) batch.samples.push_back(telemetry::Sample{i * 1.0, 1.0});
+  const std::vector<std::uint8_t> large = wire_bytes(batch.encode());
+  const std::vector<std::uint8_t> small = report_bytes(0, 1);
+  for (const auto& [bytes, cut] : {std::pair{&small, std::size_t{3}},
+                                   std::pair{&small, small.size() - 1},
+                                   std::pair{&large, std::size_t{3000}}}) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    LoopbackPair link;
+    send_raw(link.client, bytes->data(), cut);
+    link.client.close();
+    expect_wire_error(link.server, "peer disconnected mid-frame");
   }
 }
 
@@ -577,8 +777,7 @@ TEST(LoopbackFleet, SixtyFourNodeFleetMergesCorrectly) {
   // consistent with the sum of its 64 parts.
   double parts = 0.0;
   for (int i = 0; i < 64; ++i) {
-    const std::string node =
-        std::string("n") + std::to_string(i) + (i < 32 ? "-zen2" : "-haswell");
+    const std::string node = strings::format("n%d-%s", i, i < 32 ? "zen2" : "haswell");
     const double mean = csv_mean(output, "sim-wall-power", "hold", node);
     EXPECT_GT(mean, 0.0) << "missing power row for " << node;
     parts += mean;
@@ -592,8 +791,7 @@ TEST(LoopbackFleet, SixtyFourNodeFleetMergesCorrectly) {
   const double temp_max = csv_mean(output, "cluster-temp-max", "hold", "cluster");
   EXPECT_GT(temp_max, 0.0) << output;
   for (int i = 0; i < 64; i += 16) {
-    const std::string node =
-        std::string("n") + std::to_string(i) + (i < 32 ? "-zen2" : "-haswell");
+    const std::string node = strings::format("n%d-%s", i, i < 32 ? "zen2" : "haswell");
     EXPECT_GE(temp_max + 1e-9, csv_mean(output, "sim-package-temp", "hold", node));
   }
 }

@@ -206,7 +206,7 @@ std::vector<std::pair<std::string, std::uint64_t>> stats_fields(const payload::P
       {"loop_bytes", s.loop_bytes},
   };
   for (int level = 0; level < payload::kNumMemoryLevels; ++level) {
-    const std::string at = "[" + std::to_string(level) + "]";
+    const std::string at = strings::format("[%d]", level);
     fields.emplace_back("sequence.loads" + at, s.sequence.loads[level]);
     fields.emplace_back("sequence.stores" + at, s.sequence.stores[level]);
     fields.emplace_back("sequence.prefetches" + at, s.sequence.prefetches[level]);
