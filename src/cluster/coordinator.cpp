@@ -28,6 +28,7 @@ constexpr double kSyncReplyS = 5.0;
 Coordinator::Coordinator(Options options)
     : options_(std::move(options)),
       listener_(options_.port, options_.loopback_only),
+      local_listener_(options_.loopback_only ? Listener::local(listener_.port()) : Listener()),
       phase_end_counts_(options_.phase_count, 0),
       phase_released_(options_.phase_count, 0),
       phase_barrier_open_s_(options_.phase_count, 0.0) {
@@ -388,6 +389,7 @@ bool Coordinator::ack_rejoin(Joiner& joiner, const RejoinMsg& msg) {
   if (!refusal.empty()) {
     log::warn() << "cluster: rejoin refused " << log::kv("node", msg.node_name) << ' '
                 << log::kv("why", refusal);
+    note_dropped_joiner("rejoin refused: " + refusal);
     ack.detail = refusal;
     joiner.conn.send(ack.encode());
     joiner.conn.close();
@@ -591,7 +593,29 @@ void Coordinator::serve_joiner(Joiner& joiner, std::ostream& log) {
     // A malformed, wrong-version or vanished client costs itself the
     // socket, never the fleet.
     log::warn() << "cluster: dropping joining connection: " << e.what();
+    note_dropped_joiner(e.what());
     joiner.conn.close();
+  }
+}
+
+void Coordinator::note_dropped_joiner(const std::string& why) {
+  if (bus_) return;
+  ++admission_drops_;
+  last_drop_ = why;
+}
+
+void Coordinator::accept_joiners(Listener& listener, double now) {
+  // Take the whole backlog: a large fleet dials in faster than one accept
+  // per wake-up.
+  pollfd backlog{listener.fd(), POLLIN, 0};
+  try {
+    do {
+      Joiner& joiner = joiners_.emplace_back();
+      joiner.deadline_s = now + kHelloWindowS;
+      joiner.conn = listener.accept(-1.0);
+    } while (::poll(&backlog, 1, 0) > 0);
+  } catch (const Error& e) {
+    log::warn() << e.what();
   }
 }
 
@@ -649,10 +673,11 @@ StatusReplyMsg Coordinator::build_status(bool accepting) const {
 void Coordinator::event_loop(std::ostream& log) {
   // The one poll(2) of the coordinator, from the first accept to shutdown.
   // Each iteration refills the pollfd set (a reused vector, so no
-  // allocation once it has grown): the nodes, the listener, then the
-  // joiners. A node's slot is parked at fd -1, which poll(2) ignores, until
-  // the campaign starts and while the node is LOST. One scratch frame serves
-  // every node receive — the loop allocates nothing per frame.
+  // allocation once it has grown): the nodes, the TCP and local listeners,
+  // then the joiners. A node's slot is parked at fd -1, which poll(2)
+  // ignores, until the campaign starts and while the node is LOST; so is
+  // the local listener's when there is none. One scratch frame serves every
+  // node receive — the loop allocates nothing per frame.
   std::vector<pollfd> fds;
   Frame frame;
   trace::Registry& registry = trace::Registry::instance();
@@ -684,6 +709,8 @@ void Coordinator::event_loop(std::ostream& log) {
       fds.push_back(pollfd{node.lost || !bus_ ? -1 : node.conn.fd(), POLLIN, 0});
     const std::size_t listener_slot = fds.size();
     fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
+    fds.push_back(pollfd{local_listener_.fd(), POLLIN, 0});
+    const std::size_t joiner_slot = fds.size();
     for (const Joiner& joiner : joiners_)
       fds.push_back(pollfd{joiner.conn.fd(), POLLIN, 0});
     // A lost node's grace window must expire on time even when the metrics
@@ -736,32 +763,23 @@ void Coordinator::event_loop(std::ostream& log) {
       }
       // fds pairs with joiners_ in pre-poll order; connections accepted
       // below sit past its end and wait a turn.
-      for (std::size_t slot = listener_slot + 1; slot < fds.size(); ++slot)
+      for (std::size_t slot = joiner_slot; slot < fds.size(); ++slot)
         if (fds[slot].revents & (POLLIN | POLLHUP | POLLERR))
-          serve_joiner(joiners_[slot - listener_slot - 1], log);
-      if (fds[listener_slot].revents & POLLIN) {
-        // Take the whole backlog: a large fleet dials in faster than one
-        // accept per wake-up.
-        pollfd backlog{listener_.fd(), POLLIN, 0};
-        try {
-          do {
-            Joiner& joiner = joiners_.emplace_back();
-            joiner.deadline_s = now + kHelloWindowS;
-            joiner.conn = listener_.accept(-1.0);
-          } while (::poll(&backlog, 1, 0) > 0);
-        } catch (const Error& e) {
-          log::warn() << e.what();
-        }
-      }
+          serve_joiner(joiners_[slot - joiner_slot], log);
+      if (fds[listener_slot].revents & POLLIN) accept_joiners(listener_, now);
+      if (fds[listener_slot + 1].revents & POLLIN) accept_joiners(local_listener_, now);
     }
     // A joiner whose connection was admitted, served or dropped is done, and
     // so is one that missed its deadline: its socket closes as it goes.
     const double swept_s = local_clock_s();
     std::erase_if(joiners_, [&](const Joiner& joiner) {
-      if (joiner.conn.valid() && swept_s >= joiner.deadline_s)
-        log::warn() << "cluster: dropping a connection that missed its "
-                    << (joiner.stage == Joiner::Stage::kGreeting ? "hello window"
-                                                                 : "sync-reply bound");
+      if (joiner.conn.valid() && swept_s >= joiner.deadline_s) {
+        const std::string why = std::string("missed its ") +
+                                (joiner.stage == Joiner::Stage::kGreeting ? "hello window"
+                                                                          : "sync-reply bound");
+        log::warn() << "cluster: dropping a connection that " << why;
+        note_dropped_joiner(why);
+      }
       return !joiner.conn.valid() || swept_s >= joiner.deadline_s;
     });
     if (!bus_) {
@@ -771,9 +789,14 @@ void Coordinator::event_loop(std::ostream& log) {
         admitted = nodes_.size();
         accept_deadline_s = local_clock_s() + options_.accept_timeout_s;
       } else if (local_clock_s() >= accept_deadline_s) {
-        throw Error(strings::format(
+        std::string error = strings::format(
             "cluster: accepted %zu of %zu nodes, none arrived for %.0f s", nodes_.size(),
-            options_.nodes, options_.accept_timeout_s));
+            options_.nodes, options_.accept_timeout_s);
+        if (admission_drops_ > 0)
+          error += strings::format("; dropped %zu joining connection%s (last: %s)",
+                                   admission_drops_, admission_drops_ == 1 ? "" : "s",
+                                   last_drop_.c_str());
+        throw Error(error);
       }
     }
     // Periodic detector sweep + flight-recorder heartbeat, paced by the
@@ -793,10 +816,12 @@ void Coordinator::event_loop(std::ostream& log) {
   shutdown.ok = 1;
   for (Node& node : nodes_)
     if (!node.lost && node.conn.valid()) node.conn.send(shutdown.encode());
-  // Every verdict is in: stop listening. Anything still in the accept
-  // backlog or still joining (a rejoiner that arrived after its node was
-  // given up) gets a reset instead of an eternal unanswered handshake.
+  // Every verdict is in: stop listening, on both listeners. Anything still
+  // in an accept backlog or still joining (a rejoiner that arrived after its
+  // node was given up) gets a reset instead of an eternal unanswered
+  // handshake.
   listener_.close();
+  local_listener_.close();
   joiners_.clear();
 }
 

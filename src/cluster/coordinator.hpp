@@ -27,7 +27,9 @@ class Coordinator {
  public:
   struct Options {
     std::uint16_t port = 0;         ///< 0 = ephemeral (loopback tests)
-    bool loopback_only = false;     ///< bind 127.0.0.1 instead of all interfaces
+    /// Bind 127.0.0.1 instead of all interfaces, and listen on
+    /// local_name(port) too: loopback dials take that AF_UNIX socket.
+    bool loopback_only = false;
     std::size_t nodes = 0;
     std::string campaign_text;
     /// Per-node campaign texts, indexed by HELLO order (empty = every node
@@ -95,7 +97,7 @@ class Coordinator {
     bool converged() const { return nodes_converged && budget_converged && sync_ok; }
   };
 
-  /// Binds the listener immediately so port() is valid before agents spawn.
+  /// Binds the listeners immediately so port() is valid before agents spawn.
   explicit Coordinator(Options options);
 
   std::uint16_t port() const { return listener_.port(); }
@@ -145,6 +147,11 @@ class Coordinator {
   };
 
   void event_loop(std::ostream& log);
+  /// Take `listener`'s whole backlog into joiners_.
+  void accept_joiners(Listener& listener, double now);
+  /// A joiner dropped while the fleet assembles is counted, and the last
+  /// reason kept, for the admission timeout's error.
+  void note_dropped_joiner(const std::string& why);
   /// Advance one readable joiner. A joiner that is served, admitted,
   /// re-admitted or dropped is left with no connection.
   void serve_joiner(Joiner& joiner, std::ostream& log);
@@ -189,9 +196,12 @@ class Coordinator {
 
   Options options_;
   Listener listener_;
+  Listener local_listener_;  ///< Listener::local beside a loopback_only listener_
   std::vector<Node> nodes_;  ///< admitted nodes, in hello order
   std::vector<Joiner> joiners_;
   std::size_t hellos_ = 0;   ///< hellos taken into clock sync so far
+  std::size_t admission_drops_ = 0;  ///< joiners dropped before the campaign started
+  std::string last_drop_;            ///< why the last of them was dropped
   SampleBatchMsg batch_scratch_;  ///< reused decode target for sample batches
   std::unique_ptr<ClusterBus> bus_;
   std::unique_ptr<control::BudgetApportioner> apportioner_;

@@ -8,13 +8,16 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "util/strings.hpp"
 
@@ -47,16 +50,59 @@ double mono_s() {
       .count();
 }
 
-}  // namespace
+/// The address of local_name(port) in the abstract namespace: sun_path
+/// starts with a NUL, and the name that follows has none.
+socklen_t local_address(std::uint16_t port, sockaddr_un& addr) {
+  const std::string name = local_name(port);
+  addr = sockaddr_un{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path + 1, name.data(), name.size());
+  return static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 + name.size());
+}
 
-// ---- Connection -------------------------------------------------------------
+/// Dial local_name(port); -1 when nothing listens there. The send deadline
+/// goes on first: an AF_UNIX connect(2) waits while the listener's backlog
+/// is full (where TCP drops the SYN), and SO_SNDTIMEO bounds that wait.
+int dial_local(std::uint16_t port) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  set_send_deadline(fd);
+  sockaddr_un addr;
+  const socklen_t len = local_address(port, addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), len) == 0) return fd;
+  ::close(fd);
+  return -1;
+}
 
-Connection::Connection(int fd) : fd_(fd) {
-  if (fd_ >= 0) {
-    set_nodelay(fd_);
-    set_send_deadline(fd_);
+bool is_loopback(const addrinfo& ai) {
+  return ai.ai_family == AF_INET &&
+         ntohl(reinterpret_cast<const sockaddr_in*>(ai.ai_addr)->sin_addr.s_addr) >> 24 == 127;
+}
+
+/// bind(2) and listen(2), or close `fd` and throw. `what` names the address.
+void bind_and_listen(int fd, const sockaddr* addr, socklen_t len, const std::string& what) {
+  if (::bind(fd, addr, len) != 0) {
+    const std::string reason = errno_text();
+    ::close(fd);
+    throw Error("cluster: cannot bind " + what + " (" + reason + ")");
+  }
+  // A loopback fleet dials in all of its agents in one burst. The
+  // coordinator's event loop empties the backlog on every wake-up, so 1024
+  // queued connections are enough to admit a 4096-node loopback fleet.
+  if (::listen(fd, 1024) != 0) {
+    const std::string reason = errno_text();
+    ::close(fd);
+    throw Error("cluster: listen failed (" + reason + ")");
   }
 }
+
+}  // namespace
+
+std::string local_name(std::uint16_t port) {
+  return "fs2-coordinator:" + std::to_string(port);
+}
+
+// ---- Connection -------------------------------------------------------------
 
 Connection::~Connection() { close(); }
 
@@ -128,13 +174,25 @@ Connection Connection::connect(const std::string& endpoint, double retry_for_s) 
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::duration<double>(retry_for_s);
+  // The same frames cost about half the kernel time over AF_UNIX as over
+  // loopback TCP, so a loopback coordinator's local listener goes first.
+  const bool local = is_loopback(*result);
   std::string last_error;
   for (;;) {
+    if (local) {
+      const int fd = dial_local(static_cast<std::uint16_t>(port_num));
+      if (fd >= 0) {
+        ::freeaddrinfo(result);
+        return Connection(fd);
+      }
+    }
     for (addrinfo* ai = result; ai != nullptr; ai = ai->ai_next) {
       const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
       if (fd < 0) continue;
       if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
         ::freeaddrinfo(result);
+        set_nodelay(fd);
+        set_send_deadline(fd);
         return Connection(fd);
       }
       last_error = errno_text();
@@ -363,36 +421,50 @@ std::optional<Frame> Connection::recv(double timeout_s) {
 // ---- Listener ---------------------------------------------------------------
 
 Listener::Listener(std::uint16_t port, bool loopback_only) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) throw Error("cluster: cannot create listen socket (" + errno_text() + ")");
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) throw Error("cluster: cannot create listen socket (" + errno_text() + ")");
   int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(loopback_only ? INADDR_LOOPBACK : INADDR_ANY);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const std::string reason = errno_text();
-    ::close(fd_);
-    fd_ = -1;
-    throw Error(strings::format("cluster: cannot bind port %u (%s)", port, reason.c_str()));
-  }
-  // A loopback fleet dials in all of its agents in one burst. The
-  // coordinator's event loop empties the backlog on every wake-up, so 1024
-  // queued connections are enough to admit a 4096-node loopback fleet.
-  if (::listen(fd_, 1024) != 0) {
-    const std::string reason = errno_text();
-    ::close(fd_);
-    fd_ = -1;
-    throw Error("cluster: listen failed (" + reason + ")");
-  }
+  bind_and_listen(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr,
+                  strings::format("port %u", port));
+  fd_ = fd;
   socklen_t len = sizeof addr;
   ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
 }
 
-Listener::~Listener() {
-  if (fd_ >= 0) ::close(fd_);
+Listener Listener::local(std::uint16_t port) {
+  Listener listener;
+  // Close-on-exec: a forked --metric-command must not keep the name bound.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) throw Error("cluster: cannot create local socket (" + errno_text() + ")");
+  sockaddr_un addr;
+  const socklen_t len = local_address(port, addr);
+  bind_and_listen(fd, reinterpret_cast<const sockaddr*>(&addr), len,
+                  "local socket '" + local_name(port) + "'");
+  listener.fd_ = fd;
+  listener.port_ = port;
+  listener.tcp_ = false;
+  return listener;
+}
+
+Listener::~Listener() { close(); }
+
+Listener::Listener(Listener&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), port_(other.port_), tcp_(other.tcp_) {}
+
+Listener& Listener::operator=(Listener&& other) noexcept {
+  if (this != &other) {
+    close();
+    fd_ = std::exchange(other.fd_, -1);
+    port_ = other.port_;
+    tcp_ = other.tcp_;
+  }
+  return *this;
 }
 
 void Listener::close() {
@@ -411,6 +483,8 @@ Connection Listener::accept(double timeout_s) {
   }
   const int fd = ::accept(fd_, nullptr, nullptr);
   if (fd < 0) throw Error("cluster: accept failed (" + errno_text() + ")");
+  if (tcp_) set_nodelay(fd);
+  set_send_deadline(fd);
   return Connection(fd);
 }
 

@@ -13,10 +13,12 @@ namespace fs2::cluster {
 
 class LinkFaults;
 
-/// One framed, blocking TCP connection between coordinator and agent.
-/// Frames are `u32 length | u8 type | payload` with the length covering
-/// type + payload. Send and receive are whole-frame operations; partial
-/// socket reads/writes are looped internally. Frames come in through a
+/// One framed, blocking stream connection between coordinator and agent:
+/// TCP, or AF_UNIX when a loopback dial reaches a coordinator's local
+/// listener (Listener::local). Both carry the same bytes. Frames are
+/// `u32 length | u8 type | payload` with the length covering type +
+/// payload. Send and receive are whole-frame operations; partial socket
+/// reads/writes are looped internally. Frames come in through a
 /// small read buffer (kReadBufferBytes, never zero-filled, held only while
 /// some of its bytes are unread): one recv(2) takes whatever the socket
 /// holds, and every whole frame in it is handed out without another
@@ -26,7 +28,9 @@ class LinkFaults;
 class Connection {
  public:
   Connection() = default;
-  explicit Connection(int fd);
+  /// Adopt a connected socket as it is: connect() and Listener::accept()
+  /// set its options.
+  explicit Connection(int fd) : fd_(fd) {}
   ~Connection();
 
   Connection(Connection&& other) noexcept;
@@ -36,7 +40,10 @@ class Connection {
 
   /// Connect to "host:port" (numeric IPv4 or a resolvable name), retrying
   /// for up to `retry_for_s` seconds (0 dials once) — an agent routinely
-  /// starts before its coordinator binds. Throws fs2::Error on final failure.
+  /// starts before its coordinator binds. When the host resolves to a
+  /// loopback address, each attempt dials local_name(port) first and falls
+  /// back to TCP when nothing listens on that name. Throws fs2::Error on
+  /// final failure.
   static Connection connect(const std::string& endpoint, double retry_for_s = 5.0);
 
   void send(const Frame& frame);
@@ -157,15 +164,27 @@ class Connection {
   std::deque<PendingFrame> pending_;    ///< delay-faulted frames, FIFO
 };
 
-/// Listening TCP socket for the coordinator. Binds immediately (port 0
-/// selects an ephemeral port — loopback tests read the chosen one back via
-/// port()).
+/// The abstract-namespace AF_UNIX name of the local listener beside a
+/// loopback TCP port: "fs2-coordinator:<port>".
+std::string local_name(std::uint16_t port);
+
+/// Listening socket for the coordinator. Binds immediately (port 0 selects
+/// an ephemeral port — loopback tests read the chosen one back via port()).
 class Listener {
  public:
-  /// `loopback_only` binds 127.0.0.1 instead of all interfaces.
+  /// Listens nowhere: fd() is -1, which poll(2) skips.
+  Listener() = default;
+  /// TCP; `loopback_only` binds 127.0.0.1 instead of all interfaces.
   explicit Listener(std::uint16_t port, bool loopback_only = false);
+  /// The local listener beside a loopback TCP listener on `port`: an
+  /// AF_UNIX stream socket bound to the abstract name local_name(port),
+  /// which Connection::connect dials before TCP. Throws when the name is
+  /// taken, since loopback dials to `port` would reach whoever holds it.
+  static Listener local(std::uint16_t port);
   ~Listener();
 
+  Listener(Listener&& other) noexcept;
+  Listener& operator=(Listener&& other) noexcept;
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
 
@@ -174,6 +193,7 @@ class Listener {
   /// must fail loudly when one never dials in, not hang the campaign.
   Connection accept(double timeout_s);
 
+  /// The TCP port, or for a local listener the port its name is after.
   std::uint16_t port() const { return port_; }
   /// Raw socket for poll(2) — the coordinator's event loop watches the
   /// listener alongside agent connections to serve status clients mid-run.
@@ -187,6 +207,7 @@ class Listener {
  private:
   int fd_ = -1;
   std::uint16_t port_ = 0;
+  bool tcp_ = true;  ///< accepted connections get TCP_NODELAY
 };
 
 }  // namespace fs2::cluster

@@ -13,8 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -22,7 +20,6 @@
 #include <vector>
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include "cluster/clock_sync.hpp"
 #include "cluster/fault_injection.hpp"
@@ -34,6 +31,7 @@
 #include "control/budget.hpp"
 #include "firestarter/config.hpp"
 #include "firestarter/firestarter.hpp"
+#include "temp_file.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -576,7 +574,7 @@ struct CoordinatorHarness {
   std::string error;
 
   explicit CoordinatorHarness(std::size_t nodes, std::size_t phases,
-                              double rejoin_grace_s = 5.0)
+                              double rejoin_grace_s = 5.0, double accept_timeout_s = 60.0)
       : coordinator([&] {
           Coordinator::Options options;
           options.loopback_only = true;
@@ -589,6 +587,7 @@ struct CoordinatorHarness {
           options.start_delay_s = 0.05;
           options.metrics_interval_s = 0.0;  // no metrics plane: protocol only
           options.rejoin_grace_s = rejoin_grace_s;
+          options.accept_timeout_s = accept_timeout_s;
           return options;
         }()) {
     thread = std::thread([this] {
@@ -712,6 +711,23 @@ TEST(Admission, JoinerThatRepliesAheadOfItsProbeIsDropped) {
   ASSERT_FALSE(harness.failed) << harness.error;
   ASSERT_EQ(harness.result.nodes.size(), 1u);
   EXPECT_EQ(harness.result.nodes[0].name, "alpha");
+}
+
+TEST(Admission, TimeoutNamesTheJoinersItDropped) {
+  // A fleet that never assembles fails with what it turned away while it
+  // waited: here one joiner whose first frame is not a hello.
+  CoordinatorHarness harness(1, 1, /*rejoin_grace_s=*/5.0, /*accept_timeout_s=*/1.0);
+  Connection stray =
+      Connection::connect("127.0.0.1:" + std::to_string(harness.coordinator.port()));
+  stray.send(BudgetReportMsg{}.encode());
+  harness.thread.join();
+  ASSERT_TRUE(harness.failed);
+  EXPECT_NE(harness.error.find("accepted 0 of 1 nodes, none arrived for 1 s"), std::string::npos)
+      << harness.error;
+  EXPECT_NE(harness.error.find("; dropped 1 joining connection (last: first frame was a "
+                               "budget-report)"),
+            std::string::npos)
+      << harness.error;
 }
 
 TEST(Rejoin, NodeStalledMidFrameIsLostWithinTheFrameBound) {
@@ -883,26 +899,7 @@ TEST(Rejoin, GarbageMidRunClientNeverWedgesTheCoordinator) {
 
 // ---- end to end: loopback fleet under chaos ---------------------------------
 
-/// A campaign file of the running test's own, named by the pid and the
-/// test's name so that concurrent copies of the suite never share one;
-/// removed when the test ends.
-class TempCampaign {
- public:
-  explicit TempCampaign(const char* text) {
-    const ::testing::TestInfo& test = *::testing::UnitTest::GetInstance()->current_test_info();
-    path_ = std::filesystem::temp_directory_path() /
-            strings::format("fs2_chaos_%d_%s.%s.campaign", static_cast<int>(::getpid()),
-                            test.test_suite_name(), test.name());
-    std::ofstream(path_) << text;
-  }
-  TempCampaign(const TempCampaign&) = delete;
-  TempCampaign& operator=(const TempCampaign&) = delete;
-  ~TempCampaign() { std::filesystem::remove(path_); }
-  std::string path() const { return path_.string(); }
-
- private:
-  std::filesystem::path path_;
-};
+using tests::TempCampaign;
 
 TEST(ChaosFleet, KilledNodeRejoinsAndFleetConverges) {
   const TempCampaign campaign("phase name=ramp duration=10\n"

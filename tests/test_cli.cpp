@@ -17,9 +17,13 @@
 #include <vector>
 
 #include "firestarter/config.hpp"
+#include "temp_file.hpp"
 #include "util/error.hpp"
 
 namespace {
+
+using fs2::tests::TempCampaign;
+using fs2::tests::TempFile;
 
 struct CliResult {
   int exit_code = -1;
@@ -108,9 +112,10 @@ TEST(Cli, SimulatedHaswellGpuRun) {
 }
 
 TEST(Cli, SimulatedOptimizationSmoke) {
+  const TempFile log("opt.csv");
   const CliResult r = run_cli(
       "--simulate=zen2 --freq 1500 --optimize=NSGA2 --individuals=6 --generations=2 -t 5 "
-      "--optimization-log=/tmp/fs2_cli_opt.csv");
+      "--optimization-log=" + log.path());
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("selected optimum:"), std::string::npos);
   EXPECT_NE(r.output.find("18 candidate evaluations"), std::string::npos);
@@ -150,29 +155,26 @@ TEST(Cli, HostOptimizationRejectsUnknownMetric) {
 TEST(Cli, HostOptimizationLogsTheNamedObjectives) {
   // The paper's form: the objectives are the metrics --optimization-metric
   // names, here the --metric-path plugin's reading and the IPC estimate.
-  const std::string log = "/tmp/fs2_cli_host_objectives.csv";
-  std::remove(log.c_str());
+  const TempFile log("objectives.csv");
   const CliResult r = run_cli(kHostTuning +
                               "--preheat 0 --optimization-metric=fixture-power,ipc-estimate "
                               "--metric-path=" FS2_TEST_PLUGIN_PATH " --optimization-log " +
-                              log);
+                              log.path());
   ASSERT_EQ(r.exit_code, 0) << r.output;
   EXPECT_EQ(r.output.find("only one objective"), std::string::npos) << r.output;
-  std::ifstream in(log);
+  std::ifstream in(log.path());
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header, "order,generation,fixture-power,ipc-estimate,genome");
-  std::remove(log.c_str());
 }
 
 TEST(Cli, HostPreheatRunsForItsDuration) {
   // --preheat 1 runs the default payload for 1 s before the first
   // candidate, so the first two worker set-ups start at least 1 s apart.
-  const std::string path = "/tmp/fs2_cli_preheat_trace.json";
-  std::remove(path.c_str());
-  const CliResult r = run_cli(kHostTuning + "--preheat 1 --trace-out " + path);
+  const TempFile trace("trace.json");
+  const CliResult r = run_cli(kHostTuning + "--preheat 1 --trace-out " + trace.path());
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  std::ifstream in(path);
+  std::ifstream in(trace.path());
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string json = buffer.str();
@@ -183,7 +185,6 @@ TEST(Cli, HostPreheatRunsForItsDuration) {
   std::sort(begins_us.begin(), begins_us.end());
   ASSERT_GE(begins_us.size(), 2u) << json;
   EXPECT_GE(begins_us[1] - begins_us[0], 1000000) << json;
-  std::remove(path.c_str());
 }
 
 TEST(Cli, HostStressShortRun) {
@@ -240,27 +241,21 @@ TEST(Cli, SimulatedSquareProfileRun) {
 }
 
 TEST(Cli, SimulatedTraceProfileRun) {
-  {
-    std::ofstream trace("/tmp/fs2_cli_trace.csv");
-    trace << "# recorded load\n0,20\n5,80\n10,40\n";
-  }
-  const CliResult r = run_cli(
-      "--simulate=zen2 -t 30 --load-profile=trace:file=/tmp/fs2_cli_trace.csv,loop=1 "
-      "--measurement --start-delta=0 --stop-delta=0");
+  const TempFile trace("trace.csv", "# recorded load\n0,20\n5,80\n10,40\n");
+  const CliResult r = run_cli("--simulate=zen2 -t 30 --load-profile=trace:file=" + trace.path() +
+                              ",loop=1 --measurement --start-delta=0 --stop-delta=0");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("load profile: trace"), std::string::npos);
   EXPECT_NE(r.output.find("load-level,fraction"), std::string::npos);
 }
 
 TEST(Cli, CampaignEmitsOneSummaryRowPerPhaseAndMetric) {
-  {
-    std::ofstream campaign("/tmp/fs2_cli_campaign");
-    campaign << "# three-phase acceptance campaign\n"
-                "phase name=warmup duration=10 profile=constant:30\n"
-                "phase name=swing  duration=20 profile=sine:low=10,high=90,period=5\n"
-                "phase name=peak   duration=10 profile=square:low=0,high=100,period=2\n";
-  }
-  const CliResult r = run_cli("--simulate=zen2 --freq 1500 --campaign /tmp/fs2_cli_campaign");
+  const TempCampaign campaign(
+      "# three-phase acceptance campaign\n"
+      "phase name=warmup duration=10 profile=constant:30\n"
+      "phase name=swing  duration=20 profile=sine:low=10,high=90,period=5\n"
+      "phase name=peak   duration=10 profile=square:low=0,high=100,period=2\n");
+  const CliResult r = run_cli("--simulate=zen2 --freq 1500 --campaign " + campaign.path());
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("campaign: 3 phases"), std::string::npos);
   EXPECT_NE(r.output.find("metric,unit,samples,mean"), std::string::npos);
@@ -278,11 +273,8 @@ TEST(Cli, CampaignEmitsOneSummaryRowPerPhaseAndMetric) {
 }
 
 TEST(Cli, MalformedCampaignExitsTwoWithLineNumber) {
-  {
-    std::ofstream campaign("/tmp/fs2_cli_campaign_bad");
-    campaign << "phase name=ok duration=5\nphase name=broken profile=constant\n";
-  }
-  const CliResult r = run_cli("--simulate=zen2 --campaign /tmp/fs2_cli_campaign_bad");
+  const TempCampaign campaign("phase name=ok duration=5\nphase name=broken profile=constant\n");
+  const CliResult r = run_cli("--simulate=zen2 --campaign " + campaign.path());
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("line 2"), std::string::npos);
   EXPECT_NE(r.output.find("missing duration"), std::string::npos);
@@ -328,11 +320,8 @@ TEST(Cli, MalformedTargetExitsTwo) {
 }
 
 TEST(Cli, MalformedCampaignTargetExitsTwoWithPhaseName) {
-  {
-    std::ofstream campaign("/tmp/fs2_cli_campaign_bad_target");
-    campaign << "phase name=hold duration=30 target=volts=1.0\n";
-  }
-  const CliResult r = run_cli("--simulate=zen2 --campaign /tmp/fs2_cli_campaign_bad_target");
+  const TempCampaign campaign("phase name=hold duration=30 target=volts=1.0\n");
+  const CliResult r = run_cli("--simulate=zen2 --campaign " + campaign.path());
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("phase 'hold'"), std::string::npos);
   EXPECT_NE(r.output.find("power=WATTS or temp=DEGC"), std::string::npos);
@@ -365,14 +354,10 @@ TEST(Cli, BadDumpPathFailsBeforeStressing) {
 }
 
 TEST(Cli, SetpointCampaignProducesDistinctPlateaus) {
-  {
-    std::ofstream campaign("/tmp/fs2_cli_campaign_setpoints");
-    campaign << "phase name=low  duration=30 target=power=200W\n"
-                "phase name=high duration=30 target=power=320W\n";
-  }
-  const CliResult r = run_cli(
-      "--simulate=zen2 --freq 1500 --campaign /tmp/fs2_cli_campaign_setpoints "
-      "--require-convergence --log-level warn");
+  const TempCampaign campaign("phase name=low  duration=30 target=power=200W\n"
+                              "phase name=high duration=30 target=power=320W\n");
+  const CliResult r = run_cli("--simulate=zen2 --freq 1500 --campaign " + campaign.path() +
+                              " --require-convergence --log-level warn");
   EXPECT_EQ(r.exit_code, 0);
   // One converged wall-power plateau per phase, at the phase's setpoint.
   auto plateau = [&r](const std::string& phase) {
@@ -394,13 +379,13 @@ TEST(Cli, SetpointCampaignProducesDistinctPlateaus) {
 }
 
 TEST(Cli, RecordTraceReplaysThroughTraceProfile) {
-  const CliResult record = run_cli(
-      "--simulate=zen2 --freq 1500 -t 20 --target power=300W "
-      "--record-trace /tmp/fs2_cli_recorded.csv --log-level warn");
+  const TempFile trace("recorded.csv");
+  const CliResult record = run_cli("--simulate=zen2 --freq 1500 -t 20 --target power=300W "
+                                   "--record-trace " + trace.path() + " --log-level warn");
   EXPECT_EQ(record.exit_code, 0);
-  const CliResult replay = run_cli(
-      "--simulate=zen2 --freq 1500 -t 20 "
-      "--load-profile trace:file=/tmp/fs2_cli_recorded.csv --log-level warn");
+  const CliResult replay = run_cli("--simulate=zen2 --freq 1500 -t 20 "
+                                   "--load-profile trace:file=" + trace.path() +
+                                   " --log-level warn");
   EXPECT_EQ(replay.exit_code, 0);
   EXPECT_NE(replay.output.find("trace:"), std::string::npos);
 }
@@ -427,24 +412,20 @@ TEST(Cli, RecordedCampaignTraceReplaysAchievedLevels) {
   // Close the record -> replay loop quantitatively: a controlled campaign's
   // achieved duty-cycle trace, replayed open-loop, must reproduce the
   // achieved-level series — not merely parse.
-  {
-    std::ofstream campaign("/tmp/fs2_cli_rr.campaign");
-    campaign << "phase name=low  duration=20 target=power=200W\n"
-                "phase name=high duration=20 target=power=320W\n";
-  }
-  const CliResult record = run_cli(
-      "--simulate=zen2 --freq 1500 --campaign /tmp/fs2_cli_rr.campaign "
-      "--record-trace /tmp/fs2_cli_rr_trace.csv --log-level warn");
+  const TempCampaign campaign("phase name=low  duration=20 target=power=200W\n"
+                              "phase name=high duration=20 target=power=320W\n");
+  const TempFile trace("trace.csv");
+  const CliResult record = run_cli("--simulate=zen2 --freq 1500 --campaign " + campaign.path() +
+                                   " --record-trace " + trace.path() + " --log-level warn");
   ASSERT_EQ(record.exit_code, 0);
   const double low = csv_row_mean(record.output, "load-level", "low");
   const double high = csv_row_mean(record.output, "load-level", "high");
   ASSERT_GT(low, 0.0);
   ASSERT_GT(high, low);  // 320 W needs a higher duty cycle than 200 W
 
-  const CliResult replay = run_cli(
-      "--simulate=zen2 --freq 1500 -t 40 "
-      "--load-profile trace:file=/tmp/fs2_cli_rr_trace.csv "
-      "--measurement --start-delta=0 --stop-delta=0 --log-level warn");
+  const CliResult replay =
+      run_cli("--simulate=zen2 --freq 1500 -t 40 --load-profile trace:file=" + trace.path() +
+              " --measurement --start-delta=0 --stop-delta=0 --log-level warn");
   ASSERT_EQ(replay.exit_code, 0);
   const double replayed = csv_row_mean(replay.output, "load-level", "");
   ASSERT_GT(replayed, 0.0);
@@ -498,14 +479,11 @@ TEST(Cli, SingleRunMatchesOnePhaseCampaign) {
        "--require-convergence"},
   };
   for (const Case& c : cases) {
-    {
-      std::ofstream campaign("/tmp/fs2_cli_one_phase.campaign");
-      campaign << c.phase_line;
-    }
+    const TempCampaign phase(c.phase_line);
     const std::string common = std::string("--simulate=zen2 --freq 1500 --log-level error ") +
                                c.shared_args + " ";
     const CliResult single = run_cli(common + c.single_args);
-    const CliResult campaign = run_cli(common + "--campaign /tmp/fs2_cli_one_phase.campaign");
+    const CliResult campaign = run_cli(common + "--campaign " + phase.path());
     ASSERT_EQ(single.exit_code, 0) << single.output;
     ASSERT_EQ(campaign.exit_code, 0) << campaign.output;
     const std::vector<std::string> rows = csv_rows_without_phase(single.output);
@@ -518,33 +496,28 @@ TEST(Cli, SingleRunMatchesOnePhaseCampaign) {
 TEST(Cli, HostSingleRunSamplesMetricsOnlyUnderMeasurement) {
   // Without --measurement nobody reads the metric channels, so a host run
   // must not sample them: a --metric-command meter never runs.
-  const char* calls = "/tmp/fs2_cli_meter_calls";
+  const TempFile calls("meter_calls");
   const std::string meter =
-      std::string("-t 0.2 --threads 1 --log-level warn --metric-command 'echo x >> ") +
-      calls + "; echo 1'";
-  std::remove(calls);
+      "-t 0.2 --threads 1 --log-level warn --metric-command 'echo x >> " + calls.path() +
+      "; echo 1'";
   const CliResult quiet = run_cli(meter);
   ASSERT_EQ(quiet.exit_code, 0) << quiet.output;
-  EXPECT_FALSE(std::ifstream(calls).good()) << "the meter ran without --measurement";
+  EXPECT_FALSE(std::ifstream(calls.path()).good()) << "the meter ran without --measurement";
   const CliResult measured = run_cli(meter + " --measurement");
   ASSERT_EQ(measured.exit_code, 0) << measured.output;
-  EXPECT_TRUE(std::ifstream(calls).good()) << measured.output;
+  EXPECT_TRUE(std::ifstream(calls.path()).good()) << measured.output;
   EXPECT_NE(measured.output.find("external-command,value,"), std::string::npos)
       << measured.output;
-  std::remove(calls);
 }
 
 TEST(Cli, HostCampaignRunsEveryPhaseOnTheRealMachine) {
   // Real stress on one worker through the host branch of the phase runner:
   // 50 ms sampling ticks, the loop-count IPC estimate, and the commanded
   // load level, each attributed to its phase.
-  {
-    std::ofstream campaign("/tmp/fs2_cli_host.campaign");
-    campaign << "phase name=half duration=1 profile=constant:50\n"
-                "phase name=full duration=1 profile=constant:100\n";
-  }
+  const TempCampaign campaign("phase name=half duration=1 profile=constant:50\n"
+                              "phase name=full duration=1 profile=constant:100\n");
   const CliResult r =
-      run_cli("--campaign /tmp/fs2_cli_host.campaign --threads 1 --log-level warn");
+      run_cli("--campaign " + campaign.path() + " --threads 1 --log-level warn");
   ASSERT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("campaign: 2 phases, 2 s total on host"), std::string::npos)
       << r.output;
@@ -567,13 +540,9 @@ TEST(Cli, CoordinatorWithoutCampaignExitsTwo) {
 }
 
 TEST(Cli, LoopbackClusterSmoke) {
-  {
-    std::ofstream campaign("/tmp/fs2_cli_cluster.campaign");
-    campaign << "phase name=half duration=10 profile=constant:50\n";
-  }
-  const CliResult r = run_cli(
-      "--loopback zen2@1500,haswell@2000 --campaign /tmp/fs2_cli_cluster.campaign "
-      "--log-level warn");
+  const TempCampaign campaign("phase name=half duration=10 profile=constant:50\n");
+  const CliResult r = run_cli("--loopback zen2@1500,haswell@2000 --campaign " +
+                              campaign.path() + " --log-level warn");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("metric,unit,samples,mean"), std::string::npos);
   EXPECT_NE(r.output.find(",half,n0-zen2"), std::string::npos);
@@ -605,29 +574,25 @@ TEST(Cli, HelpListsObservabilityFlags) {
 }
 
 TEST(Cli, TraceOutWritesLocalTimelineOnSimRun) {
-  const char* path = "/tmp/fs2_cli_trace.json";
-  std::remove(path);
-  const CliResult r = run_cli(
-      "--simulate=zen2 --freq 1500 -t 10 --trace-out /tmp/fs2_cli_trace.json "
-      "--log-level warn");
+  const TempFile trace("trace.json");
+  const CliResult r = run_cli("--simulate=zen2 --freq 1500 -t 10 --trace-out " + trace.path() +
+                              " --log-level warn");
   EXPECT_EQ(r.exit_code, 0);
-  EXPECT_NE(r.output.find("trace written to /tmp/fs2_cli_trace.json"), std::string::npos)
-      << r.output;
-  std::ifstream in(path);
+  EXPECT_NE(r.output.find("trace written to " + trace.path()), std::string::npos) << r.output;
+  std::ifstream in(trace.path());
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
   EXPECT_NE(buffer.str().find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(buffer.str().find("\"local\""), std::string::npos);
-  std::remove(path);
 }
 
 TEST(Cli, HostRegisterDump) {
-  const CliResult r = run_cli(
-      "-t 0.4 --threads 1 --dump-registers=0.2 --dump-path /tmp/fs2_cli_regs.dump "
-      "--log-level warn");
+  const TempFile path("regs.dump");
+  const CliResult r = run_cli("-t 0.4 --threads 1 --dump-registers=0.2 --dump-path " +
+                              path.path() + " --log-level warn");
   EXPECT_EQ(r.exit_code, 0);
-  FILE* dump = std::fopen("/tmp/fs2_cli_regs.dump", "r");
+  FILE* dump = std::fopen(path.path().c_str(), "r");
   ASSERT_NE(dump, nullptr);
   char line[256] = {};
   EXPECT_NE(std::fgets(line, sizeof line, dump), nullptr);
@@ -638,17 +603,13 @@ TEST(Cli, HostRegisterDump) {
 TEST(Cli, HostCampaignWritesRegisterDump) {
   // The phase runner owns the dump loop, so a host campaign writes
   // --dump-registers snapshots like a single run.
-  {
-    std::ofstream campaign("/tmp/fs2_cli_host_dump.campaign");
-    campaign << "phase name=hold duration=0.3 profile=constant:100\n";
-  }
-  const char* path = "/tmp/fs2_cli_campaign_regs.dump";
-  std::remove(path);
-  const CliResult r = run_cli(
-      "--campaign /tmp/fs2_cli_host_dump.campaign --threads 1 --dump-registers=0.1 "
-      "--dump-path /tmp/fs2_cli_campaign_regs.dump --log-level warn");
+  const TempCampaign campaign("phase name=hold duration=0.3 profile=constant:100\n");
+  const TempFile path("regs.dump");
+  const CliResult r = run_cli("--campaign " + campaign.path() +
+                              " --threads 1 --dump-registers=0.1 --dump-path " + path.path() +
+                              " --log-level warn");
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  std::ifstream dump(path);
+  std::ifstream dump(path.path());
   ASSERT_TRUE(dump.good()) << r.output;
   std::string line;
   std::getline(dump, line);
@@ -672,10 +633,10 @@ struct Sample {
   std::vector<std::string> shown_with = {};
 };
 
-const char* const kFlagCampaign = "/tmp/fs2_cli_every_flag.campaign";
-
-const std::map<std::string, Sample>& flag_samples() {
-  static const std::map<std::string, Sample> samples = {
+/// The sample value of every flag, by long name; `campaign` is a campaign
+/// file for --campaign.
+std::map<std::string, Sample> flag_samples(const std::string& campaign) {
+  return {
       {"--help", {{"--help"}}},
       {"--version", {{"--version"}}},
       {"--avail", {{"--avail"}}},
@@ -697,7 +658,7 @@ const std::map<std::string, Sample>& flag_samples() {
       {"--dump-path", {{"--dump-path", "regs.dump"}}},
       {"--load-profile", {{"--load-profile", "sine:low=10,high=90,period=5"}}},
       {"--phase-offset", {{"--phase-offset", "1000"}}},
-      {"--campaign", {{"--campaign", kFlagCampaign}}},
+      {"--campaign", {{"--campaign", campaign}}},
       {"--record-trace", {{"--record-trace", "trace.csv"}}},
       {"--target", {{"--target", "power=300W"}}},
       {"--control-log", {{"--control-log", "ctl.csv"}}},
@@ -742,12 +703,12 @@ const std::map<std::string, Sample>& flag_samples() {
       {"--gpus", {{"--gpus", "1"}}},
       {"--gpu-matrixsize", {{"--gpu-matrixsize", "64"}}},
   };
-  return samples;
 }
 
-/// The flags that select `mode`. The closed-loop target is out of reach so
-/// that --require-convergence has a miss to report.
-std::vector<std::string> mode_args(RunMode mode) {
+/// The flags that select `mode`, with `campaign` as the --campaign file. The
+/// closed-loop target is out of reach so that --require-convergence has a
+/// miss to report.
+std::vector<std::string> mode_args(RunMode mode, const std::string& campaign) {
   std::vector<std::string> args;
   switch (mode.kind) {
     case RunKind::kAvail: args = {"--avail"}; break;
@@ -761,7 +722,7 @@ std::vector<std::string> mode_args(RunMode mode) {
     case RunKind::kOptimize: args = {"--optimize=NSGA2"}; break;
     case RunKind::kDumpAsm: args = {"--dump-asm"}; break;
     case RunKind::kSelftest: args = {"--selftest"}; break;
-    case RunKind::kCampaign: args = {"--campaign", kFlagCampaign}; break;
+    case RunKind::kCampaign: args = {"--campaign", campaign}; break;
     case RunKind::kClosedLoop: args = {"--target", "power=5000W"}; break;
     case RunKind::kOpenLoop: break;
   }
@@ -829,14 +790,12 @@ TEST(Cli, HelpAndVersionLeaveFlightOutAlone) {
 }
 
 TEST(Cli, EveryFlagActsOrIsRejected) {
-  {
-    // An open-loop phase at the -l duty cycle, a sine phase at the -p
-    // period, and a target out of reach.
-    std::ofstream campaign(kFlagCampaign);
-    campaign << "phase name=open duration=20\n"
-                "phase name=swing duration=20 profile=sine\n"
-                "phase name=held duration=20 target=power=5000W\n";
-  }
+  // An open-loop phase at the -l duty cycle, a sine phase at the -p period,
+  // and a target out of reach.
+  const TempCampaign campaign("phase name=open duration=20\n"
+                              "phase name=swing duration=20 profile=sine\n"
+                              "phase name=held duration=20 target=power=5000W\n");
+  const std::map<std::string, Sample> samples = flag_samples(campaign.path());
   const std::vector<Flag>& table = firestarter::flag_table();
 
   // (a) Outside its modes a flag is rejected, and the message names it. A
@@ -845,11 +804,11 @@ TEST(Cli, EveryFlagActsOrIsRejected) {
   for (const Flag& flag : table) {
     if (flag.set == nullptr) continue;  // a second --help entry
     const std::string name = long_name(flag);
-    ASSERT_TRUE(flag_samples().count(name)) << "no sample value for " << name;
+    ASSERT_TRUE(samples.count(name)) << "no sample value for " << name;
     for (const RunMode& mode : firestarter::run_modes()) {
       if (flag.modes & firestarter::bit(mode)) continue;
-      std::vector<std::string> args = mode_args(mode);
-      const std::vector<std::string>& sample = flag_samples().at(name).args;
+      std::vector<std::string> args = mode_args(mode, campaign.path());
+      const std::vector<std::string>& sample = samples.at(name).args;
       args.insert(args.end(), sample.begin(), sample.end());
       std::vector<const char*> argv = {"fs2"};
       for (const std::string& arg : args) argv.push_back(arg.c_str());
@@ -880,7 +839,7 @@ TEST(Cli, EveryFlagActsOrIsRejected) {
       {RunKind::kOptimize, true},  {RunKind::kFuzz, true},       {RunKind::kDumpAsm, true}};
   std::map<std::vector<std::string>, RunOutput> without_cache;
   for (const RunMode& mode : deterministic) {
-    const std::vector<std::string> base = mode_args(mode);
+    const std::vector<std::string> base = mode_args(mode, campaign.path());
     for (const Flag& flag : table) {
       const std::string name = long_name(flag);
       const bool selects_mode = std::any_of(base.begin(), base.end(), [&](const std::string& a) {
@@ -889,7 +848,7 @@ TEST(Cli, EveryFlagActsOrIsRejected) {
       if (flag.set == nullptr || !(flag.modes & firestarter::bit(mode)) || selects_mode ||
           name == "--log-level")
         continue;
-      const Sample& sample = flag_samples().at(name);
+      const Sample& sample = samples.at(name);
       std::vector<std::string> without = base;
       if (!sample.shown_with.empty() && acts_in(sample.shown_with.front(), mode))
         without.insert(without.end(), sample.shown_with.begin(), sample.shown_with.end());
@@ -903,7 +862,6 @@ TEST(Cli, EveryFlagActsOrIsRejected) {
                                     << firestarter::to_string(mode) << " run";
     }
   }
-  std::remove(kFlagCampaign);
 }
 
 }  // namespace

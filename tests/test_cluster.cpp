@@ -1,8 +1,9 @@
-// Tests of the cluster orchestration subsystem: wire encoding, framed TCP
-// transport, RTT-compensated clock sync, budget apportioning, the
-// coordinator-side telemetry merge, and the full loopback fleet —
-// coordinator plus heterogeneous in-process sim agents exercising the
-// whole protocol over real localhost sockets, deterministically.
+// Tests of the cluster orchestration subsystem: wire encoding, the framed
+// transport over TCP and over the local AF_UNIX link, RTT-compensated clock
+// sync, budget apportioning, the coordinator-side telemetry merge, and the
+// full loopback fleet — coordinator plus heterogeneous in-process sim agents
+// exercising the whole protocol over real localhost sockets,
+// deterministically.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,7 @@
 #include "firestarter/firestarter.hpp"
 #include "firestarter/sim_fleet.hpp"
 #include "sim/machine_config.hpp"
+#include "temp_file.hpp"
 #include "trace/tracer.hpp"
 #include "util/strings.hpp"
 
@@ -159,12 +161,47 @@ TEST(Messages, PhaseBracketRoundTrip) {
 
 // ---- transport --------------------------------------------------------------
 
-TEST(Transport, FramesRoundTripOverLoopback) {
-  Listener listener(0, /*loopback_only=*/true);
-  ASSERT_GT(listener.port(), 0);
+/// The listener a Transport test's connections go through: a loopback TCP
+/// one, or the local (AF_UNIX) one a loopback coordinator adds beside it.
+enum class Link { kTcp, kLocal };
 
-  std::thread client([port = listener.port()] {
-    Connection conn = Connection::connect("127.0.0.1:" + std::to_string(port));
+/// A loopback TCP listener and, for Link::kLocal, the local listener named
+/// after its port, which a dial to 127.0.0.1 then reaches first.
+struct Listeners {
+  explicit Listeners(Link link)
+      : local(link == Link::kLocal ? Listener::local(tcp.port()) : Listener()) {}
+  Listener tcp{0, /*loopback_only=*/true};
+  Listener local;
+  std::string endpoint() const { return "127.0.0.1:" + std::to_string(tcp.port()); }
+  /// The listener a dial to endpoint() reaches.
+  Listener& serving() { return local.fd() >= 0 ? local : tcp; }
+};
+
+/// The address family of `conn`'s socket.
+int socket_family(const Connection& conn) {
+  sockaddr_storage addr{};
+  socklen_t len = sizeof addr;
+  if (::getsockname(conn.fd(), reinterpret_cast<sockaddr*>(&addr), &len) != 0) return -1;
+  return addr.ss_family;
+}
+
+/// The framing tests run over both links: the bytes on the wire are the
+/// same, and so must be every way of reading them.
+class Transport : public ::testing::TestWithParam<Link> {};
+
+INSTANTIATE_TEST_SUITE_P(Link, Transport, ::testing::Values(Link::kTcp, Link::kLocal),
+                         [](const ::testing::TestParamInfo<Link>& info) {
+                           return info.param == Link::kTcp ? "Tcp" : "Local";
+                         });
+
+TEST_P(Transport, FramesRoundTripOverLoopback) {
+  Listeners listeners(GetParam());
+  ASSERT_GT(listeners.tcp.port(), 0);
+
+  // A jthread joins on the way out, so a failed accept or assertion fails
+  // this test instead of terminating the suite.
+  std::jthread client([endpoint = listeners.endpoint()] {
+    Connection conn = Connection::connect(endpoint);
     HelloMsg hello;
     hello.node_name = "tester";
     hello.sku = "sim-zen2";
@@ -174,7 +211,8 @@ TEST(Transport, FramesRoundTripOverLoopback) {
     EXPECT_EQ(reply->type, MessageType::kShutdown);
   });
 
-  Connection server = listener.accept(5.0);
+  Connection server = listeners.serving().accept(5.0);
+  EXPECT_EQ(socket_family(server), GetParam() == Link::kLocal ? AF_UNIX : AF_INET);
   const auto frame = server.recv(5.0);
   ASSERT_TRUE(frame.has_value());
   ASSERT_EQ(frame->type, MessageType::kHello);
@@ -185,21 +223,21 @@ TEST(Transport, FramesRoundTripOverLoopback) {
   client.join();
 }
 
-TEST(Transport, PeerDisconnectThrowsWireError) {
-  Listener listener(0, /*loopback_only=*/true);
-  std::thread client([port = listener.port()] {
-    Connection conn = Connection::connect("127.0.0.1:" + std::to_string(port));
+TEST_P(Transport, PeerDisconnectThrowsWireError) {
+  Listeners listeners(GetParam());
+  std::jthread client([endpoint = listeners.endpoint()] {
+    Connection conn = Connection::connect(endpoint);
     // Close immediately without sending a frame.
   });
-  Connection server = listener.accept(5.0);
+  Connection server = listeners.serving().accept(5.0);
   client.join();
   EXPECT_THROW(server.recv(5.0), WireError);
 }
 
-TEST(Transport, AcceptTimesOutWithClearError) {
-  Listener listener(0, /*loopback_only=*/true);
+TEST_P(Transport, AcceptTimesOutWithClearError) {
+  Listeners listeners(GetParam());
   try {
-    listener.accept(0.05);
+    listeners.serving().accept(0.05);
     FAIL() << "expected a timeout error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("no agent connected"), std::string::npos);
@@ -210,9 +248,10 @@ TEST(Transport, AcceptTimesOutWithClearError) {
 
 /// A connected client/server pair over loopback.
 struct LoopbackPair {
-  Listener listener{0, /*loopback_only=*/true};
-  Connection client = Connection::connect("127.0.0.1:" + std::to_string(listener.port()));
-  Connection server = listener.accept(5.0);
+  explicit LoopbackPair(Link link) : listeners(link) {}
+  Listeners listeners;
+  Connection client = Connection::connect(listeners.endpoint());
+  Connection server = listeners.serving().accept(5.0);
 };
 
 /// What Connection::send puts on the wire for `frame`.
@@ -256,9 +295,9 @@ void expect_report(const Frame& frame, std::uint32_t seq) {
   EXPECT_DOUBLE_EQ(report.achieved_w, 100.0 + seq);
 }
 
-TEST(Transport, FramesFromOneSendDrainInOrderThenReportEmpty) {
+TEST_P(Transport, FramesFromOneSendDrainInOrderThenReportEmpty) {
   // More frames than the read buffer holds, in one send(2).
-  LoopbackPair link;
+  LoopbackPair link(GetParam());
   constexpr std::uint32_t kFrames = 40;
   const std::vector<std::uint8_t> bytes = report_bytes(0, kFrames);
   ASSERT_GT(bytes.size(), Connection::kReadBufferBytes);
@@ -280,10 +319,10 @@ TEST(Transport, FramesFromOneSendDrainInOrderThenReportEmpty) {
   EXPECT_FALSE(link.server.recv_into(frame, /*timeout_s=*/0.0));
 }
 
-TEST(Transport, FrameSplitAcrossWritesIsReassembled) {
+TEST_P(Transport, FrameSplitAcrossWritesIsReassembled) {
   // The header arrives 50 ms before the payload: a zero-timeout receive
   // that has begun the frame finishes it.
-  LoopbackPair link;
+  LoopbackPair link(GetParam());
   SampleBatchMsg batch;
   batch.channel_id = 9;
   for (int i = 0; i < 10; ++i) batch.samples.push_back(telemetry::Sample{i * 0.5, 1.0 + i});
@@ -310,8 +349,8 @@ TEST(Transport, FrameSplitAcrossWritesIsReassembled) {
   EXPECT_FALSE(link.server.recv_into(frame, /*timeout_s=*/0.0));
 }
 
-TEST(Transport, FrameLargerThanTheReadBufferRoundTrips) {
-  LoopbackPair link;
+TEST_P(Transport, FrameLargerThanTheReadBufferRoundTrips) {
+  LoopbackPair link(GetParam());
   SampleBatchMsg batch;
   batch.channel_id = 4;
   for (int i = 0; i < 4096; ++i)
@@ -346,8 +385,8 @@ TEST(Transport, FrameLargerThanTheReadBufferRoundTrips) {
   expect_report(report_frame, 7);
 }
 
-TEST(Transport, MovedConnectionYieldsItsBufferedFrames) {
-  LoopbackPair link;
+TEST_P(Transport, MovedConnectionYieldsItsBufferedFrames) {
+  LoopbackPair link(GetParam());
   const std::vector<std::uint8_t> bytes = report_bytes(0, 3);
   send_raw(link.client, bytes.data(), bytes.size());
   await_readable(link.server);
@@ -368,7 +407,7 @@ TEST(Transport, MovedConnectionYieldsItsBufferedFrames) {
   EXPECT_FALSE(assigned.recv_into(frame, /*timeout_s=*/0.0));
 }
 
-TEST(Transport, EofBetweenFramesAndMidFrameRaiseDifferentErrors) {
+TEST_P(Transport, EofBetweenFramesAndMidFrameRaiseDifferentErrors) {
   const auto expect_wire_error = [](Connection& conn, const std::string& text) {
     Frame frame;
     try {
@@ -379,7 +418,7 @@ TEST(Transport, EofBetweenFramesAndMidFrameRaiseDifferentErrors) {
     }
   };
   {
-    LoopbackPair link;
+    LoopbackPair link(GetParam());
     const std::vector<std::uint8_t> bytes = report_bytes(0, 1);
     send_raw(link.client, bytes.data(), bytes.size());
     link.client.close();
@@ -397,10 +436,56 @@ TEST(Transport, EofBetweenFramesAndMidFrameRaiseDifferentErrors) {
                                    std::pair{&small, small.size() - 1},
                                    std::pair{&large, std::size_t{3000}}}) {
     SCOPED_TRACE("cut at " + std::to_string(cut));
-    LoopbackPair link;
+    LoopbackPair link(GetParam());
     send_raw(link.client, bytes->data(), cut);
     link.client.close();
     expect_wire_error(link.server, "peer disconnected mid-frame");
+  }
+}
+
+/// A port nothing listens on yet (the probe listener is freed on return).
+std::uint16_t free_port() {
+  Listener probe(0, /*loopback_only=*/true);
+  return probe.port();
+}
+
+/// Options for a coordinator that tests only bind: one node, one phase.
+Coordinator::Options bind_only_options(bool loopback_only, std::uint16_t port = 0) {
+  Coordinator::Options options;
+  options.port = port;
+  options.loopback_only = loopback_only;
+  options.nodes = 1;
+  options.campaign_text = "phase name=p duration=1\n";
+  options.phase_count = 1;
+  return options;
+}
+
+TEST(Coordinator, LoopbackDialTakesTheLocalSocketOnlyOfALoopbackCoordinator) {
+  // A loopback_only coordinator listens on local_name(port) beside its TCP
+  // port, and a dial to 127.0.0.1 lands there; an all-interfaces
+  // coordinator (--coordinator) has no local listener, and the dial stays
+  // on TCP.
+  for (const bool loopback_only : {true, false}) {
+    SCOPED_TRACE(loopback_only ? "loopback_only" : "all interfaces");
+    Coordinator coordinator(bind_only_options(loopback_only));
+    const Connection conn = Connection::connect(
+        "127.0.0.1:" + std::to_string(coordinator.port()), /*retry_for_s=*/0.0);
+    EXPECT_EQ(socket_family(conn), loopback_only ? AF_UNIX : AF_INET);
+  }
+}
+
+TEST(Coordinator, TakenLocalNameFailsLoudly) {
+  // Loopback dials would reach whoever holds the name, so a coordinator
+  // that cannot bind it refuses to start rather than serve TCP alone.
+  const std::uint16_t port = free_port();
+  const Listener squatter = Listener::local(port);
+  try {
+    Coordinator coordinator(bind_only_options(/*loopback_only=*/true, port));
+    FAIL() << "the coordinator started without its local listener";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot bind local socket '" + local_name(port) + "'"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -651,11 +736,8 @@ TEST(NodeConfigs, NamedSkusAreGenuinelyHeterogeneous) {
 
 // ---- loopback fleet (end to end) --------------------------------------------
 
-std::string write_campaign(const char* path, const char* text) {
-  std::ofstream out(path);
-  out << text;
-  return path;
-}
+using tests::TempCampaign;
+using tests::TempFile;
 
 /// Mean value of the merged-CSV row for (metric, phase, node).
 double csv_mean(const std::string& output, const std::string& metric,
@@ -674,14 +756,13 @@ double csv_mean(const std::string& output, const std::string& metric,
 }
 
 TEST(LoopbackFleet, HeterogeneousBudgetCampaignConvergesInLockstep) {
-  const std::string campaign = write_campaign("/tmp/fs2_cluster_accept.campaign",
-                                              "phase name=ramp duration=12\n"
-                                              "phase name=hold duration=16\n"
-                                              "phase name=cool duration=12\n");
+  const TempCampaign campaign("phase name=ramp duration=12\n"
+                              "phase name=hold duration=16\n"
+                              "phase name=cool duration=12\n");
   firestarter::Config cfg;
   cfg.loopback_nodes = "zen2@1500,haswell@2000";
   cfg.coordinator = true;
-  cfg.campaign_file = campaign;
+  cfg.campaign_file = campaign.path();
   cfg.target_spec = "cluster-power=500W";
   cfg.require_convergence = true;
   cfg.log_level = "warn";
@@ -715,13 +796,12 @@ TEST(LoopbackFleet, HeterogeneousBudgetCampaignConvergesInLockstep) {
 }
 
 TEST(LoopbackFleet, OpenLoopCampaignMergesWithoutBudget) {
-  const std::string campaign = write_campaign("/tmp/fs2_cluster_open.campaign",
-                                              "phase name=half duration=10 "
-                                              "profile=constant:50\n");
+  const TempCampaign campaign("phase name=half duration=10 "
+                              "profile=constant:50\n");
   firestarter::Config cfg;
   cfg.loopback_nodes = "zen2@1500,haswell@2000";
   cfg.coordinator = true;
-  cfg.campaign_file = campaign;
+  cfg.campaign_file = campaign.path();
   cfg.log_level = "warn";
   std::ostringstream out;
   firestarter::Firestarter app(cfg, out);
@@ -737,12 +817,11 @@ TEST(LoopbackFleet, OpenLoopCampaignMergesWithoutBudget) {
 }
 
 TEST(LoopbackFleet, UnreachableBudgetFailsRequireConvergence) {
-  const std::string campaign = write_campaign("/tmp/fs2_cluster_unreach.campaign",
-                                              "phase name=hold duration=10\n");
+  const TempCampaign campaign("phase name=hold duration=10\n");
   firestarter::Config cfg;
   cfg.loopback_nodes = "zen2@1500,haswell@2000";
   cfg.coordinator = true;
-  cfg.campaign_file = campaign;
+  cfg.campaign_file = campaign.path();
   // Both SKUs flat out cannot reach 5 kW.
   cfg.target_spec = "cluster-power=5000W";
   cfg.require_convergence = true;
@@ -758,12 +837,11 @@ TEST(LoopbackFleet, SixtyFourNodeFleetMergesCorrectly) {
   // aggregates against their per-node parts and that the coordinator's
   // alignment queues stayed bounded (the run completing with converged
   // budget implies drained queues; kMaxLagSamples caps them throughout).
-  const std::string campaign = write_campaign("/tmp/fs2_cluster_64.campaign",
-                                              "phase name=hold duration=10\n");
+  const TempCampaign campaign("phase name=hold duration=10\n");
   firestarter::Config cfg;
   cfg.loopback_nodes = "zen2@1500x32,haswell@2000x32";
   cfg.coordinator = true;
-  cfg.campaign_file = campaign;
+  cfg.campaign_file = campaign.path();
   cfg.target_spec = "cluster-power=16000W";  // 250 W/node, as the pair test
   cfg.require_convergence = true;
   cfg.log_level = "error";
@@ -794,12 +872,6 @@ TEST(LoopbackFleet, SixtyFourNodeFleetMergesCorrectly) {
     const std::string node = strings::format("n%d-%s", i, i < 32 ? "zen2" : "haswell");
     EXPECT_GE(temp_max + 1e-9, csv_mean(output, "sim-package-temp", "hold", node));
   }
-}
-
-/// A port nothing listens on yet (the probe listener is freed on return).
-std::uint16_t free_port() {
-  Listener probe(0, /*loopback_only=*/true);
-  return probe.port();
 }
 
 /// A coordinator Firestarter (budget mode, --require-convergence) on its
@@ -875,17 +947,15 @@ TEST(MultiProcessFleet, RealAgentProcessesConvergeOverTcp) {
   // The production --agent path (run_agent -> AgentFleet -> Agent) as
   // separate Firestarter instances over real TCP: the same agent state
   // machine the loopback fleet runs, driven one per process.
-  const std::string campaign = write_campaign("/tmp/fs2_cluster_agents.campaign",
-                                              "phase name=ramp duration=8\n"
-                                              "phase name=hold duration=8\n");
-  const std::string trace_path = "/tmp/fs2_cluster_agents_trace.json";
-  std::remove(trace_path.c_str());
+  const TempCampaign campaign("phase name=ramp duration=8\n"
+                              "phase name=hold duration=8\n");
+  const TempFile trace("trace.json");
   const std::uint16_t port = free_port();
   int zen2_code = -1;
   int haswell_code = -1;
   std::string output;
   {
-    CoordinatorRun coordinator(port, campaign, 2, "cluster-power=500W", trace_path);
+    CoordinatorRun coordinator(port, campaign.path(), 2, "cluster-power=500W", trace.path());
     std::thread zen2 =
         run_agent(port, firestarter::TargetSystem::kSimZen2, 1500.0, "alpha", &zen2_code);
     std::thread haswell =
@@ -905,7 +975,7 @@ TEST(MultiProcessFleet, RealAgentProcessesConvergeOverTcp) {
   EXPECT_GT(csv_mean(output, "sim-wall-power", "hold", "beta"), 0.0) << output;
 
   // Real agents ship the same span names as loopback agents.
-  std::ifstream in(trace_path);
+  std::ifstream in(trace.path());
   ASSERT_TRUE(in.good());
   std::stringstream json;
   json << in.rdbuf();
@@ -914,7 +984,6 @@ TEST(MultiProcessFleet, RealAgentProcessesConvergeOverTcp) {
     for (const char* name : {"agent.budget_wait", "phase:ramp", "phase:hold"})
       EXPECT_EQ(names.count(name), 1u) << node << " shipped no " << name << " span";
   }
-  std::remove(trace_path.c_str());
 }
 
 /// A frame-level TCP relay in front of the coordinator. It forwards every
@@ -1006,13 +1075,12 @@ TEST(MultiProcessFleet, RealAgentRejoinsAfterLostLinkAndConverges) {
   // A real --agent loses its coordinator link mid-phase (the relay cuts it
   // during a budget exchange): the incarnation ends, its driver starts a
   // replacement that presents `rejoin`, and the run still converges.
-  const std::string campaign = write_campaign("/tmp/fs2_cluster_rejoin.campaign",
-                                              "phase name=ramp duration=8\n"
-                                              "phase name=hold duration=8\n");
+  const TempCampaign campaign("phase name=ramp duration=8\n"
+                              "phase name=hold duration=8\n");
   const std::uint16_t port = free_port();
   int zen2_code = -1;
   int haswell_code = -1;
-  CoordinatorRun coordinator(port, campaign, 2, "cluster-power=500W");
+  CoordinatorRun coordinator(port, campaign.path(), 2, "cluster-power=500W");
   LinkCutter relay(port, /*cut_at_report=*/6);
   std::thread zen2 =
       run_agent(port, firestarter::TargetSystem::kSimZen2, 1500.0, "alpha", &zen2_code);
@@ -1035,8 +1103,8 @@ TEST(LoopbackFleet, RejectsHostSpecs) {
   firestarter::Config cfg;
   cfg.loopback_nodes = "host,zen2";
   cfg.coordinator = true;
-  cfg.campaign_file = write_campaign("/tmp/fs2_cluster_host.campaign",
-                                     "phase name=p duration=5\n");
+  const TempCampaign campaign("phase name=p duration=5\n");
+  cfg.campaign_file = campaign.path();
   std::ostringstream out;
   firestarter::Firestarter app(cfg, out);
   EXPECT_THROW(app.run(), ConfigError);
@@ -1161,8 +1229,8 @@ TEST(Coordinator, RequiresCampaignAndNodes) {
     firestarter::Firestarter app(cfg, out);
     EXPECT_THROW(app.run(), ConfigError);  // no campaign
   }
-  cfg.campaign_file = write_campaign("/tmp/fs2_cluster_nonode.campaign",
-                                     "phase name=p duration=5\n");
+  const TempCampaign campaign("phase name=p duration=5\n");
+  cfg.campaign_file = campaign.path();
   {
     firestarter::Firestarter app(cfg, out);
     EXPECT_THROW(app.run(), ConfigError);  // no --nodes / --loopback
@@ -1172,13 +1240,12 @@ TEST(Coordinator, RequiresCampaignAndNodes) {
 // ---- observability ----------------------------------------------------------
 
 TEST(ClusterBusTest, MergedRowsIncludePhaseBeginSpread) {
-  const std::string campaign = write_campaign("/tmp/fs2_cluster_spread.campaign",
-                                              "phase name=solo duration=10 "
-                                              "profile=constant:60\n");
+  const TempCampaign campaign("phase name=solo duration=10 "
+                              "profile=constant:60\n");
   firestarter::Config cfg;
   cfg.loopback_nodes = "zen2@1500,haswell@2000";
   cfg.coordinator = true;
-  cfg.campaign_file = campaign;
+  cfg.campaign_file = campaign.path();
   cfg.log_level = "warn";
   std::ostringstream out;
   firestarter::Firestarter app(cfg, out);
@@ -1193,13 +1260,12 @@ TEST(ClusterBusTest, MergedRowsIncludePhaseBeginSpread) {
 }
 
 TEST(LoopbackFleet, SyncToleranceFailureNamesOffendingNodes) {
-  const std::string campaign = write_campaign("/tmp/fs2_cluster_offender.campaign",
-                                              "phase name=tight duration=10 "
-                                              "profile=constant:50\n");
+  const TempCampaign campaign("phase name=tight duration=10 "
+                              "profile=constant:50\n");
   firestarter::Config cfg;
   cfg.loopback_nodes = "zen2@1500,haswell@2000";
   cfg.coordinator = true;
-  cfg.campaign_file = campaign;
+  cfg.campaign_file = campaign.path();
   // No two nodes can begin within a nanosecond of each other; the lockstep
   // verdict must fail and say WHICH node straggled behind which.
   cfg.sync_tolerance_s = 1e-9;
@@ -1221,17 +1287,15 @@ TEST(LoopbackFleet, SyncToleranceFailureNamesOffendingNodes) {
 }
 
 TEST(LoopbackFleet, TraceOutExportsMergedFleetTimeline) {
-  const std::string campaign = write_campaign("/tmp/fs2_cluster_trace.campaign",
-                                              "phase name=ramp duration=8\n"
-                                              "phase name=cool duration=6\n");
-  const std::string trace_path = "/tmp/fs2_cluster_trace.json";
-  std::remove(trace_path.c_str());
+  const TempCampaign campaign("phase name=ramp duration=8\n"
+                              "phase name=cool duration=6\n");
+  const TempFile trace("trace.json");
   firestarter::Config cfg;
   cfg.loopback_nodes = "zen2@1500,haswell@2000";
   cfg.coordinator = true;
-  cfg.campaign_file = campaign;
+  cfg.campaign_file = campaign.path();
   cfg.target_spec = "cluster-power=500W";
-  cfg.trace_out = trace_path;
+  cfg.trace_out = trace.path();
   cfg.log_level = "warn";
   std::ostringstream out;
   firestarter::Firestarter app(cfg, out);
@@ -1239,7 +1303,7 @@ TEST(LoopbackFleet, TraceOutExportsMergedFleetTimeline) {
   EXPECT_NE(out.str().find("fleet trace written to"), std::string::npos) << out.str();
   trace::Tracer::reset();  // do not leak an enabled tracer into other tests
 
-  std::ifstream in(trace_path);
+  std::ifstream in(trace.path());
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
@@ -1254,7 +1318,6 @@ TEST(LoopbackFleet, TraceOutExportsMergedFleetTimeline) {
   EXPECT_NE(json.find("\"phase:cool\""), std::string::npos);
   EXPECT_NE(json.find("\"cluster.phase_barrier\""), std::string::npos);
   EXPECT_NE(json.find("\"cluster.bus.drain\""), std::string::npos);
-  std::remove(trace_path.c_str());
 }
 
 TEST(Coordinator, ServesStatusProbesDuringAcceptAndMidRun) {
