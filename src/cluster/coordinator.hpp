@@ -28,7 +28,8 @@ class Coordinator {
   struct Options {
     std::uint16_t port = 0;         ///< 0 = ephemeral (loopback tests)
     /// Bind 127.0.0.1 instead of all interfaces, and listen on
-    /// local_name(port) too: loopback dials take that AF_UNIX socket.
+    /// local_name(port) too, where an in-process fleet (SimFleet) dials in
+    /// over AF_UNIX.
     bool loopback_only = false;
     std::size_t nodes = 0;
     std::string campaign_text;

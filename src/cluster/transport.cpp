@@ -60,25 +60,6 @@ socklen_t local_address(std::uint16_t port, sockaddr_un& addr) {
   return static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 + name.size());
 }
 
-/// Dial local_name(port); -1 when nothing listens there. The send deadline
-/// goes on first: an AF_UNIX connect(2) waits while the listener's backlog
-/// is full (where TCP drops the SYN), and SO_SNDTIMEO bounds that wait.
-int dial_local(std::uint16_t port) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  set_send_deadline(fd);
-  sockaddr_un addr;
-  const socklen_t len = local_address(port, addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), len) == 0) return fd;
-  ::close(fd);
-  return -1;
-}
-
-bool is_loopback(const addrinfo& ai) {
-  return ai.ai_family == AF_INET &&
-         ntohl(reinterpret_cast<const sockaddr_in*>(ai.ai_addr)->sin_addr.s_addr) >> 24 == 127;
-}
-
 /// bind(2) and listen(2), or close `fd` and throw. `what` names the address.
 void bind_and_listen(int fd, const sockaddr* addr, socklen_t len, const std::string& what) {
   if (::bind(fd, addr, len) != 0) {
@@ -174,18 +155,8 @@ Connection Connection::connect(const std::string& endpoint, double retry_for_s) 
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::duration<double>(retry_for_s);
-  // The same frames cost about half the kernel time over AF_UNIX as over
-  // loopback TCP, so a loopback coordinator's local listener goes first.
-  const bool local = is_loopback(*result);
   std::string last_error;
   for (;;) {
-    if (local) {
-      const int fd = dial_local(static_cast<std::uint16_t>(port_num));
-      if (fd >= 0) {
-        ::freeaddrinfo(result);
-        return Connection(fd);
-      }
-    }
     for (addrinfo* ai = result; ai != nullptr; ai = ai->ai_next) {
       const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
       if (fd < 0) continue;
@@ -203,6 +174,39 @@ Connection Connection::connect(const std::string& endpoint, double retry_for_s) 
   }
   ::freeaddrinfo(result);
   throw Error("cluster: cannot connect to " + endpoint + " (" + last_error + ")");
+}
+
+Connection Connection::connect_local(std::uint16_t port, double retry_for_s) {
+  sockaddr_un addr;
+  const socklen_t len = local_address(port, addr);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::duration<double>(retry_for_s);
+  std::string last_error;
+  for (;;) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) throw Error("cluster: cannot create local socket (" + errno_text() + ")");
+    // The send deadline goes on first: an AF_UNIX connect(2) waits while
+    // the listener's backlog is full (where TCP drops the SYN), and
+    // SO_SNDTIMEO bounds that wait.
+    set_send_deadline(fd);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), len) == 0) {
+      // Any process can bind an abstract name; only this one's coordinator
+      // is trusted with the campaign.
+      ucred peer{};
+      socklen_t peer_len = sizeof peer;
+      if (::getsockopt(fd, SOL_SOCKET, SO_PEERCRED, &peer, &peer_len) == 0 &&
+          peer.pid == ::getpid())
+        return Connection(fd);
+      last_error = strings::format("held by process %d, not this one", peer.pid);
+    } else {
+      last_error = errno_text();
+    }
+    ::close(fd);
+    if (std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  throw Error("cluster: cannot connect to local socket '" + local_name(port) + "' (" +
+              last_error + ")");
 }
 
 void Connection::write_all(const std::uint8_t* data, std::size_t size) {

@@ -14,8 +14,8 @@ namespace fs2::cluster {
 class LinkFaults;
 
 /// One framed, blocking stream connection between coordinator and agent:
-/// TCP, or AF_UNIX when a loopback dial reaches a coordinator's local
-/// listener (Listener::local). Both carry the same bytes. Frames are
+/// TCP, or AF_UNIX between an in-process fleet and its coordinator's local
+/// listener (connect_local, Listener::local). Both carry the same bytes. Frames are
 /// `u32 length | u8 type | payload` with the length covering type +
 /// payload. Send and receive are whole-frame operations; partial socket
 /// reads/writes are looped internally. Frames come in through a
@@ -40,11 +40,14 @@ class Connection {
 
   /// Connect to "host:port" (numeric IPv4 or a resolvable name), retrying
   /// for up to `retry_for_s` seconds (0 dials once) — an agent routinely
-  /// starts before its coordinator binds. When the host resolves to a
-  /// loopback address, each attempt dials local_name(port) first and falls
-  /// back to TCP when nothing listens on that name. Throws fs2::Error on
+  /// starts before its coordinator binds. Always TCP. Throws fs2::Error on
   /// final failure.
   static Connection connect(const std::string& endpoint, double retry_for_s = 5.0);
+  /// Connect to the local listener of the loopback_only coordinator on
+  /// `port` that runs in this process, retrying like connect(). A listener
+  /// on local_name(port) that another process holds is refused (peer
+  /// credentials), since anyone may bind an abstract name.
+  static Connection connect_local(std::uint16_t port, double retry_for_s = 5.0);
 
   void send(const Frame& frame);
 
@@ -178,8 +181,8 @@ class Listener {
   explicit Listener(std::uint16_t port, bool loopback_only = false);
   /// The local listener beside a loopback TCP listener on `port`: an
   /// AF_UNIX stream socket bound to the abstract name local_name(port),
-  /// which Connection::connect dials before TCP. Throws when the name is
-  /// taken, since loopback dials to `port` would reach whoever holds it.
+  /// which Connection::connect_local dials. Throws when the name is taken:
+  /// the fleet in this process would have no listener of its own to dial.
   static Listener local(std::uint16_t port);
   ~Listener();
 

@@ -33,17 +33,12 @@ std::string agent_sku(const Config& cfg) {
 
 // ---- Agent ------------------------------------------------------------------
 
-Agent::Agent(Config cfg, const std::string& endpoint, AgentSeat& seat,
+Agent::Agent(Config cfg, cluster::Connection conn, AgentSeat& seat,
              std::optional<RejoinSpec> rejoin)
     : cfg_(std::move(cfg)),
       node_name_(cfg_.node_name.value_or("agent")),
       seat_(seat),
-      // A first incarnation may start well before the coordinator's
-      // listener is up, so it retries long. A replacement dials a
-      // coordinator that was provably listening moments ago, so it dials
-      // once: a refused dial means the run is over (grace expired, listener
-      // closed), and a retry would stall the fleet's one event loop.
-      conn_(cluster::Connection::connect(endpoint, /*retry_for_s=*/rejoin ? 0.0 : 30.0)),
+      conn_(std::move(conn)),
       rejoin_(rejoin) {
   if (seat_.faults) conn_.set_faults(&*seat_.faults);
   if (seat_.plan != nullptr && !rejoin_) {
@@ -490,11 +485,27 @@ AgentFleet::AgentFleet(std::string endpoint, const cluster::FaultPlan* plan)
   if (plan != nullptr) plan_ = *plan;
 }
 
+AgentFleet::AgentFleet(std::uint16_t local_port, const cluster::FaultPlan* plan)
+    : local_port_(local_port) {
+  if (plan != nullptr) plan_ = *plan;
+}
+
+cluster::Connection AgentFleet::dial(bool rejoin) const {
+  // A first incarnation may start well before the coordinator's listener is
+  // up, so it retries long. A replacement dials a coordinator that was
+  // provably listening moments ago, so it dials once: a refused dial means
+  // the run is over (grace expired, listener closed), and a retry would
+  // stall the fleet's one event loop.
+  const double retry_for_s = rejoin ? 0.0 : 30.0;
+  return local_port_ != 0 ? cluster::Connection::connect_local(local_port_, retry_for_s)
+                          : cluster::Connection::connect(endpoint_, retry_for_s);
+}
+
 AgentFleet::~AgentFleet() = default;
 
 void AgentFleet::add(Config cfg, trace::Registry* registry) {
   auto slot = std::make_unique<Slot>(std::move(cfg), registry, plan_ ? &*plan_ : nullptr);
-  slot->agent = std::make_unique<Agent>(slot->cfg, endpoint_, slot->seat);
+  slot->agent = std::make_unique<Agent>(slot->cfg, dial(/*rejoin=*/false), slot->seat);
   slots_.push_back(std::move(slot));
 }
 
@@ -533,7 +544,7 @@ void AgentFleet::run() {
       slot->respawn_due.reset();
       const Agent::RejoinSpec spec{slot->agent->campaign_id(), slot->agent->phases_ended()};
       try {
-        slot->agent = std::make_unique<Agent>(slot->cfg, endpoint_, slot->seat, spec);
+        slot->agent = std::make_unique<Agent>(slot->cfg, dial(/*rejoin=*/true), slot->seat, spec);
       } catch (const std::exception& e) {
         // The coordinator refuses connections: the run is over, and the lost
         // incarnation stays in the slot for the outcome.

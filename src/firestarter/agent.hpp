@@ -85,11 +85,11 @@ class Agent {
     std::uint32_t phases_ended = 0;
   };
 
-  /// Connects and sends hello (or the rejoin handshake) immediately, so the
-  /// coordinator's handshake finds every agent already dialed in. Throws
-  /// when the coordinator cannot be reached. The seat's kill/stall cues
-  /// fire once per run: a rejoined incarnation does not re-arm them.
-  Agent(Config cfg, const std::string& endpoint, AgentSeat& seat,
+  /// Takes `conn`, dialed to the coordinator, and sends hello (or the
+  /// rejoin handshake) immediately, so the coordinator's handshake finds
+  /// every agent already dialed in. The seat's kill/stall cues fire once
+  /// per run: a rejoined incarnation does not re-arm them.
+  Agent(Config cfg, cluster::Connection conn, AgentSeat& seat,
         std::optional<RejoinSpec> rejoin = std::nullopt);
   Agent(const Agent&) = delete;  // the sink points at conn_
   Agent& operator=(const Agent&) = delete;
@@ -238,7 +238,8 @@ class Agent {
 /// agent through it; SimFleet runs a whole --loopback fleet.
 class AgentFleet {
  public:
-  /// `plan` (may be null; copied) arms each agent's chaos faults and cues.
+  /// Agents dial `endpoint` ("host:port") over TCP. `plan` (may be null;
+  /// copied) arms each agent's chaos faults and cues.
   explicit AgentFleet(std::string endpoint, const cluster::FaultPlan* plan = nullptr);
   AgentFleet(const AgentFleet&) = delete;  // seats point into plan_
   AgentFleet& operator=(const AgentFleet&) = delete;
@@ -262,10 +263,19 @@ class AgentFleet {
   const std::vector<Outcome>& outcomes() const { return outcomes_; }
   bool all_ok() const;
 
+ protected:
+  /// Agents dial the local listener of the loopback_only coordinator on
+  /// `local_port` that runs in this process (Connection::connect_local).
+  AgentFleet(std::uint16_t local_port, const cluster::FaultPlan* plan);
+
  private:
   struct Slot;
 
-  std::string endpoint_;
+  /// Dial the coordinator for a first incarnation, or for a replacement.
+  cluster::Connection dial(bool rejoin) const;
+
+  std::string endpoint_;          ///< "host:port" over TCP, when local_port_ is 0
+  std::uint16_t local_port_ = 0;  ///< else the port of the in-process coordinator
   std::optional<cluster::FaultPlan> plan_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<Outcome> outcomes_;

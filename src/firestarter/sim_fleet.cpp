@@ -65,7 +65,7 @@ std::vector<LoopbackSpec> parse_loopback_specs(const std::string& list) {
 
 SimFleet::SimFleet(const Config& base, const std::vector<LoopbackSpec>& specs,
                    std::uint16_t port, const cluster::FaultPlan* plan)
-    : AgentFleet(strings::format("127.0.0.1:%u", port), plan) {
+    : AgentFleet(port, plan) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     Config cfg = base;
     cfg.target = specs[i].target;

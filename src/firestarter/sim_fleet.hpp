@@ -43,7 +43,9 @@ void raise_fd_limit(std::size_t need);
 class SimFleet : public AgentFleet {
  public:
   /// `base` is the coordinator's Config; per-agent copies take target/freq
-  /// from the spec, node names and decorrelated seeds. `plan` (may
+  /// from the spec, node names and decorrelated seeds. The agents dial the
+  /// local listener of the loopback_only coordinator on `port`, which must
+  /// run in this process (Connection::connect_local). `plan` (may
   /// be null; copied) arms each agent's chaos faults and cues; chaos-killed
   /// agents come back as rejoining replacements.
   SimFleet(const Config& base, const std::vector<LoopbackSpec>& specs,

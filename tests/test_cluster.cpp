@@ -9,10 +9,16 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -166,14 +172,18 @@ TEST(Messages, PhaseBracketRoundTrip) {
 enum class Link { kTcp, kLocal };
 
 /// A loopback TCP listener and, for Link::kLocal, the local listener named
-/// after its port, which a dial to 127.0.0.1 then reaches first.
+/// after its port.
 struct Listeners {
   explicit Listeners(Link link)
       : local(link == Link::kLocal ? Listener::local(tcp.port()) : Listener()) {}
   Listener tcp{0, /*loopback_only=*/true};
   Listener local;
-  std::string endpoint() const { return "127.0.0.1:" + std::to_string(tcp.port()); }
-  /// The listener a dial to endpoint() reaches.
+  /// Dial the listener under test: the local one by name, else TCP.
+  Connection dial() const {
+    return local.fd() >= 0 ? Connection::connect_local(tcp.port())
+                           : Connection::connect("127.0.0.1:" + std::to_string(tcp.port()));
+  }
+  /// The listener dial() reaches.
   Listener& serving() { return local.fd() >= 0 ? local : tcp; }
 };
 
@@ -200,8 +210,8 @@ TEST_P(Transport, FramesRoundTripOverLoopback) {
 
   // A jthread joins on the way out, so a failed accept or assertion fails
   // this test instead of terminating the suite.
-  std::jthread client([endpoint = listeners.endpoint()] {
-    Connection conn = Connection::connect(endpoint);
+  std::jthread client([&listeners] {
+    Connection conn = listeners.dial();
     HelloMsg hello;
     hello.node_name = "tester";
     hello.sku = "sim-zen2";
@@ -225,8 +235,8 @@ TEST_P(Transport, FramesRoundTripOverLoopback) {
 
 TEST_P(Transport, PeerDisconnectThrowsWireError) {
   Listeners listeners(GetParam());
-  std::jthread client([endpoint = listeners.endpoint()] {
-    Connection conn = Connection::connect(endpoint);
+  std::jthread client([&listeners] {
+    Connection conn = listeners.dial();
     // Close immediately without sending a frame.
   });
   Connection server = listeners.serving().accept(5.0);
@@ -250,7 +260,7 @@ TEST_P(Transport, AcceptTimesOutWithClearError) {
 struct LoopbackPair {
   explicit LoopbackPair(Link link) : listeners(link) {}
   Listeners listeners;
-  Connection client = Connection::connect(listeners.endpoint());
+  Connection client = listeners.dial();
   Connection server = listeners.serving().accept(5.0);
 };
 
@@ -460,23 +470,90 @@ Coordinator::Options bind_only_options(bool loopback_only, std::uint16_t port = 
   return options;
 }
 
-TEST(Coordinator, LoopbackDialTakesTheLocalSocketOnlyOfALoopbackCoordinator) {
-  // A loopback_only coordinator listens on local_name(port) beside its TCP
-  // port, and a dial to 127.0.0.1 lands there; an all-interfaces
-  // coordinator (--coordinator) has no local listener, and the dial stays
-  // on TCP.
-  for (const bool loopback_only : {true, false}) {
-    SCOPED_TRACE(loopback_only ? "loopback_only" : "all interfaces");
-    Coordinator coordinator(bind_only_options(loopback_only));
-    const Connection conn = Connection::connect(
-        "127.0.0.1:" + std::to_string(coordinator.port()), /*retry_for_s=*/0.0);
-    EXPECT_EQ(socket_family(conn), loopback_only ? AF_UNIX : AF_INET);
+TEST(LocalLink, SimFleetDialsTheLocalSocketAndAPlainDialStaysOnTcp) {
+  // A loopback_only coordinator's two listeners, without the coordinator:
+  // which of them accepts a dial shows the link it took.
+  Listeners listeners(Link::kLocal);
+  firestarter::Config cfg;
+  cfg.log_level = "error";
+  // The fleet's agent dials in and sends its hello from the constructor.
+  const firestarter::SimFleet fleet(cfg, firestarter::parse_loopback_specs("zen2@1500"),
+                                    listeners.tcp.port());
+  EXPECT_EQ(socket_family(listeners.local.accept(5.0)), AF_UNIX);
+  pollfd tcp_backlog{listeners.tcp.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&tcp_backlog, 1, 0), 0) << "the fleet dialed TCP";
+
+  // Connection::connect is TCP, to 127.0.0.1 as to any address.
+  const Connection plain =
+      Connection::connect("127.0.0.1:" + std::to_string(listeners.tcp.port()), 0.0);
+  EXPECT_EQ(socket_family(plain), AF_INET);
+  EXPECT_EQ(socket_family(listeners.tcp.accept(5.0)), AF_INET);
+}
+
+TEST(LocalLink, NameHeldBesideAnAllInterfacesCoordinatorIsNotDialed) {
+  // --coordinator binds no local name, so any local process may hold the
+  // one after its port. An agent's dial to 127.0.0.1 still reaches the
+  // coordinator over TCP, and the holder sees no connection.
+  Coordinator coordinator(bind_only_options(/*loopback_only=*/false));
+  const Listener holder = Listener::local(coordinator.port());
+  const Connection conn =
+      Connection::connect("127.0.0.1:" + std::to_string(coordinator.port()), 0.0);
+  EXPECT_EQ(socket_family(conn), AF_INET);
+  pollfd backlog{holder.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&backlog, 1, 0), 0) << "the dial reached the name's holder";
+}
+
+TEST(LocalLink, LocalDialRefusesAListenerOfAnotherProcess) {
+  // A local dial joins a fleet to the coordinator in its own process, and
+  // any process may bind an abstract name: the dial refuses a listener
+  // whose peer credentials (taken at listen(2)) name another process.
+  // Holding the TCP port keeps the name after it this test's own.
+  const Listener tcp(0, /*loopback_only=*/true);
+  const std::uint16_t port = tcp.port();
+  const std::string name = local_name(port);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path + 1, name.data(), name.size());
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                   static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 + name.size())),
+            0);
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Async-signal-safe calls only: the child listens, says so, and waits
+    // to be killed.
+    if (::listen(fd, 8) != 0) ::_exit(1);
+    if (::write(ready[1], "x", 1) != 1) ::_exit(1);
+    for (;;) ::pause();
   }
+  ::close(fd);
+  ::close(ready[1]);
+  char byte = 0;
+  const bool listening = ::read(ready[0], &byte, 1) == 1;
+  ::close(ready[0]);
+  if (listening) {
+    try {
+      Connection::connect_local(port, /*retry_for_s=*/0.0);
+      ADD_FAILURE() << "dialed the listener of process " << child;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("held by process " + std::to_string(child)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::kill(child, SIGKILL);
+  ::waitpid(child, nullptr, 0);
+  EXPECT_TRUE(listening) << "the child could not listen on " << name;
 }
 
 TEST(Coordinator, TakenLocalNameFailsLoudly) {
-  // Loopback dials would reach whoever holds the name, so a coordinator
-  // that cannot bind it refuses to start rather than serve TCP alone.
+  // Its in-process fleet would have no listener of its own to dial, so a
+  // coordinator that cannot bind the name refuses to start rather than
+  // serve TCP alone.
   const std::uint16_t port = free_port();
   const Listener squatter = Listener::local(port);
   try {
